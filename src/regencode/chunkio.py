@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedChunk
+from .cluster import PARAMS
+from .errors import MalformedBody, MalformedChunk
 from .galois import GF
 from .integrity import CODED, REPLICATED, CrcParams, checksum_code_size
-from .mbr import MbrParams
-from .msr import MsrParams
 
 MAGIC = b"RGEN"
 VERSION = 1
@@ -58,7 +57,7 @@ class ChunkHeader:
 
     @property
     def alpha(self) -> int:
-        return self.d - self.k + 1 if self.family == "msr" else self.d
+        return PARAMS[self.family].alpha_for(self.k, self.d)
 
     @property
     def symbol_bytes(self) -> int:
@@ -82,7 +81,7 @@ def header_for_state(state, node_index: int) -> ChunkHeader:
     """Header describing one node of an in-memory cluster."""
     p = state.params
     return ChunkHeader(
-        family=state.family,
+        family=p.family,
         m=p.field.m,
         generator=p.field.generator,
         prim_poly=p.field.prim_poly,
@@ -101,8 +100,7 @@ def header_for_state(state, node_index: int) -> ChunkHeader:
 def params_from_header(h: ChunkHeader):
     """(code params, CrcParams) reconstructed from a header."""
     field = GF(h.m, h.prim_poly, h.generator)
-    cls = MsrParams if h.family == "msr" else MbrParams
-    return cls(h.n, h.k, h.d, h.beta, field), CrcParams(h.r, h.crc_poly)
+    return PARAMS[h.family](h.n, h.k, h.d, h.beta, field), CrcParams(h.r, h.crc_poly)
 
 
 def pack_chunk(header: ChunkHeader, chunk, shares: dict[int, int]) -> bytes:
@@ -173,7 +171,7 @@ def unpack_chunk(data: bytes) -> tuple[ChunkHeader, np.ndarray, dict[int, int]]:
     )
     body = data[_HEADER.size :]
     if len(body) != header.body_size():
-        raise MalformedChunk(
+        raise MalformedBody(
             f"body has {len(body)} bytes, layout requires {header.body_size()}"
         )
     sw = header.symbol_bytes
@@ -182,7 +180,7 @@ def unpack_chunk(data: bytes) -> tuple[ChunkHeader, np.ndarray, dict[int, int]]:
         int.from_bytes(body[i * sw : (i + 1) * sw], "big") for i in range(count)
     ]
     if any(x >> m for x in flat):
-        raise MalformedChunk(f"symbol exceeds {m} bits")
+        raise MalformedBody(f"symbol exceeds {m} bits")
     chunk = np.array(flat, dtype=np.int64).reshape(header.beta, header.alpha)
     off = count * sw
     bw = header.share_bytes

@@ -32,6 +32,7 @@ from .cluster import (
     SUCCESS,
     Adversarial,
     ClusterState,
+    PARAMS,
     FaultPlan,
     NodeSlot,
     RandomCorruption,
@@ -43,23 +44,13 @@ from .cluster import (
     run_regeneration,
     store,
 )
-from .errors import InvalidParams, MalformedChunk, RegencodeError
+from .errors import InvalidParams, MalformedBody, MalformedChunk, RegencodeError
 from .galois import GF
 from .integrity import REPLICATED, SCHEMES, CrcParams, bits_to_bytes
-from .mbr import MbrParams
-from .msr import MsrParams
-
-FAMILIES = ("msr", "mbr")
 
 
 def _record(**fields) -> str:
     return " ".join(f"{k}={v}" for k, v in fields.items())
-
-
-def _params_cls(family: str):
-    if family not in FAMILIES:
-        raise InvalidParams(f"unknown family {family!r}")
-    return MsrParams if family == "msr" else MbrParams
 
 
 def _metrics_fields(metrics) -> dict:
@@ -90,17 +81,29 @@ def _chunk_paths(paths) -> list[Path]:
 
 
 def _assemble_state(paths, seed: int) -> ClusterState:
-    """Cluster with healthy slots for present files, crashed for missing."""
-    entries = [read_chunk_file(p) for p in paths]
-    heads = [h for h, _, _ in entries]
-    base = heads[0]
+    """Cluster with healthy slots for readable files, crashed for the rest.
+
+    A file that cannot be read, or whose body does not fit its header, is
+    a crashed node and gets one warning record.  A file without a valid
+    header, or from another chunk set, stays fatal: nothing places it in
+    this set.
+    """
+    entries = []
+    for p in paths:
+        try:
+            entries.append((p, *read_chunk_file(p)))
+        except (MalformedBody, OSError) as exc:
+            print(_record(warning="chunk_unreadable", path=p, detail=repr(str(exc))))
+    if not entries:
+        raise MalformedChunk(f"none of the {len(paths)} chunk files is readable")
+    base = entries[0][1]
     key = lambda h: (h.family, h.m, h.generator, h.prim_poly, h.n, h.k, h.d,
                      h.beta, h.r, h.crc_poly, h.scheme, h.payload_bit_len)
-    for h, p in zip(heads, paths):
+    for p, h, _, _ in entries:
         if key(h) != key(base):
             raise MalformedChunk(f"{p} belongs to a different chunk set")
     seen = set()
-    for h, p in zip(heads, paths):
+    for p, h, _, _ in entries:
         if h.node_index in seen:
             raise MalformedChunk(f"{p} duplicates node index {h.node_index}")
         seen.add(h.node_index)
@@ -111,7 +114,7 @@ def _assemble_state(paths, seed: int) -> ClusterState:
         )
         for _ in range(params.n)
     ]
-    for h, chunk, shares in entries:
+    for _, h, chunk, shares in entries:
         nodes[h.node_index] = NodeSlot(chunk, shares)
     return ClusterState(
         params=params,
@@ -130,7 +133,7 @@ def _assemble_state(paths, seed: int) -> ClusterState:
 def cmd_encode(args) -> int:
     payload = Path(args.input).read_bytes()
     field = GF(args.m)
-    cls = _params_cls(args.family)
+    cls = PARAMS[args.family]
     bits = 8 * len(payload)
     if args.beta:
         beta = args.beta
@@ -296,8 +299,10 @@ def cmd_simulate(args) -> int:
         raise InvalidParams(f"unknown strategy {strategy_name!r}")
     if scheme not in SCHEMES:
         raise InvalidParams(f"unknown checksum scheme {scheme!r}")
+    if family not in PARAMS:
+        raise InvalidParams(f"unknown family {family!r}")
 
-    params = _params_cls(family)(n, k, d, beta, GF(m))
+    params = PARAMS[family](n, k, d, beta, GF(m))
     if "payload_file" in cfg:
         payload = Path(cfg["payload_file"]).read_bytes()
         truth = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
@@ -375,7 +380,7 @@ def cmd_simulate(args) -> int:
 
 
 def _add_code_flags(sp, with_scheme=True):
-    sp.add_argument("--family", required=True, choices=FAMILIES)
+    sp.add_argument("--family", required=True, choices=PARAMS)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
@@ -420,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     ana = sub.add_parser("analyze", help="print parameters and capabilities")
-    ana.add_argument("--family", required=True, choices=FAMILIES)
+    ana.add_argument("--family", required=True, choices=PARAMS)
     ana.add_argument("--n", type=int, required=True)
     ana.add_argument("--k", type=int, required=True)
     ana.add_argument("--d", type=int, required=True)

@@ -59,6 +59,10 @@ from .mbr import MbrParams
 from .msr import MsrParams
 from .rscode import encode_eval
 
+# family name (CLI flag, chunk header, simulate config) -> params class, codec
+PARAMS = {MsrParams.family: MsrParams, MbrParams.family: MbrParams}
+CODECS = {MsrParams.family: msr, MbrParams.family: mbr}
+
 HEALTHY = "healthy"
 CRASHED = "crashed"
 BYZANTINE = "byzantine"
@@ -82,14 +86,6 @@ class ClusterState:
     payload_bit_len: int
     nodes: list[NodeSlot]
     rng_seed: int = 0
-
-    @property
-    def family(self) -> str:
-        return "msr" if isinstance(self.params, MsrParams) else "mbr"
-
-    @property
-    def codec(self):
-        return msr if isinstance(self.params, MsrParams) else mbr
 
     def clone(self) -> "ClusterState":
         nodes = [
@@ -154,11 +150,7 @@ def _as_bits(payload) -> np.ndarray:
 def store(payload, params, scheme: str = REPLICATED, *, crc: CrcParams | None = None,
           seed: int = 0) -> ClusterState:
     """Frame the payload, encode it, and place chunks plus checksum shares."""
-    if isinstance(params, MsrParams):
-        codec = msr
-    elif isinstance(params, MbrParams):
-        codec = mbr
-    else:
+    if getattr(params, "family", None) not in CODECS:
         raise InvalidParams(f"unsupported params type {type(params).__name__}")
     if scheme not in SCHEMES:
         raise InvalidParams(f"unknown checksum scheme {scheme!r}")
@@ -175,7 +167,7 @@ def store(payload, params, scheme: str = REPLICATED, *, crc: CrcParams | None = 
     extended = crc_append(bits, crc)
     framed[: extended.size] = extended
     stripes = bits_to_symbols(framed, m).reshape(params.beta, params.B)
-    chunks = codec.encode(stripes, params)
+    chunks = CODECS[params.family].encode(stripes, params)
     checksums = [chunk_checksum(chunks[i], m, crc) for i in range(params.n)]
     directory = build_directory(checksums, scheme, crc)
     nodes = [
@@ -361,12 +353,12 @@ class _MeteredSource:
         self.shares: dict[int, int] = {}
 
     def fetch(self, count: int):
-        state, failed = self._state, self._failed
+        state, failed, params = self._state, self._failed, self._state.params
         out = []
         while self._queue and len(out) < count:
             j = self._queue.popleft()
             slot = state.nodes[j]
-            resp = state.codec.repair_response(slot.chunk, j, failed, state.params)
+            resp = CODECS[params.family].repair_response(slot.chunk, j, failed, params)
             self.shares[j] = slot.shares[failed]
             out.append((j, resp))
         if out:
@@ -386,8 +378,9 @@ def run_reconstruction(state: ClusterState, policy=None) -> tuple:
     def verify(stripes) -> bool:
         return crc_verify(frame_bits(state, stripes), state.crc)
 
+    codec = CODECS[state.params.family]
     try:
-        stripes, rounds = state.codec.reconstruct(collector, state.params, verify)
+        stripes, rounds = codec.reconstruct(collector, state.params, verify)
     except ClusterExhausted:
         metrics.outcome = FAIL
         return None, metrics
@@ -426,7 +419,7 @@ def run_regeneration(
         return chunk_checksum(chunk, params.field.m, state.crc)
 
     try:
-        chunk, rounds = state.codec.regenerate(
+        chunk, rounds = CODECS[params.family].regenerate(
             source, failed, params, recover, chunk_crc
         )
     except (ClusterExhausted, ChecksumUnrecoverable):
@@ -509,7 +502,7 @@ def build_msr_zero_crc_forgery(state: ClusterState, colluders) -> ConsistentForg
     differ from the true one.
     """
     params = state.params
-    if not isinstance(params, MsrParams):
+    if params.family != "msr":
         raise InvalidParams("forgery construction is defined for MSR clusters")
     colluders = sorted(set(int(c) for c in colluders))
     n, d, alpha, beta = params.n, params.d, params.alpha, params.beta

@@ -13,19 +13,19 @@ Because the right blocks of U's bottom rows are zero, rows k..d-1 of C
 are codewords of the [n, k] code.  Reconstruction therefore runs in two
 phases on the same accessed columns: decode the bottom rows to get A2,
 subtract A2ᵀ·(bottom rows of G) from the top rows — leaving A1·G_k —
-and decode those to get A1.  Regeneration works exactly as in the MSR
-family except the decoded vector g_i·U, transposed via U's symmetry,
-*is* the lost column.
+and decode those to get A1.  When the checksum test rejects, more
+columns are read on the shared schedule of ``progressive``, topped up to
+k, the dimension of the [n, k] code.  Regeneration works exactly as in
+the MSR family except the decoded vector g_i·U, transposed via U's
+symmetry, *is* the lost column.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import progressive
 from .errors import (
-    ChecksumUnrecoverable,
-    ClusterExhausted,
-    DecodeFailure,
     InvalidParams,
     LengthMismatch,
     SelfRepair,
@@ -36,6 +36,12 @@ from .rscode import ProgressiveDecoder, RsParams, invert_submatrix, vandermonde
 
 class MbrParams:
     """Geometry, generator matrices, and fill maps for one deployment."""
+
+    family = "mbr"
+
+    @staticmethod
+    def alpha_for(k: int, d: int) -> int:  # symbols per node and stripe
+        return d
 
     def __init__(self, n: int, k: int, d: int, beta: int, field: GF):
         if k < 1:
@@ -48,7 +54,7 @@ class MbrParams:
             raise InvalidParams(f"beta={beta} must be positive")
         self.n, self.k, self.d, self.beta = n, k, d, beta
         self.field = field
-        self.alpha = d
+        self.alpha = self.alpha_for(k, d)
         self.B = k * d - k * (k - 1) // 2
         self.code = RsParams(n, d, field)
         self.code_k = RsParams(n, k, field)
@@ -95,11 +101,13 @@ def build_u(message, params: MbrParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_u(a1, a2, params: MbrParams) -> np.ndarray:
-    """Inverse of build_u; A1 is read from its upper triangle, A2 in full."""
-    out = np.zeros(params.B, dtype=np.int64)
+    """Inverse of build_u; A1 is read from its upper triangle, A2 in full.
+    Any leading axes index stripes."""
+    a1 = np.asarray(a1)
+    out = np.zeros(a1.shape[:-2] + (params.B,), dtype=np.int64)
     r1, c1, k1 = params._canon1
-    out[k1] = np.asarray(a1)[r1, c1]
-    out[params.fill2] = a2
+    out[..., k1] = a1[..., r1, c1]
+    out[..., params.fill2] = a2
     return out
 
 
@@ -126,65 +134,32 @@ def encode(stripes, params: MbrParams) -> np.ndarray:
     return c_all.reshape(params.beta, params.d, params.n).transpose(2, 0, 1)
 
 
-def _attempt(params: MbrParams, received: dict[int, np.ndarray], hi_decoders):
-    """One two-phase decode over the columns read so far; None on failure."""
+def reconstruct(collector, params: MbrParams, verify) -> tuple[np.ndarray, int]:
+    """Two-phase progressive reconstruction from k columns upward.
+
+    A2's rows are decoded with the [n, k] code, so ``progressive.run``
+    tops up to k columns, not d.  Returns (stripes, decode_rounds).
+    """
     field = params.field
-    k, d = params.k, params.d
-    stripes = np.zeros((params.beta, params.B), dtype=np.int64)
-    try:
-        for s in range(params.beta):
-            cw_hi = np.zeros((d - k, k), dtype=np.int64)
-            for r in range(d - k):
-                cw_hi[r] = hi_decoders[s][r].attempt().codeword[:k]
-            a2 = field.matmul(cw_hi, params.ghat_k_inv)  # (d-k)×k
-            # strip the A2ᵀ contribution; the top rows become A1·G_k
-            e_full = field.matmul(a2.T, params.bottom)  # k×n
-            cw_lo = np.zeros((k, k), dtype=np.int64)
+    beta, n, k, d = params.beta, params.n, params.k, params.d
+
+    def attempt(_rounds, received, decode):
+        a2 = field.matmul(decode().reshape(-1, k), params.ghat_k_inv).reshape(beta, d - k, k)
+        # strip the A2ᵀ contribution; the top rows become A1·G_k
+        e_full = field.matmul(a2.transpose(0, 2, 1).reshape(beta * k, d - k), params.bottom)
+        e_full = e_full.reshape(beta, k, n).transpose(1, 2, 0).tolist()  # [r][p][s]
+        cols = [(p, np.asarray(col).T.tolist()) for p, col in received.items()]  # [r][s]
+        cw_lo = np.zeros((beta, k, k), dtype=np.int64)
+        for s in range(beta):  # phase-2 decoders live for one stripe only
             for r in range(k):
                 dec = ProgressiveDecoder(params.code_k)
-                dec.absorb(
-                    {p: int(col[s][r]) ^ int(e_full[r, p]) for p, col in received.items()}
-                )
-                cw_lo[r] = dec.attempt().codeword[:k]
-            a1 = field.matmul(cw_lo, params.ghat_k_inv)
-            stripes[s] = read_u(a1, a2, params)
-        return stripes
-    except DecodeFailure:
-        return None
+                dec.absorb({p: col[r][s] ^ e_full[r][p][s] for p, col in cols})
+                cw_lo[s, r] = dec.attempt().codeword[:k]
+        a1 = field.matmul(cw_lo.reshape(-1, k), params.ghat_k_inv).reshape(beta, k, k)
+        return read_u(a1, a2, params)
 
-
-def reconstruct(collector, params: MbrParams, verify) -> tuple[np.ndarray, int]:
-    """Two-phase progressive reconstruction from k columns upward."""
-    hi_decoders = [
-        [ProgressiveDecoder(params.code_k) for _ in range(params.d - params.k)]
-        for _ in range(params.beta)
-    ]
-    received: dict[int, np.ndarray] = {}
-    got = dict(collector.fetch(params.k))
-    _absorb(hi_decoders, received, got, params)
-    count, partial = len(got), len(got) < params.k
-    rounds = 0
-    while True:
-        rounds += 1
-        stripes = _attempt(params, received, hi_decoders) if count else None
-        if stripes is not None and verify(stripes):
-            return stripes, rounds
-        if partial:
-            raise ClusterExhausted(f"no verified message after reading {count} nodes")
-        got = dict(collector.fetch(2))
-        if not got:
-            raise ClusterExhausted(f"no verified message after reading {count} nodes")
-        _absorb(hi_decoders, received, got, params)
-        count += len(got)
-        partial = len(got) < 2
-
-
-def _absorb(hi_decoders, received, got, params: MbrParams):
-    received.update(got)
-    for s in range(params.beta):
-        for r in range(params.d - params.k):
-            batch = {p: int(col[s][params.k + r]) for p, col in got.items()}
-            hi_decoders[s][r].absorb(batch)
+    take = lambda column: np.asarray(column)[:, k:]  # rows k..d-1 carry A2
+    return progressive.run(collector, k, params.code_k, beta, d - k, take, attempt, verify)
 
 
 def repair_response(chunk, holder: int, failed: int, params: MbrParams) -> np.ndarray:
@@ -199,46 +174,4 @@ def repair_response(chunk, holder: int, failed: int, params: MbrParams) -> np.nd
 def regenerate(source, failed: int, params: MbrParams, recover, chunk_crc) -> tuple[np.ndarray, int]:
     """Rebuild node `failed` exactly; by U's symmetry the decoded g_i·U
     transposes into the stored column itself."""
-    field = params.field
-    decoders = [ProgressiveDecoder(params.code) for _ in range(params.beta)]
-    helpers: list[int] = []
-    checksum = None
-    count, rounds, want = 0, 0, params.d
-    while True:
-        got = source.fetch(want)
-        if not got:
-            if not count:
-                raise ClusterExhausted(f"node {failed} has no reachable helpers")
-            if checksum is None:
-                raise ChecksumUnrecoverable(
-                    f"checksum of node {failed} undetermined after {count} helpers"
-                )
-            raise ClusterExhausted(f"no verified chunk after {count} helpers")
-        for j, resp in got:
-            if j == failed:
-                raise SelfRepair(f"node {failed} cannot help regenerate itself")
-            helpers.append(j)
-            for s in range(params.beta):
-                decoders[s].absorb({j: int(resp[s])})
-        count += len(got)
-        rounds += 1
-        if checksum is None:
-            checksum = recover(helpers)
-        try:
-            chunk = np.zeros((params.beta, params.d), dtype=np.int64)
-            for s in range(params.beta):
-                cw = decoders[s].attempt().codeword[: params.d]
-                chunk[s] = field.matmul(
-                    np.array([cw], dtype=np.int64), params.ghat_inv
-                )[0]
-        except DecodeFailure:
-            chunk = None
-        if chunk is not None and checksum is not None and chunk_crc(chunk) == checksum:
-            return chunk, rounds
-        if len(got) < want:
-            if checksum is None:
-                raise ChecksumUnrecoverable(
-                    f"checksum of node {failed} undetermined after {count} helpers"
-                )
-            raise ClusterExhausted(f"no verified chunk after {count} helpers")
-        want = 2
+    return progressive.regenerate(source, failed, params, recover, chunk_crc, lambda t: t)

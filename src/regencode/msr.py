@@ -13,7 +13,8 @@ differ only in their A2 terms (the A1 terms cancel by symmetry), so
 (λ_i + λ_j) divides out g_j·A2·g_i, and α such bilinear values pin down
 A2·g_i through an invertible Vandermonde system; A1 follows the same
 way.  When the checksum test rejects that result, the collector falls
-back to per-row error-erasure decoding over progressively more columns.
+back to per-row error-erasure decoding of the [n, d] row code on the
+shared schedule of ``progressive``.
 
 Regeneration of node i downloads one symbol per stripe from each helper
 j — the inner product g_i·y_j, which is coordinate j of the [n, d]
@@ -24,10 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import progressive
 from .errors import (
-    ChecksumUnrecoverable,
-    ClusterExhausted,
-    DecodeFailure,
     InvalidParams,
     LengthMismatch,
     SelfRepair,
@@ -35,11 +34,17 @@ from .errors import (
     SingularSystem,
 )
 from .galois import GF
-from .rscode import ProgressiveDecoder, RsParams, gf_inverse, invert_submatrix, vandermonde
+from .rscode import RsParams, gf_inverse, invert_submatrix, vandermonde
 
 
 class MsrParams:
     """Geometry, generator matrices, and fill maps for one deployment."""
+
+    family = "msr"
+
+    @staticmethod
+    def alpha_for(k: int, d: int) -> int:  # symbols per node and stripe
+        return d - k + 1
 
     def __init__(self, n: int, k: int, d: int, beta: int, field: GF):
         if k < 2:
@@ -52,7 +57,7 @@ class MsrParams:
             raise InvalidParams(f"n={n} exceeds the {field.order - 1} nonzero points")
         if beta < 1:
             raise InvalidParams(f"beta={beta} must be positive")
-        alpha = k - 1
+        alpha = self.alpha_for(k, d)
         if field.m < (n * alpha - 1).bit_length():
             raise InvalidParams(
                 f"m={field.m} too small for n*alpha={n * alpha}; powers would wrap"
@@ -106,14 +111,15 @@ def build_u(message, params: MsrParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_u(a1, a2, params: MsrParams) -> np.ndarray:
-    """Inverse of build_u; reads the upper-triangle entries of each matrix."""
-    out = np.zeros(params.B, dtype=np.int64)
+    """Inverse of build_u; reads the upper-triangle entries of each matrix.
+    Any leading axes index stripes."""
     a1 = np.asarray(a1)
     a2 = np.asarray(a2)
+    out = np.zeros(a1.shape[:-2] + (params.B,), dtype=np.int64)
     r1, c1, k1 = params._canon1
     r2, c2, k2 = params._canon2
-    out[k1] = a1[r1, c1]
-    out[k2] = a2[r2, c2]
+    out[..., k1] = a1[..., r1, c1]
+    out[..., k2] = a2[..., r2, c2]
     return out
 
 
@@ -174,66 +180,24 @@ def reconstruct_fast(columns: dict[int, np.ndarray], params: MsrParams) -> np.nd
     return out
 
 
-def _decode_all_rows(decoders, params: MsrParams) -> np.ndarray:
-    """Run every per-row decoder; fail fast on the first undecodable row."""
-    field = params.field
-    stripes = np.zeros((params.beta, params.B), dtype=np.int64)
-    for s in range(params.beta):
-        chat = np.zeros((params.alpha, params.d), dtype=np.int64)
-        for r in range(params.alpha):
-            outcome = decoders[s][r].attempt()
-            chat[r] = outcome.codeword[: params.d]
-        u_tilde = field.matmul(chat, params.ghat_inv)
-        stripes[s] = read_u(u_tilde[:, : params.alpha], u_tilde[:, params.alpha :], params)
-    return stripes
-
-
 def reconstruct(collector, params: MsrParams, verify) -> tuple[np.ndarray, int]:
     """Progressive reconstruction; verify(stripes) is the acceptance test.
 
-    Returns (stripes, decode_rounds).  Raises ClusterExhausted once every
-    reachable node has been read without producing a verified message.
+    Round one is the fast path on k columns; later rounds decode every row
+    over all columns read.  Returns (stripes, decode_rounds).  Raises
+    ClusterExhausted once every reachable node has been read.
     """
-    first = dict(collector.fetch(params.k))
-    if len(first) < params.k:
-        raise ClusterExhausted(
-            f"only {len(first)} of the k={params.k} columns needed are reachable"
-        )
-    rounds = 1
-    stripes = reconstruct_fast(first, params)
-    if verify(stripes):
-        return stripes, rounds
-    decoders = [
-        [ProgressiveDecoder(params.code) for _ in range(params.alpha)]
-        for _ in range(params.beta)
-    ]
-    for idx, chunk in first.items():
-        _absorb_columns(decoders, {idx: chunk}, params)
-    count = params.k
-    want = (params.d - count) + 2  # top up to d, plus the two of the first round
-    while True:
-        got = dict(collector.fetch(want))
-        if not got:
-            raise ClusterExhausted(f"no verified message after reading {count} nodes")
-        _absorb_columns(decoders, got, params)
-        count += len(got)
-        rounds += 1
-        try:
-            stripes = _decode_all_rows(decoders, params)
-        except DecodeFailure:
-            stripes = None
-        if stripes is not None and verify(stripes):
-            return stripes, rounds
-        if len(got) < want:
-            raise ClusterExhausted(f"no verified message after reading {count} nodes")
-        want = 2
+    def attempt(rounds, received, decode):
+        if rounds == 1:
+            return reconstruct_fast(received, params) if len(received) == params.k else None
+        u = params.field.matmul(decode().reshape(-1, params.d), params.ghat_inv)
+        u = u.reshape(params.beta, params.alpha, params.d)
+        return read_u(u[..., : params.alpha], u[..., params.alpha :], params)
 
-
-def _absorb_columns(decoders, got: dict[int, np.ndarray], params: MsrParams):
-    for s in range(params.beta):
-        for r in range(params.alpha):
-            batch = {idx: int(chunk[s][r]) for idx, chunk in got.items()}
-            decoders[s][r].absorb(batch)
+    return progressive.run(
+        collector, params.k, params.code, params.beta, params.alpha,
+        lambda column: column, attempt, verify,
+    )
 
 
 def repair_response(chunk, holder: int, failed: int, params: MsrParams) -> np.ndarray:
@@ -250,51 +214,12 @@ def regenerate(source, failed: int, params: MsrParams, recover, chunk_crc) -> tu
 
     recover(helpers) returns the node's checksum once enough shares are
     in hand (None before that); chunk_crc(chunk) is the candidate's
-    checksum.  Returns (chunk, decode_rounds).
+    checksum.  The decoded t = g_failed·U gives the lost column as
+    t[:α] + λ_failed·t[α:].  Returns (chunk, decode_rounds).
     """
-    field = params.field
-    decoders = [ProgressiveDecoder(params.code) for _ in range(params.beta)]
-    helpers: list[int] = []
-    checksum = None
-    count, rounds, want = 0, 0, params.d
-    while True:
-        got = source.fetch(want)
-        if not got:
-            if not count:
-                raise ClusterExhausted(f"node {failed} has no reachable helpers")
-            if checksum is None:
-                raise ChecksumUnrecoverable(
-                    f"checksum of node {failed} undetermined after {count} helpers"
-                )
-            raise ClusterExhausted(f"no verified chunk after {count} helpers")
-        for j, resp in got:
-            if j == failed:
-                raise SelfRepair(f"node {failed} cannot help regenerate itself")
-            helpers.append(j)
-            for s in range(params.beta):
-                decoders[s].absorb({j: int(resp[s])})
-        count += len(got)
-        rounds += 1
-        if checksum is None:
-            checksum = recover(helpers)
-        chunk = None
-        try:
-            chunk = np.zeros((params.beta, params.alpha), dtype=np.int64)
-            for s in range(params.beta):
-                cw = decoders[s].attempt().codeword[: params.d]
-                t = field.matmul(np.array([cw], dtype=np.int64), params.ghat_inv)[0]
-                lam = int(params.lam[failed])
-                chunk[s] = t[: params.alpha] ^ field.vmul(
-                    np.full(params.alpha, lam, dtype=np.int64), t[params.alpha :]
-                )
-        except DecodeFailure:
-            chunk = None
-        if chunk is not None and checksum is not None and chunk_crc(chunk) == checksum:
-            return chunk, rounds
-        if len(got) < want:
-            if checksum is None:
-                raise ChecksumUnrecoverable(
-                    f"checksum of node {failed} undetermined after {count} helpers"
-                )
-            raise ClusterExhausted(f"no verified chunk after {count} helpers")
-        want = 2
+    alpha = params.alpha
+
+    def column(t):
+        return t[:, :alpha] ^ params.field.vmul(params.lam[failed], t[:, alpha:])
+
+    return progressive.regenerate(source, failed, params, recover, chunk_crc, column)

@@ -299,7 +299,6 @@ class ProgressiveDecoder:
         # e_p = a^p * omega(a^-p) / (w_p * lam'(a^-p)).
         prod = _poly_mul(field, lam, S) if S else [0]
         omega = prod[:two_t] if two_t else [0]
-        deriv = [lam[j] for j in range(1, len(lam), 2)]
         deriv_poly = [0] * max(1, deg)
         for j in range(1, deg + 1, 2):
             deriv_poly[j - 1] = lam[j]

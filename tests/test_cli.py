@@ -1,3 +1,4 @@
+import os
 import random
 import struct
 import subprocess
@@ -148,6 +149,29 @@ def test_truncated_chunk_file(capsys, tmp_path):
     assert "error=MalformedChunk" in err
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "regenerate"])
+def test_truncated_body_is_a_crashed_node(capsys, tmp_path, command):
+    # cut to half its length, the file keeps its header but loses its body;
+    # the other five of n=6 files still suffice
+    src, chunks = encode_dir(capsys, tmp_path, payload=bytes(range(256)) * 4)
+    victim = chunks / "node002.rgen"
+    original = victim.read_bytes()
+    victim.write_bytes(original[: len(original) // 2])
+    assert len(original) // 2 > HEADER_LEN
+    if command == "reconstruct":
+        dst = tmp_path / "out.bin"
+        code, out, _ = run(capsys, "reconstruct", chunks, "--out", dst)
+        assert code == 0
+        assert dst.read_bytes() == src.read_bytes()
+    else:
+        code, out, _ = run(capsys, "regenerate", chunks, "--failed", 2)
+        assert code == 0
+        assert victim.read_bytes() == original
+    warnings = [line for line in out.splitlines() if line.startswith("warning=")]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"warning=chunk_unreadable path={victim} detail=")
+
+
 def test_analyze_large_deployment_figures(capsys):
     code, out, _ = run(
         capsys, "analyze", "--family", "msr", "--n", "100", "--k", "20",
@@ -256,10 +280,12 @@ def test_simulate_payload_file(capsys, tmp_path):
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child imports the package under test, installed or not
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-m", "regencode.cli", "analyze", "--family", "mbr",
          "--n", "6", "--k", "3", "--d", "4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "command=analyze" in proc.stdout

@@ -317,6 +317,38 @@ def test_rebuild_shares_zero_fills_unrecoverable_owner():
 
 
 # ---------------------------------------------------------------------------
+# progressive fetch schedule
+
+
+def _schedule_cases():
+    for (n, k, d), schemes in (((20, 6, 10), (REPLICATED, CODED)), ((6, 3, 4), (REPLICATED,))):
+        for family, scheme in itertools.product(("msr", "mbr"), schemes):
+            dim = d if family == "msr" else k  # dimension of the reconstruct row code
+            for b in range((n - dim) // 2 + 1):
+                yield family, n, k, d, scheme, "reconstruct", b
+            for b in range((n - 1 - d) // 2 + 1):
+                yield family, n, k, d, scheme, "regenerate", b
+
+
+@pytest.mark.parametrize("family,n,k,d,scheme,op,b", list(_schedule_cases()))
+def test_progressive_fetch_schedule(family, n, k, d, scheme, op, b):
+    # b corrupt nodes are read first; each costs one more round of two reads
+    state, bits = make_state(family, n, k, d, beta=2, field=GF(8), r=32, scheme=scheme)
+    faulty = inject(state, FaultPlan(byzantine=set(range(b))))
+    if op == "reconstruct":
+        out, metrics = run_reconstruction(faulty, Adversarial())
+        truth, first, dim = bits, k, d if family == "msr" else k
+    else:
+        out, metrics = run_regeneration(faulty, n - 1, Adversarial())
+        truth, first, dim = state.nodes[n - 1].chunk, d, d
+    assert metrics.outcome == SUCCESS
+    assert np.array_equal(out, truth)
+    rounds = metrics.decode_rounds
+    assert rounds == b + 1
+    assert metrics.nodes_contacted == (first if rounds == 1 else dim + 2 * (rounds - 1))
+
+
+# ---------------------------------------------------------------------------
 # policies, determinism, crash isolation
 
 
