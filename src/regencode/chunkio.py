@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import PARAMS
-from .errors import MalformedBody, MalformedChunk
+from .errors import MalformedChunk
 from .galois import GF
 from .integrity import CODED, REPLICATED, CrcParams, checksum_code_size
 
@@ -171,7 +171,7 @@ def unpack_chunk(data: bytes) -> tuple[ChunkHeader, np.ndarray, dict[int, int]]:
     )
     body = data[_HEADER.size :]
     if len(body) != header.body_size():
-        raise MalformedBody(
+        raise MalformedChunk(
             f"body has {len(body)} bytes, layout requires {header.body_size()}"
         )
     sw = header.symbol_bytes
@@ -180,7 +180,7 @@ def unpack_chunk(data: bytes) -> tuple[ChunkHeader, np.ndarray, dict[int, int]]:
         int.from_bytes(body[i * sw : (i + 1) * sw], "big") for i in range(count)
     ]
     if any(x >> m for x in flat):
-        raise MalformedBody(f"symbol exceeds {m} bits")
+        raise MalformedChunk(f"symbol exceeds {m} bits")
     chunk = np.array(flat, dtype=np.int64).reshape(header.beta, header.alpha)
     off = count * sw
     bw = header.share_bytes

@@ -44,7 +44,7 @@ from .cluster import (
     run_regeneration,
     store,
 )
-from .errors import InvalidParams, MalformedBody, MalformedChunk, RegencodeError
+from .errors import InvalidParams, MalformedChunk, RegencodeError
 from .galois import GF
 from .integrity import REPLICATED, SCHEMES, CrcParams, bits_to_bytes
 
@@ -83,16 +83,16 @@ def _chunk_paths(paths) -> list[Path]:
 def _assemble_state(paths, seed: int) -> ClusterState:
     """Cluster with healthy slots for readable files, crashed for the rest.
 
-    A file that cannot be read, or whose body does not fit its header, is
-    a crashed node and gets one warning record.  A file without a valid
-    header, or from another chunk set, stays fatal: nothing places it in
-    this set.
+    A file that cannot be read or does not parse (cut short, bad header,
+    body that does not fit its header) is a crashed node and gets one
+    warning record.  A well-formed file from another chunk set stays
+    fatal.
     """
     entries = []
     for p in paths:
         try:
             entries.append((p, *read_chunk_file(p)))
-        except (MalformedBody, OSError) as exc:
+        except (MalformedChunk, OSError) as exc:
             print(_record(warning="chunk_unreadable", path=p, detail=repr(str(exc))))
     if not entries:
         raise MalformedChunk(f"none of the {len(paths)} chunk files is readable")

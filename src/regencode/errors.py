@@ -71,7 +71,3 @@ class NonIntegralPoint(RegencodeError, ValueError):
 
 class MalformedChunk(RegencodeError, ValueError):
     """A chunk file's header or body does not match the expected layout."""
-
-
-class MalformedBody(MalformedChunk):
-    """A chunk file's header is valid but its body does not fit it."""

@@ -6,7 +6,8 @@ polynomial 0x04C11DB7 the byte-stream behaviour is identical to zlib's
 crc32 when bytes are expanded least-significant-bit first.  Payloads here
 are arbitrary *bit* sequences (symbol sizes are rarely byte multiples),
 so the register is defined directly over the bit stream; whole-byte
-prefixes go through a table for speed.  A CRC of width r lets a fraction
+prefixes go through zlib.crc32 for that default, and through a table
+for other parameters.  A CRC of width r lets a fraction
 1/2^r of random corruptions through; that residual risk is inherent.
 
 For regeneration each node's chunk checksum is spread over the other
@@ -24,6 +25,7 @@ n-1 nodes in one of two ways:
 from __future__ import annotations
 
 import math
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -74,6 +76,7 @@ class CrcParams:
         self.poly = poly
         self.mask = (1 << r) - 1
         self.rpoly = _reflect(poly, r)
+        self._zlib = r == 32 and poly == DEFAULT_CRC_POLYS[32]
         self._table = None
         if r >= 8:
             table = []
@@ -138,9 +141,12 @@ def _crc_register(bits, params: CrcParams, init: int) -> int:
     nfull = len(bits) // 8
     if params._table is not None and nfull:
         data = np.packbits(bits[: nfull * 8], bitorder="little").tobytes()
-        table = params._table
-        for byte in data:
-            crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
+        if params._zlib:  # zlib complements the register on entry and exit
+            crc = zlib.crc32(data, crc ^ params.mask) ^ params.mask
+        else:
+            table = params._table
+            for byte in data:
+                crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
         tail = bits[nfull * 8 :]
     else:
         tail = bits

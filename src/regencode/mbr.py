@@ -93,11 +93,12 @@ def _fill_maps(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_u(message, params: MbrParams) -> tuple[np.ndarray, np.ndarray]:
-    """Arrange B message symbols into (A1, A2)."""
+    """Arrange B message symbols into (A1, A2).  Any leading axes index
+    stripes."""
     msg = np.asarray(message, dtype=np.int64)
-    if msg.shape != (params.B,):
+    if msg.shape[-1:] != (params.B,):
         raise LengthMismatch(f"expected {params.B} message symbols, got {msg.shape}")
-    return msg[params.fill1], msg[params.fill2]
+    return msg[..., params.fill1], msg[..., params.fill2]
 
 
 def read_u(a1, a2, params: MbrParams) -> np.ndarray:
@@ -112,10 +113,16 @@ def read_u(a1, a2, params: MbrParams) -> np.ndarray:
 
 
 def assemble_u(a1, a2, params: MbrParams) -> np.ndarray:
-    """The full symmetric d×d information matrix."""
-    dk = params.d - params.k
-    zero = np.zeros((dk, dk), dtype=np.int64)
-    return np.block([[np.asarray(a1), np.asarray(a2).T], [np.asarray(a2), zero]])
+    """The full symmetric d×d information matrix.  Any leading axes index
+    stripes."""
+    a1 = np.asarray(a1)
+    a2 = np.asarray(a2)
+    k = params.k
+    u = np.zeros(a1.shape[:-2] + (params.d, params.d), dtype=np.int64)
+    u[..., :k, :k] = a1
+    u[..., k:, :k] = a2
+    u[..., :k, k:] = np.swapaxes(a2, -1, -2)
+    return u
 
 
 def encode(stripes, params: MbrParams) -> np.ndarray:
@@ -125,11 +132,7 @@ def encode(stripes, params: MbrParams) -> np.ndarray:
         raise LengthMismatch(
             f"expected {params.beta}x{params.B} message stripes, got {stripes.shape}"
         )
-    rows = []
-    for s in range(params.beta):
-        a1, a2 = build_u(stripes[s], params)
-        rows.append(assemble_u(a1, a2, params))
-    u_all = np.concatenate(rows, axis=0)  # (beta*d) × d
+    u_all = assemble_u(*build_u(stripes, params), params).reshape(-1, params.d)  # (beta*d) × d
     c_all = params.field.matmul(u_all, params.G)
     return c_all.reshape(params.beta, params.d, params.n).transpose(2, 0, 1)
 
@@ -147,15 +150,13 @@ def reconstruct(collector, params: MbrParams, verify) -> tuple[np.ndarray, int]:
         a2 = field.matmul(decode().reshape(-1, k), params.ghat_k_inv).reshape(beta, d - k, k)
         # strip the A2ᵀ contribution; the top rows become A1·G_k
         e_full = field.matmul(a2.transpose(0, 2, 1).reshape(beta * k, d - k), params.bottom)
-        e_full = e_full.reshape(beta, k, n).transpose(1, 2, 0).tolist()  # [r][p][s]
-        cols = [(p, np.asarray(col).T.tolist()) for p, col in received.items()]  # [r][s]
-        cw_lo = np.zeros((beta, k, k), dtype=np.int64)
-        for s in range(beta):  # phase-2 decoders live for one stripe only
-            for r in range(k):
-                dec = ProgressiveDecoder(params.code_k)
-                dec.absorb({p: col[r][s] ^ e_full[r][p][s] for p, col in cols})
-                cw_lo[s, r] = dec.attempt().codeword[:k]
-        a1 = field.matmul(cw_lo.reshape(-1, k), params.ghat_k_inv).reshape(beta, k, k)
+        e_full = e_full.reshape(beta, k, n)
+        dec = ProgressiveDecoder(params.code_k, beta * k)  # row s*k + r: stripe s, row r
+        dec.absorb({
+            p: (np.asarray(col)[:, :k] ^ e_full[:, :, p]).reshape(-1)
+            for p, col in received.items()
+        })
+        a1 = field.matmul(dec.attempt().codeword[:, :k], params.ghat_k_inv).reshape(beta, k, k)
         return read_u(a1, a2, params)
 
     take = lambda column: np.asarray(column)[:, k:]  # rows k..d-1 carry A2

@@ -103,11 +103,12 @@ def _fill_maps(alpha: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_u(message, params: MsrParams) -> tuple[np.ndarray, np.ndarray]:
-    """Arrange B message symbols into the symmetric pair (A1, A2)."""
+    """Arrange B message symbols into the symmetric pair (A1, A2).
+    Any leading axes index stripes."""
     msg = np.asarray(message, dtype=np.int64)
-    if msg.shape != (params.B,):
+    if msg.shape[-1:] != (params.B,):
         raise LengthMismatch(f"expected {params.B} message symbols, got {msg.shape}")
-    return msg[params.fill1], msg[params.fill2]
+    return msg[..., params.fill1], msg[..., params.fill2]
 
 
 def read_u(a1, a2, params: MsrParams) -> np.ndarray:
@@ -130,11 +131,8 @@ def encode(stripes, params: MsrParams) -> np.ndarray:
         raise LengthMismatch(
             f"expected {params.beta}x{params.B} message stripes, got {stripes.shape}"
         )
-    rows = []
-    for s in range(params.beta):
-        a1, a2 = build_u(stripes[s], params)
-        rows.append(np.concatenate([a1, a2], axis=1))
-    u_all = np.concatenate(rows, axis=0)  # (beta*alpha) × d
+    a1, a2 = build_u(stripes, params)
+    u_all = np.concatenate([a1, a2], axis=2).reshape(-1, params.d)  # (beta*alpha) × d
     c_all = params.field.matmul(u_all, params.G)  # (beta*alpha) × n
     return c_all.reshape(params.beta, params.alpha, params.n).transpose(2, 0, 1)
 
@@ -144,40 +142,40 @@ def reconstruct_fast(columns: dict[int, np.ndarray], params: MsrParams) -> np.nd
 
     Always produces a candidate message (corrupt inputs yield a corrupt
     candidate for the checksum test to reject); never error-decodes.
+    Every step runs once over all stripes: α+2 field matrix products and
+    two elementwise products, whatever beta is.
     """
     field = params.field
     nodes = list(columns)
     if len(nodes) != params.k:
         raise LengthMismatch(f"fast path needs exactly k={params.k} columns")
-    alpha, k = params.alpha, params.k
+    alpha, k, beta = params.alpha, params.k, params.beta
     m_rows = params.gcols[:, nodes].T  # row t = g_{nodes[t]}
-    sub = nodes[:alpha]
+    others = [[o for o in range(k) if o != t] for t in range(alpha)]
     try:
-        w_inv = gf_inverse(field, m_rows[:alpha].T)  # columns g_i, i in sub
-        v_invs = []
-        for t in range(alpha):
-            others = [tt for tt in range(k) if tt != t]
-            v_invs.append((others, gf_inverse(field, m_rows[others])))
+        w_inv = gf_inverse(field, m_rows[:alpha].T)  # columns g_i, i in nodes[:alpha]
+        v_invs = [gf_inverse(field, m_rows[o]) for o in others]
     except SingularMatrix as e:  # defensive: distinct points make this impossible
         raise SingularSystem(str(e)) from e
-    lam = [int(params.lam[i]) for i in nodes]
-    out = np.zeros((params.beta, params.B), dtype=np.int64)
-    for s in range(params.beta):
-        ymat = np.stack([columns[i][s] for i in nodes], axis=1)  # alpha × k
-        proj = field.matmul(m_rows, ymat)  # proj[j, t] = g_j · y_t
-        zcols, wcols = [], []
-        for t in range(alpha):
-            others, v_inv = v_invs[t]
-            q = [
-                field.div(proj[o, t] ^ proj[t, o], lam[o] ^ lam[t]) for o in others
-            ]
-            r = [proj[o, t] ^ field.mul(lam[t], qv) for o, qv in zip(others, q)]
-            zcols.append(field.matmul(v_inv, np.array([q], dtype=np.int64).T)[:, 0])
-            wcols.append(field.matmul(v_inv, np.array([r], dtype=np.int64).T)[:, 0])
-        a2 = field.matmul(np.stack(zcols, axis=1), w_inv)
-        a1 = field.matmul(np.stack(wcols, axis=1), w_inv)
-        out[s] = read_u(a1, a2, params)
-    return out
+    lam = params.lam[nodes]
+    # 1/(λ_o + λ_t) off the diagonal; the diagonal is never read
+    gap = (lam[:, None] ^ lam[None, :]) + np.eye(k, dtype=np.int64)
+    gap_inv = field.exp_np[field.order - field.log_np[gap[:, :alpha]]]
+
+    y = np.stack([np.asarray(columns[i], dtype=np.int64) for i in nodes], axis=2)  # (beta, alpha, k)
+    proj = field.matmul(m_rows, y.transpose(1, 0, 2).reshape(alpha, beta * k))
+    proj = proj.reshape(k, beta, k).transpose(1, 0, 2)  # proj[s, j, t] = g_j · y_t
+    sym = proj[:, :, :alpha] ^ proj.transpose(0, 2, 1)[:, :, :alpha]
+    q = field.vmul(sym, gap_inv)  # q[s, o, t] = g_o·A2·g_t
+    r = proj[:, :, :alpha] ^ field.vmul(q, lam[:alpha])  # r[s, o, t] = g_o·A1·g_t
+    # column t of Z (of W) solves V_t·z = q[:, others, t] (= r[...]) per stripe
+    zw = np.stack([
+        field.matmul(v_invs[t], np.concatenate([q[:, o, t].T, r[:, o, t].T], axis=1))
+        for t, o in enumerate(others)
+    ])  # [t, i, (z|w, s)]
+    zw = zw.reshape(alpha, alpha, 2, beta).transpose(2, 3, 1, 0)  # [z|w, s, i, t]
+    a = field.matmul(zw.reshape(-1, alpha), w_inv).reshape(2, beta, alpha, alpha)
+    return read_u(a[1], a[0], params)
 
 
 def reconstruct(collector, params: MsrParams, verify) -> tuple[np.ndarray, int]:

@@ -22,32 +22,27 @@ from .rscode import ProgressiveDecoder
 def run(source, first: int, code, beta: int, rows: int, take, attempt, accept):
     """Fetch, decode and test until ``accept`` passes; (result, rounds).
 
-    One progressive decoder per (stripe, row) runs over ``code``, fed the
-    beta × rows symbols that ``take(data)`` picks from each fetched item.
-    ``attempt(rounds, received, decode)`` builds a candidate from the
-    {node: data} received so far; ``decode()`` returns the first
-    ``code.dim`` codeword symbols of every row, shape (beta, rows, dim).
-    Decoders are built at the first ``decode()`` and fed at each call,
-    so an accepted fast path needs none.  A DecodeFailure counts as no
-    candidate.  Raises ClusterExhausted once the source runs out.
+    One block decoder over ``code`` holds beta × rows rows (stripe-major),
+    fed the (beta, rows) symbols that ``take(data)`` picks from each
+    fetched item.  ``attempt(rounds, received, decode)`` builds a
+    candidate from the {node: data} received so far; ``decode()`` returns
+    the first ``code.dim`` codeword symbols of every row, shape
+    (beta, rows, dim).  The decoder is built at the first ``decode()`` and
+    fed at each call, so an accepted fast path needs none.  A
+    DecodeFailure counts as no candidate.  Raises ClusterExhausted once
+    the source runs out.
     """
     received: dict = {}
     pending: list = []
-    decoders: list = []
+    decoder = None
 
     def decode() -> np.ndarray:
-        if not decoders:
-            decoders.extend([ProgressiveDecoder(code) for _ in range(rows)] for _ in range(beta))
-        blocks = [(j, np.asarray(take(data)).T.tolist()) for j, data in pending]
+        nonlocal decoder
+        if decoder is None:
+            decoder = ProgressiveDecoder(code, beta * rows)
+        decoder.absorb({j: np.asarray(take(data)).reshape(-1) for j, data in pending})
         pending.clear()
-        for s, row in enumerate(decoders):
-            for r, dec in enumerate(row):
-                dec.absorb({j: b[r][s] for j, b in blocks})
-        words = np.zeros((beta, rows, code.dim), dtype=np.int64)
-        for s, row in enumerate(decoders):
-            for r, dec in enumerate(row):
-                words[s, r] = dec.attempt().codeword[: code.dim]
-        return words
+        return decoder.attempt().codeword[:, : code.dim].reshape(beta, rows, code.dim)
 
     count = rounds = 0
     want = first

@@ -67,6 +67,7 @@ class RsParams:
         order = field.order
         logp = np.arange(n, dtype=np.int64)
         logw = np.array([field.log[x] for x in w], dtype=np.int64)
+        self.logw = logw
         j = np.arange(self.two_t, dtype=np.int64)
         # log(w_p * a^{p*j}), the contribution of a unit symbol at p to S_j
         self.synd_log = (logw[:, None] + logp[:, None] * j[None, :]) % order
@@ -88,7 +89,7 @@ class ReceivedWord:
 
 @dataclass
 class DecodeOutcome:
-    codeword: list[int]
+    codeword: list[int] | np.ndarray  # a list for rows=None, else (rows, n)
     error_positions: set[int]
     corrected_count: int
 
@@ -116,28 +117,34 @@ def vandermonde(params: RsParams) -> np.ndarray:
 
 
 def gf_inverse(field: GF, M) -> np.ndarray:
-    """Invert a square matrix by Gaussian elimination over the field."""
+    """Invert a square matrix by Gauss-Jordan elimination over the field.
+
+    Each pivot is one numpy step on the augmented matrix [M | I]: scale
+    the pivot row, then clear its column from every other row at once.
+    """
     M = np.asarray(M, dtype=np.int64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidParams(f"matrix of shape {M.shape} is not square")
     nn = M.shape[0]
-    a = [[int(x) for x in row] for row in M]
-    inv = [[1 if i == j else 0 for j in range(nn)] for i in range(nn)]
+    exp, log = field.exp_np, field.log_np
+    a = np.concatenate([M, np.eye(nn, dtype=np.int64)], axis=1)
     for col in range(nn):
-        piv = next((r for r in range(col, nn) if a[r][col]), None)
-        if piv is None:
+        nz = np.flatnonzero(a[col:, col])
+        if not nz.size:
             raise SingularMatrix(f"no pivot in column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = field.inv(a[col][col])
-        a[col] = [field.mul(scale, x) for x in a[col]]
-        inv[col] = [field.mul(scale, x) for x in inv[col]]
-        for r in range(nn):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x ^ field.mul(f, y) for x, y in zip(a[r], a[col])]
-                inv[r] = [x ^ field.mul(f, y) for x, y in zip(inv[r], inv[col])]
-    return np.array(inv, dtype=np.int64)
+        piv = col + int(nz[0])
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+        row = a[col]
+        live = row != 0
+        row = np.where(live, exp[log[row] + field.order - log[row[col]]], 0)
+        a[col] = row
+        f = a[:, col].copy()
+        f[col] = 0
+        hit = np.flatnonzero(f)
+        if hit.size:
+            a[hit] ^= np.where(live, exp[log[f[hit]][:, None] + log[row]], 0)
+    return a[:, nn:]
 
 
 def invert_submatrix(G, cols, field: GF) -> np.ndarray:
@@ -153,24 +160,6 @@ def invert_submatrix(G, cols, field: GF) -> np.ndarray:
     return gf_inverse(field, G[:, cols])
 
 
-def _poly_mul(field: GF, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            la = field.log[ai]
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] ^= field.exp[la + field.log[bj]]
-    return out
-
-
-def _poly_eval(field: GF, poly, x):
-    acc = 0
-    for c in reversed(poly):
-        acc = field.mul(acc, x) ^ c
-    return acc
-
-
 def _poly_add_scaled_shifted(field: GF, a, b, scale, shift):
     """a(x) + scale * x^shift * b(x)."""
     out = list(a) + [0] * max(0, shift + len(b) - len(a))
@@ -183,67 +172,115 @@ def _poly_add_scaled_shifted(field: GF, a, b, scale, shift):
 
 
 class ProgressiveDecoder:
-    """Error-erasure decoder state that accepts symbols incrementally.
+    """Error-erasure decoder over a block of rows, fed symbols incrementally.
 
-    Syndromes are maintained under symbol arrival, so each retrieval round
-    only pays for the new symbols; a decode attempt may be made after any
-    absorb.  Positions never absorbed count as erasures.
+    The rows share one set of received positions: each absorb delivers,
+    per position, one symbol for every row.  ``rows=None`` is a block of
+    one row that takes and returns plain ints.  The (rows × n-dim)
+    syndrome matrix is maintained under symbol arrival, so each retrieval
+    round only pays for the new symbols; a decode attempt may be made
+    after any absorb.  Positions never absorbed count as erasures.
     """
 
-    def __init__(self, params: RsParams):
+    def __init__(self, params: RsParams, rows: int | None = None):
         self.params = params
-        self.received: dict[int, int] = {}
-        self.syndromes = np.zeros(params.two_t, dtype=np.int64)
+        self.rows = rows
+        height = 1 if rows is None else rows
+        self.word = np.zeros((height, params.n), dtype=np.int64)  # 0 where unread
+        self.have = np.zeros(params.n, dtype=bool)
+        self._synd = np.zeros((height, params.two_t), dtype=np.int64)
         self.round = 0
 
-    def absorb(self, new_symbols: dict[int, int]) -> "ProgressiveDecoder":
+    @property
+    def syndromes(self) -> np.ndarray:
+        return self._synd[0] if self.rows is None else self._synd
+
+    def absorb(self, new_symbols: dict) -> "ProgressiveDecoder":
+        """Add {position: symbol}, or {position: vector of rows symbols}."""
         params = self.params
         field = params.field
-        for p, y in new_symbols.items():
-            p = int(p)
-            if p in self.received:
-                raise DuplicatePosition(f"position {p} already delivered")
+        pos = [int(p) for p in new_symbols]
+        for p in pos:
             if not 0 <= p < params.n:
                 raise InvalidParams(f"position {p} outside [0, {params.n})")
-            y = int(y)
-            if not 0 <= y < field.q:
-                raise InvalidParams(f"symbol {y} outside field of size {field.q}")
-            self.received[p] = y
-            if y and params.two_t:
-                self.syndromes ^= field.exp_np[params.synd_log[p] + field.log[y]]
+            if self.have[p]:
+                raise DuplicatePosition(f"position {p} already delivered")
+        if pos:
+            ys = np.array(list(new_symbols.values()), dtype=np.int64).reshape(len(pos), -1)
+            if ys.shape[1] != self.word.shape[0]:
+                raise LengthMismatch(
+                    f"expected {self.word.shape[0]} symbols per position, got {ys.shape[1]}"
+                )
+            bad = ys[(ys < 0) | (ys >= field.q)]
+            if bad.size:
+                raise InvalidParams(f"symbol {bad[0]} outside field of size {field.q}")
+            ys = ys.T  # (rows, positions)
+            self.word[:, pos] = ys
+            self.have[pos] = True
+            if params.two_t:
+                terms = field.exp_np[params.synd_log[pos] + field.log_np[ys][:, :, None]]
+                terms[ys == 0] = 0
+                self._synd ^= np.bitwise_xor.reduce(terms, axis=1)
         self.round += 1
         return self
 
     def recompute_syndromes(self) -> np.ndarray:
-        """Batch syndrome computation; must match the incremental state."""
+        """Syndromes from scratch as one field matrix product; must match
+        the incremental state."""
         params = self.params
-        field = params.field
-        S = np.zeros(params.two_t, dtype=np.int64)
-        for p, y in self.received.items():
-            if y and params.two_t:
-                S ^= field.exp_np[params.synd_log[p] + field.log[y]]
-        return S
+        S = params.field.matmul(self.word, params.field.exp_np[params.synd_log])
+        return S[0] if self.rows is None else S
 
     def attempt(self) -> DecodeOutcome:
+        """Decode every row; errors are the union and the total over rows.
+
+        The erasure locator gamma is built once.  A row whose erasure-
+        modified syndromes (gamma·S)[s:n-dim] all vanish leaves
+        Berlekamp-Massey with gamma as its locator, so the erasures of all
+        such rows are filled by one vectorised Forney step.  Only the
+        other rows run Berlekamp-Massey, Chien and Forney one at a time,
+        and a DecodeFailure in any of them fails the attempt.
+        """
         params = self.params
         field = params.field
-        n, two_t = params.n, params.two_t
-        erased = [p for p in range(n) if p not in self.received]
+        two_t = params.two_t
+        erased = np.flatnonzero(~self.have).tolist()
         s = len(erased)
         if s > two_t:
             raise DecodeFailure(f"{s} erasures exceed the {two_t} parity symbols")
 
-        S = [int(x) for x in self.syndromes]
-
         # Erasure locator gamma(x) = prod (1 - a^p x) over erased positions.
+        exp, log = field.exp, field.log
         gamma = [1]
         for p in erased:
-            ap = params.points[p]
-            gamma = [
-                (gamma[j] if j < len(gamma) else 0)
-                ^ (field.mul(ap, gamma[j - 1]) if j > 0 else 0)
-                for j in range(len(gamma) + 1)
-            ]
+            lp = params.logpoints[p]
+            gamma = [x ^ (exp[log[y] + lp] if y else 0) for x, y in zip(gamma + [0], [0] + gamma)]
+
+        # Coefficients s..two_t-1 of gamma·S are the discrepancies
+        # Berlekamp-Massey meets while its locator is still gamma.
+        dirty = _times_mod(field, gamma, self._synd, s).any(axis=1)
+
+        codeword = self.word.copy()
+        clean = np.flatnonzero(~dirty)
+        if s and clean.size:
+            omega = _times_mod(field, gamma, self._synd[clean])  # gamma·S mod x^two_t
+            codeword[np.ix_(clean, erased)] = _forney(params, gamma, omega, erased)
+        errors: set[int] = set()
+        count = 0
+        for r in np.flatnonzero(dirty).tolist():
+            codeword[r], found = self._decode_row(r, s, gamma)
+            errors |= found
+            count += len(found)
+        if self.rows is None:
+            codeword = codeword[0].tolist()
+        return DecodeOutcome(codeword=codeword, error_positions=errors, corrected_count=count)
+
+    def _decode_row(self, r: int, s: int, gamma: list[int]) -> tuple[np.ndarray, set[int]]:
+        """Berlekamp-Massey, Chien and Forney for one row; (codeword, errors)."""
+        params = self.params
+        field = params.field
+        two_t = params.two_t
+        S = self._synd[r].tolist()
 
         # Berlekamp-Massey seeded with the erasure locator: the register
         # starts at length s and only the remaining two_t - s syndromes
@@ -253,18 +290,18 @@ class ProgressiveDecoder:
         L = s
         b = 1
         gap = 1
-        for r in range(s, two_t):
+        for i in range(s, two_t):
             d = 0
             for jj, lj in enumerate(lam):
-                if lj and jj <= r and S[r - jj]:
-                    d ^= field.exp[field.log[lj] + field.log[S[r - jj]]]
+                if lj and jj <= i and S[i - jj]:
+                    d ^= field.exp[field.log[lj] + field.log[S[i - jj]]]
             if d == 0:
                 gap += 1
-            elif 2 * L <= r + s:
+            elif 2 * L <= i + s:
                 T = _poly_add_scaled_shifted(field, lam, B, field.div(d, b), gap)
                 B = lam
                 b = d
-                L = r + 1 + s - L
+                L = i + 1 + s - L
                 gap = 1
                 lam = T
             else:
@@ -282,51 +319,52 @@ class ProgressiveDecoder:
             raise DecodeFailure("locator degree is inconsistent with its length")
 
         # Chien search: evaluate lam at a^{-p} for every position p.
-        if deg == 0:
-            root_positions = []
-        else:
-            lam_np = np.array(lam, dtype=np.int64)
-            nz = np.flatnonzero(lam_np)
-            idx = field.log_np[lam_np[nz]][None, :] + params.chien_log[:, : deg + 1][:, nz]
-            vals = np.bitwise_xor.reduce(field.exp_np[idx], axis=1)
-            root_positions = np.flatnonzero(vals == 0).tolist()
-        if len(root_positions) != deg:
-            raise DecodeFailure(
-                f"locator of degree {deg} has {len(root_positions)} roots"
-            )
+        roots = np.flatnonzero(_at_inverse_points(params, [lam], slice(None))[0] == 0)
+        if len(roots) != deg:
+            raise DecodeFailure(f"locator of degree {deg} has {len(roots)} roots")
 
-        # Forney: errata evaluator omega = lam * S mod x^two_t, then
-        # e_p = a^p * omega(a^-p) / (w_p * lam'(a^-p)).
-        prod = _poly_mul(field, lam, S) if S else [0]
-        omega = prod[:two_t] if two_t else [0]
-        deriv_poly = [0] * max(1, deg)
-        for j in range(1, deg + 1, 2):
-            deriv_poly[j - 1] = lam[j]
+        codeword = self.word[r].copy()
+        e = _forney(params, lam, _times_mod(field, lam, self._synd[r : r + 1]), roots)[0]
+        got = self.have[roots]
+        zero = np.flatnonzero(got & (e == 0))
+        if zero.size:
+            raise DecodeFailure(f"claimed error at {roots[zero[0]]} has zero magnitude")
+        codeword[roots] ^= e
+        return codeword, set(roots[got].tolist())
 
-        codeword: list[int] = [0] * n
-        rootset = set(root_positions)
-        errors: set[int] = set()
-        for p, y in self.received.items():
-            if p not in rootset:
-                codeword[p] = y
-        order = field.order
-        for p in root_positions:
-            xinv = field.exp[order - params.logpoints[p]]
-            num = _poly_eval(field, omega, xinv)
-            den = field.mul(params.w[p], _poly_eval(field, deriv_poly, xinv))
-            if den == 0:
-                raise DecodeFailure("errata evaluator derivative vanished at a root")
-            e = field.mul(params.points[p], field.div(num, den))
-            if p in self.received:
-                if e == 0:
-                    raise DecodeFailure(f"claimed error at {p} has zero magnitude")
-                codeword[p] = self.received[p] ^ e
-                errors.add(p)
-            else:
-                codeword[p] = e
-        return DecodeOutcome(
-            codeword=codeword, error_positions=errors, corrected_count=len(errors)
-        )
+
+def _times_mod(field: GF, poly: list[int], S: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Coefficients lo..two_t-1 of poly(x)·S(x) for every row of S."""
+    two_t = S.shape[1]
+    poly = np.asarray(poly[:two_t], dtype=np.int64)
+    j = np.flatnonzero(poly)
+    shift = np.arange(lo, two_t)[None, :] - j[:, None]  # coefficient c takes S_{c-j}
+    part = np.where(shift >= 0, S[:, shift], 0)  # (rows, terms, two_t - lo)
+    terms = field.exp_np[field.log_np[poly[j]][:, None] + field.log_np[part]]
+    return np.bitwise_xor.reduce(np.where(part != 0, terms, 0), axis=1)
+
+
+def _at_inverse_points(params: RsParams, polys, positions) -> np.ndarray:
+    """Every row of polys (degree at most n - dim) at a^-p, shape (rows, positions)."""
+    field = params.field
+    polys = np.asarray(polys, dtype=np.int64)
+    idx = field.log_np[polys][:, None, :] + params.chien_log[positions, : polys.shape[1]]
+    terms = np.where(polys[:, None, :] != 0, field.exp_np[idx], 0)
+    return np.bitwise_xor.reduce(terms, axis=2)
+
+
+def _forney(params: RsParams, lam: list[int], omega: np.ndarray, roots) -> np.ndarray:
+    """Errata values e_p = a^p·omega(a^-p) / (w_p·lam'(a^-p)) at the roots
+    of lam, for every row of errata evaluators omega."""
+    field = params.field
+    roots = np.asarray(roots, dtype=np.int64)
+    deriv = [lam[j] if j % 2 else 0 for j in range(1, len(lam))]
+    den = _at_inverse_points(params, [deriv], roots)[0]
+    if not den.all():
+        raise DecodeFailure("errata evaluator derivative vanished at a root")
+    num = _at_inverse_points(params, omega, roots)
+    loge = field.log_np[num] + (roots - params.logw[roots] - field.log_np[den])
+    return np.where(num != 0, field.exp_np[loge % field.order], 0)
 
 
 def decode_error_erasure(word: ReceivedWord, params: RsParams) -> DecodeOutcome:

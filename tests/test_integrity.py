@@ -292,3 +292,17 @@ def test_recover_checksum_input_validation():
         recover_checksum({1: 1}, 0, "paritied", 6, crc)
     with pytest.raises(InvalidParams):
         build_directory([1, 2, 3], "paritied", crc)
+
+
+def test_zlib_prefix_matches_table_path():
+    # the default r=32 register runs whole bytes through zlib.crc32; with
+    # the zlib path switched off the same bits go through the byte table
+    table_only = CrcParams()
+    table_only._zlib = False
+    rng = np.random.default_rng(71)
+    inputs = [rng.integers(0, 2, nbits).astype(np.uint8) for nbits in range(70)]
+    inputs.append(rng.integers(0, 2, 8 * 65536).astype(np.uint8))
+    inputs.append(rng.integers(0, 2, 8 * 65536 + 5).astype(np.uint8))
+    for bits in inputs:
+        assert crc_checksum(bits, CRC32) == crc_checksum(bits, table_only)
+        assert crc_linear(bits, CRC32) == crc_linear(bits, table_only)

@@ -17,7 +17,7 @@ from regencode.errors import (
 )
 from regencode.galois import GF
 from regencode.integrity import CrcParams, chunk_checksum
-from regencode.rscode import encode_eval
+from regencode.rscode import encode_eval, gf_inverse
 
 F16 = GF(4)
 F64 = GF(6)
@@ -176,6 +176,56 @@ def test_fast_reconstruct_multi_stripe():
     chunks = msr.encode(msg, p)
     out = msr.reconstruct_fast({i: chunks[i] for i in (5, 1, 3)}, p)
     assert np.array_equal(out, msg)
+
+
+def per_stripe_reconstruct_fast(columns, params):
+    """Oracle: the fast path one stripe at a time, in scalar arithmetic
+    around small matrix products."""
+    field = params.field
+    nodes = list(columns)
+    alpha, k = params.alpha, params.k
+    m_rows = params.gcols[:, nodes].T
+    w_inv = gf_inverse(field, m_rows[:alpha].T)
+    v_invs = []
+    for t in range(alpha):
+        others = [tt for tt in range(k) if tt != t]
+        v_invs.append((others, gf_inverse(field, m_rows[others])))
+    lam = [int(params.lam[i]) for i in nodes]
+    out = np.zeros((params.beta, params.B), dtype=np.int64)
+    for s in range(params.beta):
+        ymat = np.stack([columns[i][s] for i in nodes], axis=1)
+        proj = field.matmul(m_rows, ymat)
+        zcols, wcols = [], []
+        for t in range(alpha):
+            others, v_inv = v_invs[t]
+            q = [field.div(int(proj[o, t] ^ proj[t, o]), lam[o] ^ lam[t]) for o in others]
+            r = [int(proj[o, t]) ^ field.mul(lam[t], qv) for o, qv in zip(others, q)]
+            zcols.append(field.matmul(v_inv, np.array([q]).T)[:, 0])
+            wcols.append(field.matmul(v_inv, np.array([r]).T)[:, 0])
+        a2 = field.matmul(np.stack(zcols, axis=1), w_inv)
+        a1 = field.matmul(np.stack(wcols, axis=1), w_inv)
+        out[s] = msr.read_u(a1, a2, params)
+    return out
+
+
+@pytest.mark.parametrize("n,k,field", [(6, 3, F16), (10, 4, F64), (20, 6, GF(8))])
+def test_batched_fast_path_matches_per_stripe_oracle(n, k, field):
+    # random access sets in random order; on some trials columns are
+    # corrupted, and the batched path must give the same wrong candidate
+    rng = np.random.default_rng(n)
+    p = msr.MsrParams(n, k, 2 * k - 2, 7, field)
+    msg = rng.integers(0, field.q, (p.beta, p.B))
+    chunks = msr.encode(msg, p)
+    for trial in range(12):
+        nodes = rng.choice(n, size=k, replace=False).tolist()
+        cols = {i: chunks[i].copy() for i in nodes}
+        if trial % 2:
+            for i in rng.choice(nodes, size=int(rng.integers(1, k + 1)), replace=False):
+                cols[i] ^= rng.integers(0, field.q, cols[i].shape)
+        got = msr.reconstruct_fast(cols, p)
+        assert np.array_equal(got, per_stripe_reconstruct_fast(cols, p))
+        if not trial % 2:
+            assert np.array_equal(got, msg)
 
 
 def test_fast_reconstruct_wrong_count():

@@ -10,6 +10,7 @@ import pytest
 
 from regencode import GF, DecodeFailure, DuplicatePosition, InvalidParams, LengthMismatch, SingularMatrix
 from regencode.rscode import (
+    DecodeOutcome,
     ProgressiveDecoder,
     ReceivedWord,
     RsParams,
@@ -316,3 +317,217 @@ def test_zero_dimension_redundancy_free_code(gf16):
     assert out.codeword == cw
     with pytest.raises(DecodeFailure):
         decode_error_erasure(ReceivedWord({p: cw[p] for p in range(5)}), params)
+
+
+# -- block decoder and vectorised inverse against scalar oracles --------------
+
+
+def scalar_inverse(field, M):
+    """Oracle: Gauss-Jordan elimination one scalar at a time."""
+    nn = len(M)
+    a = [[int(x) for x in row] for row in M]
+    inv = [[1 if i == j else 0 for j in range(nn)] for i in range(nn)]
+    for col in range(nn):
+        piv = next((r for r in range(col, nn) if a[r][col]), None)
+        if piv is None:
+            raise SingularMatrix(f"no pivot in column {col}")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        scale = field.inv(a[col][col])
+        a[col] = [field.mul(scale, x) for x in a[col]]
+        inv[col] = [field.mul(scale, x) for x in inv[col]]
+        for r in range(nn):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x ^ field.mul(f, y) for x, y in zip(a[r], a[col])]
+                inv[r] = [x ^ field.mul(f, y) for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def _poly_mul(field, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] ^= field.mul(ai, bj)
+    return out
+
+
+def _poly_eval(field, poly, x):
+    acc = 0
+    for c in reversed(poly):
+        acc = field.mul(acc, x) ^ c
+    return acc
+
+
+def _poly_add_scaled_shifted(field, a, b, scale, shift):
+    out = list(a) + [0] * max(0, shift + len(b) - len(a))
+    for j, bj in enumerate(b):
+        out[shift + j] ^= field.mul(scale, bj)
+    return out
+
+
+class ScalarDecoder:
+    """Oracle: one row, every step in scalar field arithmetic — syndromes,
+    erasure locator, Berlekamp-Massey, Chien search by evaluation at every
+    inverse point, Forney."""
+
+    def __init__(self, params):
+        self.params = params
+        self.received = {}
+
+    def absorb(self, symbols):
+        self.received.update({int(p): int(y) for p, y in symbols.items()})
+
+    def attempt(self):
+        params = self.params
+        field = params.field
+        n, two_t = params.n, params.two_t
+        S = [0] * two_t
+        for p, y in self.received.items():
+            for j in range(two_t):
+                S[j] ^= field.mul(y, field.mul(params.w[p], field.pow(params.points[p], j)))
+        erased = [p for p in range(n) if p not in self.received]
+        s = len(erased)
+        if s > two_t:
+            raise DecodeFailure("too many erasures")
+        gamma = [1]
+        for p in erased:
+            gamma = _poly_mul(field, gamma, [1, params.points[p]])
+        lam, B, L, b, gap = list(gamma), list(gamma), s, 1, 1
+        for r in range(s, two_t):
+            d = 0
+            for jj, lj in enumerate(lam):
+                if jj <= r:
+                    d ^= field.mul(lj, S[r - jj])
+            if d == 0:
+                gap += 1
+            elif 2 * L <= r + s:
+                T = _poly_add_scaled_shifted(field, lam, B, field.div(d, b), gap)
+                B, b, L, gap, lam = lam, d, r + 1 + s - L, 1, T
+            else:
+                lam = _poly_add_scaled_shifted(field, lam, B, field.div(d, b), gap)
+                gap += 1
+        if 2 * (L - s) + s > two_t:
+            raise DecodeFailure("over budget")
+        while len(lam) > 1 and lam[-1] == 0:
+            lam.pop()
+        deg = len(lam) - 1
+        if deg != L:
+            raise DecodeFailure("inconsistent locator")
+        roots = [p for p in range(n) if _poly_eval(field, lam, field.inv(params.points[p])) == 0]
+        if len(roots) != deg:
+            raise DecodeFailure("missing roots")
+        omega = (_poly_mul(field, lam, S) if S else [0])[:two_t] or [0]
+        deriv = [lam[j] if j % 2 else 0 for j in range(1, deg + 1)] or [0]
+        codeword = [self.received.get(p, 0) for p in range(n)]
+        errors = set()
+        for p in roots:
+            xinv = field.inv(params.points[p])
+            den = field.mul(params.w[p], _poly_eval(field, deriv, xinv))
+            if den == 0:
+                raise DecodeFailure("vanishing derivative")
+            e = field.mul(params.points[p], field.div(_poly_eval(field, omega, xinv), den))
+            if p in self.received:
+                if e == 0:
+                    raise DecodeFailure("zero magnitude")
+                errors.add(p)
+            codeword[p] ^= e
+        return DecodeOutcome(codeword, errors, len(errors))
+
+
+def test_gf_inverse_matches_scalar_oracle():
+    rng = np.random.default_rng(61)
+    for m, size, trials in ((4, 4, 60), (8, 19, 10), (11, 38, 3)):
+        field = GF(m)
+        for _ in range(trials):
+            M = rng.integers(0, field.q, (size, size))
+            try:
+                want = scalar_inverse(field, M.tolist())
+            except SingularMatrix:
+                with pytest.raises(SingularMatrix):
+                    gf_inverse(field, M)
+                continue
+            assert gf_inverse(field, M).tolist() == want
+    with pytest.raises(SingularMatrix):
+        gf_inverse(GF(4), [[0, 0], [3, 1]])
+
+
+def test_scalar_oracle_agrees_with_batch_decode(rs15_4, gf16):
+    rng = random.Random(67)
+    for _ in range(40):
+        s = rng.randrange(0, 12)
+        v = rng.randrange(0, (11 - s) // 2 + 2)
+        cw = encode_eval([rng.randrange(16) for _ in range(4)], rs15_4)
+        symbols, _, _ = corrupt(rng, gf16, cw, s, v)
+        oracle = ScalarDecoder(rs15_4)
+        oracle.absorb(symbols)
+        try:
+            want = oracle.attempt()
+        except DecodeFailure:
+            with pytest.raises(DecodeFailure):
+                decode_error_erasure(ReceivedWord(symbols), rs15_4)
+            continue
+        got = decode_error_erasure(ReceivedWord(symbols), rs15_4)
+        assert got.codeword == want.codeword
+        assert got.error_positions == want.error_positions
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_decoder_matches_one_scalar_decoder_per_row(seed):
+    # rows share the received positions; each row gets its own mix: clean,
+    # erasure-only at a different budget use, within-budget errors, or more
+    # errors than the budget allows.  Symbols arrive over several rounds and
+    # every round's attempt is compared.
+    rng = np.random.default_rng(seed)
+    field = GF(5)
+    params = RsParams(20, 8, field)
+    rows = 24
+    cw = np.array([encode_eval(rng.integers(0, 32, 8).tolist(), params) for _ in range(rows)])
+    order = rng.permutation(params.n).tolist()
+    budget = params.two_t
+    # 0 clean, 1 within budget, 2 over budget; half the seeds have no row
+    # over budget, so that whole-block successes get compared too
+    kinds = rng.integers(0, 2 + seed % 2, rows)
+    words = cw.copy()
+    for r in range(rows):
+        if kinds[r]:
+            v = int(rng.integers(1, 4)) if kinds[r] == 1 else budget
+            for p in rng.choice(params.n, size=v, replace=False):
+                words[r, p] ^= int(rng.integers(1, 32))
+    block = ProgressiveDecoder(params, rows)
+    oracles = [ScalarDecoder(params) for _ in range(rows)]
+    start = 0
+    while start < params.n:
+        step = int(rng.integers(1, 6))
+        batch = order[start : start + step]
+        start += step
+        block.absorb({p: words[:, p] for p in batch})
+        for r, dec in enumerate(oracles):
+            dec.absorb({p: words[r, p] for p in batch})
+        assert np.array_equal(block.syndromes, block.recompute_syndromes())
+        wants = []
+        for dec in oracles:
+            try:
+                wants.append(dec.attempt())
+            except DecodeFailure:
+                wants.append(None)
+        if any(w is None for w in wants):
+            with pytest.raises(DecodeFailure):
+                block.attempt()
+            continue
+        got = block.attempt()
+        assert got.codeword.tolist() == [w.codeword for w in wants]
+        assert got.error_positions == set().union(*(w.error_positions for w in wants))
+        assert got.corrected_count == sum(w.corrected_count for w in wants)
+
+
+def test_block_decoder_validates_blocks(rs15_4):
+    block = ProgressiveDecoder(rs15_4, 3)
+    block.absorb({0: [1, 2, 3]})
+    with pytest.raises(LengthMismatch):
+        block.absorb({1: [1, 2]})
+    with pytest.raises(DuplicatePosition):
+        block.absorb({0: [1, 2, 3]})
+    with pytest.raises(InvalidParams):
+        block.absorb({2: [1, 16, 3]})
+    assert block.have.sum() == 1
