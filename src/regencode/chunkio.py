@@ -20,6 +20,8 @@ bytes (coded scheme).
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -105,21 +107,9 @@ def params_from_header(h: ChunkHeader):
 
 def pack_chunk(header: ChunkHeader, chunk, shares: dict[int, int]) -> bytes:
     head = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        _FAMILY_CODES[header.family],
-        header.m,
-        header.generator,
-        header.prim_poly,
-        header.n,
-        header.k,
-        header.d,
-        header.beta,
-        header.r,
-        header.crc_poly,
-        _SCHEME_CODES[header.scheme],
-        header.node_index,
-        header.payload_bit_len,
+        MAGIC, VERSION, _FAMILY_CODES[header.family], header.m, header.generator,
+        header.prim_poly, header.n, header.k, header.d, header.beta, header.r, header.crc_poly,
+        _SCHEME_CODES[header.scheme], header.node_index, header.payload_bit_len,
     )
     chunk = np.asarray(chunk, dtype=np.int64)
     if chunk.shape != (header.beta, header.alpha):
@@ -132,10 +122,9 @@ def pack_chunk(header: ChunkHeader, chunk, shares: dict[int, int]) -> bytes:
         raise MalformedChunk(
             f"shares must cover exactly the other {header.n - 1} nodes"
         )
-    sw = header.symbol_bytes
-    body = b"".join(int(x).to_bytes(sw, "big") for x in chunk.reshape(-1))
-    bw = header.share_bytes
-    body += b"".join(int(shares[i]).to_bytes(bw, "big") for i in owners)
+    # a negative symbol wraps to a huge unsigned one and fails the width check
+    body = _be_bytes(chunk.reshape(-1).astype(np.uint64), header.symbol_bytes)
+    body += _be_bytes(np.array([shares[i] for i in owners], dtype=np.uint64), header.share_bytes)
     return head + body
 
 
@@ -154,41 +143,37 @@ def unpack_chunk(data: bytes) -> tuple[ChunkHeader, np.ndarray, dict[int, int]]:
         raise MalformedChunk(f"unknown scheme code {scheme_code}")
     if node_index >= n:
         raise MalformedChunk(f"node index {node_index} out of range for n={n}")
-    header = ChunkHeader(
-        family=_FAMILY_NAMES[family_code],
-        m=m,
-        generator=generator,
-        prim_poly=prim_poly,
-        n=n,
-        k=k,
-        d=d,
-        beta=beta,
-        r=r,
-        crc_poly=crc_poly,
-        scheme=_SCHEME_NAMES[scheme_code],
-        node_index=node_index,
-        payload_bit_len=bit_len,
-    )
+    if not (2 <= m <= 16 and 1 <= r <= 64):
+        raise MalformedChunk(f"symbol width m={m} or checksum width r={r} out of range")
+    header = ChunkHeader(_FAMILY_NAMES[family_code], m, generator, prim_poly, n, k, d, beta, r,
+                         crc_poly, _SCHEME_NAMES[scheme_code], node_index, bit_len)
     body = data[_HEADER.size :]
     if len(body) != header.body_size():
         raise MalformedChunk(
             f"body has {len(body)} bytes, layout requires {header.body_size()}"
         )
-    sw = header.symbol_bytes
-    count = header.beta * header.alpha
-    flat = [
-        int.from_bytes(body[i * sw : (i + 1) * sw], "big") for i in range(count)
-    ]
-    if any(x >> m for x in flat):
+    off = header.beta * header.alpha * header.symbol_bytes
+    flat = _be_values(body[:off], header.symbol_bytes)
+    if (flat >> np.uint64(m)).any():
         raise MalformedChunk(f"symbol exceeds {m} bits")
-    chunk = np.array(flat, dtype=np.int64).reshape(header.beta, header.alpha)
-    off = count * sw
-    bw = header.share_bytes
-    shares = {}
-    for pos, owner in enumerate(i for i in range(n) if i != node_index):
-        raw = body[off + pos * bw : off + (pos + 1) * bw]
-        shares[owner] = int.from_bytes(raw, "big")
+    chunk = flat.astype(np.int64).reshape(header.beta, header.alpha)
+    owners = [i for i in range(n) if i != node_index]
+    shares = dict(zip(owners, _be_values(body[off:], header.share_bytes).tolist()))
     return header, chunk, shares
+
+
+def _be_bytes(values: np.ndarray, width: int) -> bytes:
+    """Unsigned values as width-byte big-endian integers, width <= 8."""
+    if width < 8 and (values >> np.uint64(8 * width)).any():
+        raise MalformedChunk(f"value does not fit in {width} bytes")
+    return values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width :].tobytes()
+
+
+def _be_values(raw: bytes, width: int) -> np.ndarray:
+    """Inverse of _be_bytes: the width-byte big-endian integers in raw."""
+    padded = np.zeros((len(raw) // width, 8), dtype=np.uint8)
+    padded[:, 8 - width :] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+    return padded.view(">u8")[:, 0].astype(np.uint64)
 
 
 def read_chunk_file(path) -> tuple[ChunkHeader, np.ndarray, dict[int, int]]:
@@ -197,5 +182,15 @@ def read_chunk_file(path) -> tuple[ChunkHeader, np.ndarray, dict[int, int]]:
 
 
 def write_chunk_file(path, header: ChunkHeader, chunk, shares) -> None:
-    with open(path, "wb") as fh:
-        fh.write(pack_chunk(header, chunk, shares))
+    """Pack first, then replace the file atomically: a chunk that fails to
+    pack, or a write cut short, leaves any existing file as it was."""
+    data = pack_chunk(header, chunk, shares)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

@@ -275,8 +275,9 @@ def build_directory(checksums, scheme: str, crc: CrcParams) -> list[dict[int, in
                     shares[j][i] = int(cs)
         return shares
     layout = coded_layout(n, crc.r)
-    for i, cs in enumerate(checksums):
-        cw = encode_eval(layout.checksum_to_message(int(cs)), layout.code)
+    messages = [layout.checksum_to_message(int(cs)) for cs in checksums]
+    cws = encode_eval(messages, layout.code).tolist()  # one codeword per owner
+    for i, cw in enumerate(cws):
         for j in range(n):
             if j != i:
                 shares[j][i] = cw[_peer_position(j, i)]

@@ -94,19 +94,15 @@ class DecodeOutcome:
     corrected_count: int
 
 
-def encode_eval(message, params: RsParams) -> list[int]:
-    """Evaluate the message polynomial at every code point."""
-    if len(message) != params.dim:
-        raise LengthMismatch(f"message length {len(message)} != dim {params.dim}")
-    field = params.field
-    out = []
-    for p in range(params.n):
-        x = params.points[p]
-        acc = 0
-        for c in reversed(message):
-            acc = field.mul(acc, x) ^ int(c)
-        out.append(acc)
-    return out
+def encode_eval(message, params: RsParams) -> list[int] | np.ndarray:
+    """Evaluate the message polynomial at every code point: one product with
+    the Vandermonde generator.  A 2-D message (one message per row) gives
+    an array of codewords."""
+    msg = np.asarray(message, dtype=np.int64)
+    if msg.shape[-1:] != (params.dim,):
+        raise LengthMismatch(f"message of shape {msg.shape} does not end in dim {params.dim}")
+    cw = params.field.matmul(msg.reshape(-1, params.dim), vandermonde(params))
+    return cw[0].tolist() if msg.ndim == 1 else cw
 
 
 def vandermonde(params: RsParams) -> np.ndarray:
@@ -224,22 +220,17 @@ class ProgressiveDecoder:
         self.round += 1
         return self
 
-    def recompute_syndromes(self) -> np.ndarray:
-        """Syndromes from scratch as one field matrix product; must match
-        the incremental state."""
-        params = self.params
-        S = params.field.matmul(self.word, params.field.exp_np[params.synd_log])
-        return S[0] if self.rows is None else S
-
     def attempt(self) -> DecodeOutcome:
         """Decode every row; errors are the union and the total over rows.
 
-        The erasure locator gamma is built once.  A row whose erasure-
-        modified syndromes (gamma·S)[s:n-dim] all vanish leaves
-        Berlekamp-Massey with gamma as its locator, so the erasures of all
-        such rows are filled by one vectorised Forney step.  Only the
-        other rows run Berlekamp-Massey, Chien and Forney one at a time,
-        and a DecodeFailure in any of them fails the attempt.
+        The rows share their error positions (a Byzantine node corrupts its
+        whole chunk).  A row whose syndromes under gamma·Lambda_E vanish at
+        s+|E|..n-dim-1 is within its unique-decoding radius of a codeword
+        that differs only at erasures and E, since 2|E| + s <= n-dim, so
+        one vectorised Forney step fills all such rows.  The first row
+        still dirty runs Berlekamp-Massey alone; its errors join E (or
+        replace it past the budget).  E starts empty and row 0 goes first,
+        so a round that cannot succeed costs one Berlekamp-Massey.
         """
         params = self.params
         field = params.field
@@ -248,32 +239,45 @@ class ProgressiveDecoder:
         s = len(erased)
         if s > two_t:
             raise DecodeFailure(f"{s} erasures exceed the {two_t} parity symbols")
-
-        # Erasure locator gamma(x) = prod (1 - a^p x) over erased positions.
-        exp, log = field.exp, field.log
-        gamma = [1]
-        for p in erased:
-            lp = params.logpoints[p]
-            gamma = [x ^ (exp[log[y] + lp] if y else 0) for x, y in zip(gamma + [0], [0] + gamma)]
-
-        # Coefficients s..two_t-1 of gamma·S are the discrepancies
-        # Berlekamp-Massey meets while its locator is still gamma.
-        dirty = _times_mod(field, gamma, self._synd, s).any(axis=1)
-
+        gamma = _locator(params, erased)
         codeword = self.word.copy()
-        clean = np.flatnonzero(~dirty)
-        if s and clean.size:
-            omega = _times_mod(field, gamma, self._synd[clean])  # gamma·S mod x^two_t
-            codeword[np.ix_(clean, erased)] = _forney(params, gamma, omega, erased)
+        located: list[int] = []
         errors: set[int] = set()
         count = 0
-        for r in np.flatnonzero(dirty).tolist():
+
+        def fill(rows: np.ndarray) -> np.ndarray:
+            """Fill the rows that are clean under E; return the others."""
+            nonlocal count
+            if not rows.size:
+                return rows
+            lam = _locator(params, located, gamma)
+            prod = _times_mod(field, lam, self._synd[rows])  # lam·S mod x^two_t
+            dirty = prod[:, s + len(located) :].any(axis=1)
+            roots = erased + located
+            if roots and not dirty.all():
+                ok, prod = (rows[~dirty], prod[~dirty]) if dirty.any() else (rows, prod)
+                e = _forney(params, lam, prod, roots)
+                hit = e[:, s:] != 0
+                errors.update(np.asarray(located)[hit.any(axis=0)].tolist())
+                count += int(hit.sum())
+                e[:, s:] ^= self.word[np.ix_(ok, located)]
+                codeword[np.ix_(ok, roots)] = e
+            return rows[dirty]
+
+        todo = np.arange(len(codeword))
+        if not _times_mod(field, gamma, self._synd[:1], s).any():
+            todo = fill(todo)
+        while todo.size:
+            r = int(todo[0])
             codeword[r], found = self._decode_row(r, s, gamma)
             errors |= found
             count += len(found)
+            union = found.union(located)
+            located = sorted(union if 2 * len(union) + s <= two_t else found)
+            todo = fill(todo[1:])
         if self.rows is None:
             codeword = codeword[0].tolist()
-        return DecodeOutcome(codeword=codeword, error_positions=errors, corrected_count=count)
+        return DecodeOutcome(codeword, errors, count)
 
     def _decode_row(self, r: int, s: int, gamma: list[int]) -> tuple[np.ndarray, set[int]]:
         """Berlekamp-Massey, Chien and Forney for one row; (codeword, errors)."""
@@ -285,11 +289,7 @@ class ProgressiveDecoder:
         # Berlekamp-Massey seeded with the erasure locator: the register
         # starts at length s and only the remaining two_t - s syndromes
         # are free to locate errors, giving 2v <= two_t - s.
-        lam = list(gamma)
-        B = list(gamma)
-        L = s
-        b = 1
-        gap = 1
+        lam, B, L, b, gap = list(gamma), list(gamma), s, 1, 1
         for i in range(s, two_t):
             d = 0
             for jj, lj in enumerate(lam):
@@ -299,19 +299,13 @@ class ProgressiveDecoder:
                 gap += 1
             elif 2 * L <= i + s:
                 T = _poly_add_scaled_shifted(field, lam, B, field.div(d, b), gap)
-                B = lam
-                b = d
-                L = i + 1 + s - L
-                gap = 1
-                lam = T
+                B, b, L, gap, lam = lam, d, i + 1 + s - L, 1, T
             else:
                 lam = _poly_add_scaled_shifted(field, lam, B, field.div(d, b), gap)
                 gap += 1
 
         if 2 * (L - s) + s > two_t:
-            raise DecodeFailure(
-                f"{L - s} errors with {s} erasures exceed the budget {two_t}"
-            )
+            raise DecodeFailure(f"{L - s} errors with {s} erasures exceed the budget {two_t}")
         while len(lam) > 1 and lam[-1] == 0:
             lam.pop()
         deg = len(lam) - 1
@@ -331,6 +325,16 @@ class ProgressiveDecoder:
             raise DecodeFailure(f"claimed error at {roots[zero[0]]} has zero magnitude")
         codeword[roots] ^= e
         return codeword, set(roots[got].tolist())
+
+
+def _locator(params: RsParams, positions, poly=(1,)) -> list[int]:
+    """poly(x)·prod (1 - a^p x) over the given positions."""
+    exp, log = params.field.exp, params.field.log
+    poly = list(poly)
+    for p in positions:
+        lp = params.logpoints[p]
+        poly = [x ^ (exp[log[y] + lp] if y else 0) for x, y in zip(poly + [0], [0] + poly)]
+    return poly
 
 
 def _times_mod(field: GF, poly: list[int], S: np.ndarray, lo: int = 0) -> np.ndarray:

@@ -1,0 +1,116 @@
+"""Chunk-file format: numpy packing against per-symbol byte loops, and
+atomic writes."""
+
+import os
+import struct
+
+import numpy as np
+import pytest
+
+from regencode.chunkio import (
+    ChunkHeader,
+    pack_chunk,
+    read_chunk_file,
+    unpack_chunk,
+    write_chunk_file,
+)
+from regencode.errors import MalformedChunk
+from regencode.integrity import CODED, REPLICATED
+
+HEADER_LEN = struct.calcsize(">4sBBBBIHHHIBQBHQ")
+
+
+def make_header(m, r, scheme, node_index=2, n=7, k=3, d=4, beta=5):
+    return ChunkHeader(family="msr", m=m, generator=2, prim_poly=0, n=n, k=k, d=d,
+                       beta=beta, r=r, crc_poly=1, scheme=scheme,
+                       node_index=node_index, payload_bit_len=123)
+
+
+def oracle_body(header, chunk, shares):
+    """Oracle: the body one integer at a time with int.to_bytes."""
+    owners = [i for i in range(header.n) if i != header.node_index]
+    body = b"".join(int(x).to_bytes(header.symbol_bytes, "big") for x in np.ravel(chunk))
+    return body + b"".join(int(shares[i]).to_bytes(header.share_bytes, "big") for i in owners)
+
+
+def oracle_unpack_body(header, body):
+    """Oracle: symbols and shares one integer at a time with int.from_bytes."""
+    sw, bw = header.symbol_bytes, header.share_bytes
+    count = header.beta * header.alpha
+    flat = [int.from_bytes(body[i * sw : (i + 1) * sw], "big") for i in range(count)]
+    owners = [i for i in range(header.n) if i != header.node_index]
+    off = count * sw
+    shares = {o: int.from_bytes(body[off + j * bw : off + (j + 1) * bw], "big")
+              for j, o in enumerate(owners)}
+    return flat, shares
+
+
+# (m, r, scheme): 1- and 2-byte symbols; 1-, 3-, 4- and 8-byte replicated
+# shares; coded shares of m' = 3 bits in one byte
+LAYOUTS = [
+    (8, 32, REPLICATED),
+    (11, 24, REPLICATED),
+    (16, 64, REPLICATED),
+    (5, 8, REPLICATED),
+    (8, 16, CODED),
+    (13, 32, CODED),
+]
+
+
+@pytest.mark.parametrize("m, r, scheme", LAYOUTS)
+def test_pack_and_unpack_match_byte_loops(m, r, scheme):
+    rng = np.random.default_rng(m * 100 + r)
+    header = make_header(m, r, scheme)
+    owners = [i for i in range(header.n) if i != header.node_index]
+    for _ in range(5):
+        chunk = rng.integers(0, 1 << m, (header.beta, header.alpha))
+        top = rng.integers(0, 1 << 8 * header.share_bytes, len(owners), dtype=np.uint64)
+        shares = dict(zip(owners, top.tolist()))
+        data = pack_chunk(header, chunk, shares)
+        assert data[HEADER_LEN:] == oracle_body(header, chunk, shares)
+        got_header, got_chunk, got_shares = unpack_chunk(data)
+        want_flat, want_shares = oracle_unpack_body(header, data[HEADER_LEN:])
+        assert got_header == header
+        assert got_chunk.dtype == np.int64
+        assert got_chunk.reshape(-1).tolist() == want_flat == chunk.reshape(-1).tolist()
+        assert got_shares == want_shares == shares
+
+
+def test_unpack_keeps_its_checks():
+    header = make_header(11, 32, REPLICATED)
+    chunk = np.zeros((header.beta, header.alpha), dtype=np.int64)
+    shares = {i: 0 for i in range(header.n) if i != header.node_index}
+    data = bytearray(pack_chunk(header, chunk, shares))
+    data[HEADER_LEN] = 0x08  # first symbol becomes 0x0800, twelve bits
+    with pytest.raises(MalformedChunk, match="exceeds 11 bits"):
+        unpack_chunk(bytes(data))
+    with pytest.raises(MalformedChunk, match="body has"):
+        unpack_chunk(bytes(data[:-1]))
+    with pytest.raises(MalformedChunk):
+        pack_chunk(header, chunk + (1 << 16), shares)
+    with pytest.raises(MalformedChunk):
+        pack_chunk(header, chunk - 1, shares)
+    with pytest.raises(MalformedChunk):
+        pack_chunk(header, chunk, {**shares, 0: 1 << 32})
+
+
+def test_write_is_atomic(tmp_path):
+    header = make_header(8, 32, REPLICATED)
+    chunk = np.arange(header.beta * header.alpha).reshape(header.beta, header.alpha)
+    shares = {i: i for i in range(header.n) if i != header.node_index}
+    path = tmp_path / "node002.rgen"
+    write_chunk_file(path, header, chunk, shares)
+    before = path.read_bytes()
+    _, got, got_shares = read_chunk_file(path)
+    assert np.array_equal(got, chunk) and got_shares == shares
+    # a chunk that cannot be packed leaves the old file as it was
+    with pytest.raises(MalformedChunk):
+        write_chunk_file(path, header, chunk[:-1], shares)
+    with pytest.raises(MalformedChunk):
+        write_chunk_file(path, header, chunk, {1: 5})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["node002.rgen"]
+    # a good write replaces it, again with no temporary file left
+    write_chunk_file(path, header, chunk + 1, shares)
+    assert np.array_equal(read_chunk_file(path)[1], chunk + 1)
+    assert os.listdir(tmp_path) == ["node002.rgen"]

@@ -201,6 +201,23 @@ def test_reconstruction_one_byzantine_mbr_all_positions():
             assert np.array_equal(out, bits)
 
 
+def test_reconstruction_at_budget_with_partial_corruption():
+    # Byzantine nodes that leave half their symbols intact: the rows share
+    # only part of the error columns, and the decoder must neither miss nor
+    # invent a correction in any of them.
+    state, bits = make_state("msr", n=20, k=6, d=10, beta=3, field=GF(7), r=16, seed=5)
+    p = state.params
+    budget = (p.n - p.d) // 2
+    for trial in range(4):
+        state.rng_seed = trial
+        byz = set(np.random.default_rng(trial).choice(p.n, size=budget, replace=False).tolist())
+        faulty = inject(state, FaultPlan(byzantine=byz, strategy=RandomCorruption(0.5)))
+        for policy in (Adversarial(), SeededRandom(trial)):
+            out, metrics = run_reconstruction(faulty, policy)
+            assert metrics.outcome == SUCCESS, (trial, policy)
+            assert np.array_equal(out, bits)
+
+
 @pytest.mark.parametrize("family", ["msr", "mbr"])
 def test_reconstruction_beyond_budget_never_silently_wrong(family):
     # two corrupted nodes exceed both families' budgets on [6,3,4]

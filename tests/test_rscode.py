@@ -50,6 +50,14 @@ def oracle_solve(field, A, rhs):
     return [M[r][nn] for r in range(nn)]
 
 
+def recomputed_syndromes(dec):
+    """Oracle: a decoder's syndromes from scratch as one field matrix
+    product; must match its incremental state."""
+    params = dec.params
+    S = params.field.matmul(dec.word, params.field.exp_np[params.synd_log])
+    return S[0] if dec.rows is None else S
+
+
 def is_codeword(field, word, dim):
     """Oracle: interpolate through the first dim points, check the rest."""
     A = [[field.pow(field.exp[p], j) for j in range(dim)] for p in range(dim)]
@@ -88,8 +96,12 @@ def test_encode_matches_oracle(rs15_4, gf16):
     for _ in range(50):
         msg = [rng.randrange(16) for _ in range(4)]
         assert encode_eval(msg, rs15_4) == oracle_encode(gf16, msg, 15)
+    msgs = [[rng.randrange(16) for _ in range(4)] for _ in range(7)]
+    assert encode_eval(msgs, rs15_4).tolist() == [oracle_encode(gf16, m, 15) for m in msgs]
     with pytest.raises(LengthMismatch):
         encode_eval([1, 2, 3], rs15_4)
+    with pytest.raises(LengthMismatch):
+        encode_eval([[1, 2, 3]], rs15_4)
 
 
 def test_full_length_codewords_have_consecutive_roots(gf16):
@@ -276,7 +288,7 @@ def test_progressive_matches_batch_on_many_schedules(rs15_4, gf16):
             state.absorb(dict(items[i : i + step]))
             i += step
             rounds += 1
-            assert state.syndromes.tolist() == state.recompute_syndromes().tolist()
+            assert state.syndromes.tolist() == recomputed_syndromes(state).tolist()
             if i < len(items):
                 # mid-stream attempts may fail but must never corrupt state
                 try:
@@ -472,6 +484,26 @@ def test_scalar_oracle_agrees_with_batch_decode(rs15_4, gf16):
         assert got.error_positions == want.error_positions
 
 
+def assert_block_matches_oracles(block, oracles):
+    """The block attempt equals one scalar decode per row: codewords, the
+    union of errors, the total count, and DecodeFailure if any row fails."""
+    wants = []
+    for dec in oracles:
+        try:
+            wants.append(dec.attempt())
+        except DecodeFailure:
+            wants.append(None)
+    if any(w is None for w in wants):
+        with pytest.raises(DecodeFailure):
+            block.attempt()
+        return False
+    got = block.attempt()
+    assert got.codeword.tolist() == [w.codeword for w in wants]
+    assert got.error_positions == set().union(*(w.error_positions for w in wants))
+    assert got.corrected_count == sum(w.corrected_count for w in wants)
+    return True
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_block_decoder_matches_one_scalar_decoder_per_row(seed):
     # rows share the received positions; each row gets its own mix: clean,
@@ -504,21 +536,84 @@ def test_block_decoder_matches_one_scalar_decoder_per_row(seed):
         block.absorb({p: words[:, p] for p in batch})
         for r, dec in enumerate(oracles):
             dec.absorb({p: words[r, p] for p in batch})
-        assert np.array_equal(block.syndromes, block.recompute_syndromes())
-        wants = []
-        for dec in oracles:
-            try:
-                wants.append(dec.attempt())
-            except DecodeFailure:
-                wants.append(None)
-        if any(w is None for w in wants):
-            with pytest.raises(DecodeFailure):
-                block.attempt()
-            continue
-        got = block.attempt()
-        assert got.codeword.tolist() == [w.codeword for w in wants]
-        assert got.error_positions == set().union(*(w.error_positions for w in wants))
-        assert got.corrected_count == sum(w.corrected_count for w in wants)
+        assert np.array_equal(block.syndromes, recomputed_syndromes(block))
+        assert_block_matches_oracles(block, oracles)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_decoder_on_shared_column_errors(seed):
+    # A Byzantine node corrupts its whole chunk, so the rows share one set
+    # of error columns.  Per row: 0 clean, 1 every shared column corrupted,
+    # 2 each shared column corrupted with probability 1/2 (the rest keep
+    # the true value), 3 as 2 plus one private error elsewhere.  Odd seeds
+    # add one row over budget.  Up to 5 shared columns of a budget of 8
+    # errors, so private errors push the union of located errors past it.
+    rng = np.random.default_rng(300 + seed)
+    field = GF(5)
+    params = RsParams(24, 8, field)
+    rows = 40
+    cw = encode_eval(rng.integers(0, 32, (rows, 8)), params)
+    shared = rng.choice(params.n, size=2 + seed % 4, replace=False)
+    kinds = rng.integers(0, 4, rows)
+    kinds[0] = seed % 4
+    words = cw.copy()
+    for r in range(rows):
+        cols = shared if kinds[r] == 1 else shared[rng.random(shared.size) < 0.5]
+        if kinds[r] == 3:
+            cols = np.append(cols, rng.choice(np.setdiff1d(np.arange(params.n), shared)))
+        if kinds[r]:
+            words[r, cols] ^= rng.integers(1, 32, cols.size)
+    if seed % 2:
+        r = int(rng.integers(1, rows))
+        cols = rng.choice(params.n, size=params.two_t // 2 + 1, replace=False)
+        words[r, cols] ^= rng.integers(1, 32, cols.size)
+    block = ProgressiveDecoder(params, rows)
+    oracles = [ScalarDecoder(params) for _ in range(rows)]
+    order = rng.permutation(params.n).tolist()
+    successes = 0
+    while order:
+        step = int(rng.integers(1, 5))
+        batch, order = order[:step], order[step:]
+        block.absorb({p: words[:, p] for p in batch})
+        for r, dec in enumerate(oracles):
+            dec.absorb({p: words[r, p] for p in batch})
+        successes += assert_block_matches_oracles(block, oracles)
+    assert successes or seed % 2  # a row over budget may fail every round
+
+
+def test_shared_error_columns_run_few_berlekamp_massey(monkeypatch):
+    # the point of the located set: rows that share their error columns are
+    # filled by one Forney step, not decoded one by one
+    calls = []
+    decode_row = ProgressiveDecoder._decode_row
+    monkeypatch.setattr(ProgressiveDecoder, "_decode_row",
+                        lambda self, r, *args: calls.append(r) or decode_row(self, r, *args))
+    rng = np.random.default_rng(71)
+    params = RsParams(24, 8, GF(5))
+    rows, cols = 40, np.array([3, 11, 17, 20])
+    cw = encode_eval(rng.integers(0, 32, (rows, 8)), params)
+    for keep in (0.0, 0.5):  # share of corrupted-column symbols left intact
+        words = cw.copy()
+        flip = rng.random((rows, cols.size)) >= keep
+        words[:, cols] ^= np.where(flip, rng.integers(1, 32, (rows, cols.size)), 0)
+        block = ProgressiveDecoder(params, rows)
+        block.absorb({p: words[:, p] for p in range(params.n) if p != 5})
+        calls.clear()
+        out = block.attempt()
+        assert out.codeword.tolist() == cw.tolist()
+        assert out.error_positions == set(cols[flip.any(axis=0)].tolist())
+        assert out.corrected_count == flip.sum()
+        # each row decoded alone adds at least one column to the located set
+        assert 1 <= len(calls) <= cols.size and calls[0] == 0
+    # over budget in every row: the attempt fails after one decode
+    words = cw.copy()
+    words[:, : params.two_t // 2 + 1] ^= 1
+    block = ProgressiveDecoder(params, rows)
+    block.absorb({p: words[:, p] for p in range(params.n)})
+    calls.clear()
+    with pytest.raises(DecodeFailure):
+        block.attempt()
+    assert calls == [0]
 
 
 def test_block_decoder_validates_blocks(rs15_4):
