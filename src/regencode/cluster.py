@@ -524,7 +524,7 @@ def build_msr_zero_crc_forgery(state: ClusterState, colluders) -> ConsistentForg
     for p in range(n):
         if p in support:
             continue
-        root = field.exp[p]
+        root = params.code.points[p]
         nxt = [0] * (len(u_vec) + 1)
         for i, c in enumerate(u_vec):
             nxt[i] ^= field.mul(root, c)

@@ -2,9 +2,9 @@
 
 Addition is XOR.  Multiplication, inversion and exponentiation go through
 eagerly built log/antilog tables for a configurable primitive polynomial
-and generator element.  The tables double as numpy arrays so callers can
-vectorise bulk operations (syndrome updates, Chien search, matrix
-products) without touching scalar Python loops.
+and generator element.  Bulk operations (syndrome updates, Chien search,
+matrix products) go through ``vmul``, ``vdiv``, ``matmul`` and ``power``
+on numpy arrays; this module is the only one that knows the table format.
 """
 
 from __future__ import annotations
@@ -97,8 +97,13 @@ class GF:
 
         self.exp = exp  # doubled: exp[i] == generator ** (i % order), 0 <= i < 2*order
         self.log = log  # log[0] is a placeholder and must never be used
-        self.exp_np = np.array(exp, dtype=np.int64)
-        self.log_np = np.array(log, dtype=np.int64)
+        # Vector tables: log(0) is the sentinel 2·order and exp is zero from
+        # 2·order through 4·order, so a product or quotient with a zero
+        # operand lands on an exp entry of 0 and needs no mask.
+        self._log = np.array(log, dtype=np.int64)
+        self._log[0] = 2 * self.order
+        self._exp = np.zeros(4 * self.order + 1, dtype=np.int64)
+        self._exp[: 2 * self.order] = exp
 
     def __repr__(self):
         return f"GF(2^{self.m}, poly=0x{self.prim_poly:x}, g={self.generator})"
@@ -140,23 +145,24 @@ class GF:
 
     # -- vector operations (numpy int64 arrays) ----------------------------
 
-    def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two arrays of field elements."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = self.exp_np[self.log_np[a] + self.log_np[b]]
-        zero = (a == 0) | (b == 0)
-        if zero.any():
-            out = np.where(zero, 0, out)
-        return out
+    def vmul(self, a, b) -> np.ndarray:
+        """Elementwise (broadcast) product of arrays of field elements."""
+        return self._exp[self._log[a] + self._log[b]]
 
-    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    def vdiv(self, a, b) -> np.ndarray:
+        """Elementwise (broadcast) quotient a / b; raises on a zero divisor."""
+        lb = self._log[b]
+        if (lb == 2 * self.order).any():
+            raise ZeroInverse("division by zero")
+        return self._exp[self._log[a] - lb + self.order]
+
+    def power(self, e) -> np.ndarray:
+        """generator ** e elementwise, for any integer exponents."""
+        return self._exp[np.mod(e, self.order)]
+
+    def matmul(self, A, B) -> np.ndarray:
         """Matrix product over the field; A is (p, q), B is (q, r)."""
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
-        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-            raise InvalidParams(f"incompatible shapes {A.shape} x {B.shape}")
-        prod = self.exp_np[self.log_np[A][:, :, None] + self.log_np[B][None, :, :]]
-        zero = (A == 0)[:, :, None] | (B == 0)[None, :, :]
-        prod = np.where(zero, 0, prod)
-        return np.bitwise_xor.reduce(prod, axis=1)
+        la, lb = self._log[A], self._log[B]
+        if la.ndim != 2 or lb.ndim != 2 or la.shape[1] != lb.shape[0]:
+            raise InvalidParams(f"incompatible shapes {la.shape} x {lb.shape}")
+        return np.bitwise_xor.reduce(self._exp[la[:, :, None] + lb[None, :, :]], axis=1)

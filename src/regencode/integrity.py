@@ -24,6 +24,7 @@ n-1 nodes in one of two ways:
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from collections import Counter
@@ -196,8 +197,6 @@ REPLICATED = "replicated"
 CODED = "coded"
 SCHEMES = (REPLICATED, CODED)
 
-_layout_cache: dict[tuple[int, int], "CodedLayout"] = {}
-
 
 def checksum_code_size(n: int, r: int) -> tuple[int, int]:
     """(m', k') of the [n-1, k'] share code for an r-bit checksum.
@@ -250,11 +249,9 @@ class CodedLayout:
         return bits_to_int(bits[: self.r])
 
 
+@functools.cache
 def coded_layout(n: int, r: int) -> CodedLayout:
-    key = (n, r)
-    if key not in _layout_cache:
-        _layout_cache[key] = CodedLayout(n, r)
-    return _layout_cache[key]
+    return CodedLayout(n, r)
 
 
 def _peer_position(holder: int, owner: int) -> int:

@@ -70,7 +70,7 @@ class MsrParams:
         self.G = vandermonde(self.code)  # d×n
         self.ghat_inv = invert_submatrix(self.G, range(d), field)
         self.gcols = self.G[:alpha, :]  # column i is g_i
-        self.lam = field.exp_np[(np.arange(n, dtype=np.int64) * alpha) % field.order]
+        self.lam = field.power(np.arange(n, dtype=np.int64) * alpha)
         if len(set(self.lam.tolist())) != n:
             raise InvalidParams("node multipliers lambda_i collide; enlarge the field")
         self.fill1, self.fill2 = _fill_maps(alpha)
@@ -160,7 +160,7 @@ def reconstruct_fast(columns: dict[int, np.ndarray], params: MsrParams) -> np.nd
     lam = params.lam[nodes]
     # 1/(λ_o + λ_t) off the diagonal; the diagonal is never read
     gap = (lam[:, None] ^ lam[None, :]) + np.eye(k, dtype=np.int64)
-    gap_inv = field.exp_np[field.order - field.log_np[gap[:, :alpha]]]
+    gap_inv = field.vdiv(1, gap[:, :alpha])
 
     y = np.stack([np.asarray(columns[i], dtype=np.int64) for i in nodes], axis=2)  # (beta, alpha, k)
     proj = field.matmul(m_rows, y.transpose(1, 0, 2).reshape(alpha, beta * k))

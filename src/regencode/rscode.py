@@ -50,8 +50,7 @@ class RsParams:
         self.dim = dim
         self.field = field
         self.two_t = n - dim
-        self.points = [field.exp[p] for p in range(n)]  # a^p
-        self.logpoints = list(range(n))
+        self.points = field.power(np.arange(n)).tolist()  # a^p
 
         # Dual-code column multipliers w_p = 1 / prod_{q != p}(a^p - a^q).
         w = []
@@ -62,18 +61,13 @@ class RsParams:
                 if s != p:
                     acc = field.mul(acc, ap ^ self.points[s])
             w.append(field.inv(acc))
-        self.w = w
+        self.w = np.array(w, dtype=np.int64)
 
-        order = field.order
-        logp = np.arange(n, dtype=np.int64)
-        logw = np.array([field.log[x] for x in w], dtype=np.int64)
-        self.logw = logw
-        j = np.arange(self.two_t, dtype=np.int64)
-        # log(w_p * a^{p*j}), the contribution of a unit symbol at p to S_j
-        self.synd_log = (logw[:, None] + logp[:, None] * j[None, :]) % order
-        jj = np.arange(self.two_t + 1, dtype=np.int64)
-        # log(a^{-p*j}), used to evaluate locators at every inverse point
-        self.chien_log = (-(logp[:, None] * jj[None, :])) % order
+        p = np.arange(n, dtype=np.int64)[:, None]
+        # w_p·a^{p·j}, the contribution of a unit symbol at p to S_j
+        self.synd = field.vmul(self.w[:, None], field.power(p * np.arange(self.two_t)))
+        # a^{-p·j}, used to evaluate locators at every inverse point
+        self.chien = field.power(-p * np.arange(self.two_t + 1))
 
     def __repr__(self):
         return f"RsParams(n={self.n}, dim={self.dim}, field={self.field!r})"
@@ -108,8 +102,7 @@ def encode_eval(message, params: RsParams) -> list[int] | np.ndarray:
 def vandermonde(params: RsParams) -> np.ndarray:
     """Generator matrix, shape (dim, n), entry (r, c) = (a^c)^r."""
     r = np.arange(params.dim, dtype=np.int64)[:, None]
-    c = np.arange(params.n, dtype=np.int64)[None, :]
-    return params.field.exp_np[(r * c) % params.field.order]
+    return params.field.power(r * np.arange(params.n))
 
 
 def gf_inverse(field: GF, M) -> np.ndarray:
@@ -122,7 +115,6 @@ def gf_inverse(field: GF, M) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidParams(f"matrix of shape {M.shape} is not square")
     nn = M.shape[0]
-    exp, log = field.exp_np, field.log_np
     a = np.concatenate([M, np.eye(nn, dtype=np.int64)], axis=1)
     for col in range(nn):
         nz = np.flatnonzero(a[col:, col])
@@ -131,15 +123,12 @@ def gf_inverse(field: GF, M) -> np.ndarray:
         piv = col + int(nz[0])
         if piv != col:
             a[[col, piv]] = a[[piv, col]]
-        row = a[col]
-        live = row != 0
-        row = np.where(live, exp[log[row] + field.order - log[row[col]]], 0)
-        a[col] = row
+        row = a[col] = field.vdiv(a[col], a[col, col])
         f = a[:, col].copy()
         f[col] = 0
         hit = np.flatnonzero(f)
         if hit.size:
-            a[hit] ^= np.where(live, exp[log[f[hit]][:, None] + log[row]], 0)
+            a[hit] ^= field.vmul(f[hit][:, None], row)
     return a[:, nn:]
 
 
@@ -214,9 +203,7 @@ class ProgressiveDecoder:
             self.word[:, pos] = ys
             self.have[pos] = True
             if params.two_t:
-                terms = field.exp_np[params.synd_log[pos] + field.log_np[ys][:, :, None]]
-                terms[ys == 0] = 0
-                self._synd ^= np.bitwise_xor.reduce(terms, axis=1)
+                self._synd ^= field.matmul(ys, params.synd[pos])
         self.round += 1
         return self
 
@@ -251,7 +238,8 @@ class ProgressiveDecoder:
             if not rows.size:
                 return rows
             lam = _locator(params, located, gamma)
-            prod = _times_mod(field, lam, self._synd[rows])  # lam·S mod x^two_t
+            S = self._synd if rows.size == len(self._synd) else self._synd[rows]
+            prod = _times_mod(field, lam, S)  # lam·S mod x^two_t
             dirty = prod[:, s + len(located) :].any(axis=1)
             roots = erased + located
             if roots and not dirty.all():
@@ -331,9 +319,8 @@ def _locator(params: RsParams, positions, poly=(1,)) -> list[int]:
     """poly(x)·prod (1 - a^p x) over the given positions."""
     exp, log = params.field.exp, params.field.log
     poly = list(poly)
-    for p in positions:
-        lp = params.logpoints[p]
-        poly = [x ^ (exp[log[y] + lp] if y else 0) for x, y in zip(poly + [0], [0] + poly)]
+    for p in positions:  # scalar like Berlekamp-Massey; log(a^p) = p
+        poly = [x ^ (exp[log[y] + p] if y else 0) for x, y in zip(poly + [0], [0] + poly)]
     return poly
 
 
@@ -344,17 +331,13 @@ def _times_mod(field: GF, poly: list[int], S: np.ndarray, lo: int = 0) -> np.nda
     j = np.flatnonzero(poly)
     shift = np.arange(lo, two_t)[None, :] - j[:, None]  # coefficient c takes S_{c-j}
     part = np.where(shift >= 0, S[:, shift], 0)  # (rows, terms, two_t - lo)
-    terms = field.exp_np[field.log_np[poly[j]][:, None] + field.log_np[part]]
-    return np.bitwise_xor.reduce(np.where(part != 0, terms, 0), axis=1)
+    return np.bitwise_xor.reduce(field.vmul(poly[j][:, None], part), axis=1)
 
 
 def _at_inverse_points(params: RsParams, polys, positions) -> np.ndarray:
     """Every row of polys (degree at most n - dim) at a^-p, shape (rows, positions)."""
-    field = params.field
     polys = np.asarray(polys, dtype=np.int64)
-    idx = field.log_np[polys][:, None, :] + params.chien_log[positions, : polys.shape[1]]
-    terms = np.where(polys[:, None, :] != 0, field.exp_np[idx], 0)
-    return np.bitwise_xor.reduce(terms, axis=2)
+    return params.field.matmul(polys, params.chien[positions, : polys.shape[1]].T)
 
 
 def _forney(params: RsParams, lam: list[int], omega: np.ndarray, roots) -> np.ndarray:
@@ -367,8 +350,7 @@ def _forney(params: RsParams, lam: list[int], omega: np.ndarray, roots) -> np.nd
     if not den.all():
         raise DecodeFailure("errata evaluator derivative vanished at a root")
     num = _at_inverse_points(params, omega, roots)
-    loge = field.log_np[num] + (roots - params.logw[roots] - field.log_np[den])
-    return np.where(num != 0, field.exp_np[loge % field.order], 0)
+    return field.vmul(num, field.vdiv(field.power(roots), field.vmul(params.w[roots], den)))
 
 
 def decode_error_erasure(word: ReceivedWord, params: RsParams) -> DecodeOutcome:

@@ -138,23 +138,46 @@ def test_param_validation():
         GF(4, generator=16)
 
 
-def test_vector_ops_match_scalar(gf16):
-    rng = np.random.default_rng(11)
-    a = rng.integers(0, 16, size=300)
-    b = rng.integers(0, 16, size=300)
-    got = gf16.vmul(a, b)
-    want = [gf16.mul(int(x), int(y)) for x, y in zip(a, b)]
-    assert got.tolist() == want
+@pytest.mark.parametrize("m", range(2, 17))
+def test_vector_ops_match_scalar(m):
+    gf = GF(m)
+    rng = np.random.default_rng(11 + m)
+    a = rng.integers(0, gf.q, size=300)
+    b = rng.integers(0, gf.q, size=300)
+    a[:40:2] = 0  # zeros in a, in b and in both, at the table bounds
+    b[:40:4] = 0
+    b[1:40:2] = 0
+    a[-3:] = b[-2:] = gf.q - 1
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert gf.vmul(a, b).tolist() == [gf.mul(x, y) for x, y in pairs]
+    nz = b != 0
+    assert gf.vdiv(a[nz], b[nz]).tolist() == [gf.div(x, y) for x, y in pairs if y]
+    assert gf.vdiv(0, b[nz]).tolist() == [0] * int(nz.sum())
+    with pytest.raises(ZeroInverse):
+        gf.vdiv(a, b)
+    with pytest.raises(ZeroInverse):
+        gf.vdiv(1, 0)
+    e = np.concatenate([rng.integers(-3 * gf.order, 3 * gf.order, size=200),
+                        [0, -1, gf.order, -gf.order, 2 * gf.order + 1]])
+    g = gf.generator
+    assert gf.power(e).tolist() == [gf.pow(g, x) for x in e.tolist()]
 
 
-def test_matmul_matches_naive(gf16):
-    rng = np.random.default_rng(13)
-    A = rng.integers(0, 16, size=(5, 7))
-    B = rng.integers(0, 16, size=(7, 4))
-    got = gf16.matmul(A, B)
+@pytest.mark.parametrize("m", range(2, 17))
+def test_matmul_matches_naive(m):
+    gf = GF(m)
+    rng = np.random.default_rng(13 + m)
+    A = rng.integers(0, gf.q, size=(5, 7))
+    B = rng.integers(0, gf.q, size=(7, 4))
+    A[0] = 0
+    A[:, 1] = 0
+    B[2] = 0
+    B[:, 3] = 0
+    A[4, 6] = B[6, 0] = gf.q - 1
+    got = gf.matmul(A, B)
     for i in range(5):
         for j in range(4):
             acc = 0
             for t in range(7):
-                acc ^= gf16.mul(int(A[i, t]), int(B[t, j]))
+                acc ^= gf.mul(int(A[i, t]), int(B[t, j]))
             assert got[i, j] == acc

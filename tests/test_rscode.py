@@ -52,9 +52,15 @@ def oracle_solve(field, A, rhs):
 
 def recomputed_syndromes(dec):
     """Oracle: a decoder's syndromes from scratch as one field matrix
-    product; must match its incremental state."""
+    product over a matrix built in scalar arithmetic (entry (p, j) is
+    w_p·(a^p)^j); must match its incremental state."""
     params = dec.params
-    S = params.field.matmul(dec.word, params.field.exp_np[params.synd_log])
+    field = params.field
+    H = [
+        [field.mul(params.w[p], field.pow(params.points[p], j)) for j in range(params.two_t)]
+        for p in range(params.n)
+    ]
+    S = field.matmul(dec.word, np.array(H, dtype=np.int64))
     return S[0] if dec.rows is None else S
 
 
