@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -85,8 +86,11 @@ def _assemble_state(paths, seed: int) -> ClusterState:
 
     A file that cannot be read or does not parse (cut short, bad header,
     body that does not fit its header) is a crashed node and gets one
-    warning record.  A well-formed file from another chunk set stays
-    fatal.
+    warning record.  The chunk set is the header key that a strict
+    majority of the parsed files share; a file with another key (a forged
+    header, a file from another set) is a crashed node too, and so is
+    every file of a node index that two files claim.  Without a strict
+    majority the error is fatal.
     """
     entries = []
     for p in paths:
@@ -96,17 +100,23 @@ def _assemble_state(paths, seed: int) -> ClusterState:
             print(_record(warning="chunk_unreadable", path=p, detail=repr(str(exc))))
     if not entries:
         raise MalformedChunk(f"none of the {len(paths)} chunk files is readable")
-    base = entries[0][1]
     key = lambda h: (h.family, h.m, h.generator, h.prim_poly, h.n, h.k, h.d,
                      h.beta, h.r, h.crc_poly, h.scheme, h.payload_bit_len)
+    (major, votes), = Counter(key(h) for _, h, _, _ in entries).most_common(1)
+    if 2 * votes <= len(entries):
+        raise MalformedChunk(
+            f"no chunk set holds a strict majority of the {len(entries)} parsed files"
+        )
     for p, h, _, _ in entries:
-        if key(h) != key(base):
-            raise MalformedChunk(f"{p} belongs to a different chunk set")
-    seen = set()
+        if key(h) != major:
+            print(_record(warning="chunk_foreign", path=p))
+    entries = [e for e in entries if key(e[1]) == major]
+    base = entries[0][1]
+    claims = Counter(h.node_index for _, h, _, _ in entries)
     for p, h, _, _ in entries:
-        if h.node_index in seen:
-            raise MalformedChunk(f"{p} duplicates node index {h.node_index}")
-        seen.add(h.node_index)
+        if claims[h.node_index] > 1:
+            print(_record(warning="chunk_duplicate", path=p, node_index=h.node_index))
+    entries = [e for e in entries if claims[e[1].node_index] == 1]
     params, crc = params_from_header(base)
     nodes = [
         NodeSlot(

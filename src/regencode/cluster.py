@@ -190,10 +190,6 @@ def frame_bits(state: ClusterState, stripes) -> np.ndarray:
     return bits[: state.payload_bit_len + state.crc.r]
 
 
-def payload_bits(state: ClusterState, stripes) -> np.ndarray:
-    return frame_bits(state, stripes)[: state.payload_bit_len]
-
-
 # ---------------------------------------------------------------------------
 # fault injection
 
@@ -375,18 +371,22 @@ def run_reconstruction(state: ClusterState, policy=None) -> tuple:
     metrics = RunMetrics()
     collector = _MeteredCollector(state, policy.order(state), metrics)
 
+    framed = None  # frame bits of the last candidate tested: the accepted one
+
     def verify(stripes) -> bool:
-        return crc_verify(frame_bits(state, stripes), state.crc)
+        nonlocal framed
+        framed = frame_bits(state, stripes)
+        return crc_verify(framed, state.crc)
 
     codec = CODECS[state.params.family]
     try:
-        stripes, rounds = codec.reconstruct(collector, state.params, verify)
+        _, rounds = codec.reconstruct(collector, state.params, verify)
     except ClusterExhausted:
         metrics.outcome = FAIL
         return None, metrics
     metrics.decode_rounds = rounds
     metrics.outcome = SUCCESS
-    return payload_bits(state, stripes), metrics
+    return framed[: state.payload_bit_len], metrics
 
 
 def run_regeneration(

@@ -5,6 +5,18 @@ eagerly built log/antilog tables for a configurable primitive polynomial
 and generator element.  Bulk operations (syndrome updates, Chien search,
 matrix products) go through ``vmul``, ``vdiv``, ``matmul`` and ``power``
 on numpy arrays; this module is the only one that knows the table format.
+
+``matmul`` picks its kernel from the operand shapes.  When an outer
+dimension is longer than the field size 2^m, one operand is long data and
+the other a short constant matrix (an encode, a decode projection, a
+repair inner product): every coefficient c of the constant gets a
+multiply-by-c table of 2^m entries, and the product is one table gather
+of a row of the data per coefficient, XOR-accumulated (the product-table
+method of Plank, Greenan & Miller, FAST 2013, without the SIMD).
+Otherwise the product is one (p, q, r) log/exp cube.  The tables cost
+q·r·2^m cells for a tall A (p·q·2^m for a wide B), fewer than the cube's
+p·q·r exactly when the long side exceeds 2^m, so the switch needs no
+setting.
 """
 
 from __future__ import annotations
@@ -162,7 +174,27 @@ class GF:
 
     def matmul(self, A, B) -> np.ndarray:
         """Matrix product over the field; A is (p, q), B is (q, r)."""
-        la, lb = self._log[A], self._log[B]
-        if la.ndim != 2 or lb.ndim != 2 or la.shape[1] != lb.shape[0]:
-            raise InvalidParams(f"incompatible shapes {la.shape} x {lb.shape}")
-        return np.bitwise_xor.reduce(self._exp[la[:, :, None] + lb[None, :, :]], axis=1)
+        A, B = np.asarray(A), np.asarray(B)
+        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+            raise InvalidParams(f"incompatible shapes {A.shape} x {B.shape}")
+        p, r = A.shape[0], B.shape[1]
+        if max(p, r) <= self.q:
+            la, lb = self._log[A], self._log[B]
+            return np.bitwise_xor.reduce(self._exp[la[:, :, None] + lb[None, :, :]], axis=1)
+        if p > r:  # tall data A times constant B, as (Bᵀ·Aᵀ)ᵀ
+            return np.ascontiguousarray(self._table_product(B.T, A.T).T, dtype=np.int64)
+        return self._table_product(A, B).astype(np.int64)
+
+    def _table_product(self, C, D) -> np.ndarray:
+        """C·D for a short constant C (s, q) and long data D (q, L > 2^m).
+
+        tables[i, j, x] = C[i, j]·x, so output row i is the XOR over j of
+        row D[j] looked up in table (i, j).
+        """
+        narrow = np.uint8 if self.m <= 8 else np.uint16
+        tables = self._exp[self._log[C][:, :, None] + self._log].astype(narrow)
+        out = np.zeros((C.shape[0], D.shape[1]), dtype=narrow)
+        for (i, j), c in np.ndenumerate(C):
+            if c:
+                out[i] ^= tables[i, j][D[j]]
+        return out

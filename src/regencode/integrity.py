@@ -119,18 +119,19 @@ def bits_to_int(bits) -> int:
 
 
 def symbols_to_bits(symbols, m: int) -> np.ndarray:
-    """Serialise field elements as m bits each, most-significant first."""
-    syms = np.asarray(symbols, dtype=np.int64).reshape(-1)
-    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
-    return ((syms[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
+    """Serialise field elements as m bits each, most-significant first:
+    the last m bits of each symbol as a big-endian uint16."""
+    be = np.asarray(symbols).reshape(-1).astype(">u2")
+    return np.unpackbits(be.view(np.uint8)).reshape(-1, 16)[:, 16 - m :].reshape(-1)
 
 
 def bits_to_symbols(bits, m: int) -> np.ndarray:
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits, dtype=np.uint8)
     if len(bits) % m:
         raise InvalidParams(f"{len(bits)} bits do not split into {m}-bit symbols")
-    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-    return bits.reshape(-1, m) @ weights
+    padded = np.zeros((len(bits) // m, 16), dtype=np.uint8)
+    padded[:, 16 - m :] = bits.reshape(-1, m)
+    return np.packbits(padded).view(">u2").astype(np.int64)
 
 
 # -- CRC core -------------------------------------------------------------

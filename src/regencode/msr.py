@@ -152,9 +152,9 @@ def reconstruct_fast(columns: dict[int, np.ndarray], params: MsrParams) -> np.nd
     alpha, k, beta = params.alpha, params.k, params.beta
     m_rows = params.gcols[:, nodes].T  # row t = g_{nodes[t]}
     others = [[o for o in range(k) if o != t] for t in range(alpha)]
+    # W has columns g_i, i in nodes[:alpha]; V_t has rows g_o, o in others[t]
     try:
-        w_inv = gf_inverse(field, m_rows[:alpha].T)  # columns g_i, i in nodes[:alpha]
-        v_invs = [gf_inverse(field, m_rows[o]) for o in others]
+        w_inv, *v_invs = gf_inverse(field, np.stack([m_rows[:alpha].T] + [m_rows[o] for o in others]))
     except SingularMatrix as e:  # defensive: distinct points make this impossible
         raise SingularSystem(str(e)) from e
     lam = params.lam[nodes]
@@ -162,19 +162,18 @@ def reconstruct_fast(columns: dict[int, np.ndarray], params: MsrParams) -> np.nd
     gap = (lam[:, None] ^ lam[None, :]) + np.eye(k, dtype=np.int64)
     gap_inv = field.vdiv(1, gap[:, :alpha])
 
-    y = np.stack([np.asarray(columns[i], dtype=np.int64) for i in nodes], axis=2)  # (beta, alpha, k)
-    proj = field.matmul(m_rows, y.transpose(1, 0, 2).reshape(alpha, beta * k))
-    proj = proj.reshape(k, beta, k).transpose(1, 0, 2)  # proj[s, j, t] = g_j · y_t
-    sym = proj[:, :, :alpha] ^ proj.transpose(0, 2, 1)[:, :, :alpha]
-    q = field.vmul(sym, gap_inv)  # q[s, o, t] = g_o·A2·g_t
-    r = proj[:, :, :alpha] ^ field.vmul(q, lam[:alpha])  # r[s, o, t] = g_o·A1·g_t
-    # column t of Z (of W) solves V_t·z = q[:, others, t] (= r[...]) per stripe
-    zw = np.stack([
-        field.matmul(v_invs[t], np.concatenate([q[:, o, t].T, r[:, o, t].T], axis=1))
-        for t, o in enumerate(others)
-    ])  # [t, i, (z|w, s)]
-    zw = zw.reshape(alpha, alpha, 2, beta).transpose(2, 3, 1, 0)  # [z|w, s, i, t]
-    a = field.matmul(zw.reshape(-1, alpha), w_inv).reshape(2, beta, alpha, alpha)
+    # stripes innermost throughout, so every bulk step runs on long rows
+    y = np.concatenate([np.asarray(columns[i], dtype=np.int64).T for i in nodes], axis=1)
+    proj = field.matmul(m_rows, y).reshape(k, k, beta)  # proj[j, t, s] = g_j · y_t
+    sym = proj[:, :alpha] ^ proj.transpose(1, 0, 2)[:, :alpha]
+    q = field.vmul(sym, gap_inv[:, :, None])  # q[o, t, s] = g_o·A2·g_t
+    r = proj[:, :alpha] ^ field.vmul(q, lam[:alpha, None])  # r[o, t, s] = g_o·A1·g_t
+    qr = np.concatenate([q, r], axis=2)
+    # column t of Z (of W) solves V_t·z = q[others, t] (= r[...]) per stripe
+    zw = np.stack([field.matmul(v_invs[t], qr[o, t]) for t, o in enumerate(others)])
+    # zw[t, i, (z|w, s)] is the row (i, z|w, s) of the left operand, column t
+    a = field.matmul(zw.reshape(alpha, -1).T, w_inv).reshape(alpha, 2, beta, alpha)
+    a = a.transpose(1, 2, 0, 3)  # [z|w, s, i, column]
     return read_u(a[1], a[0], params)
 
 

@@ -21,6 +21,7 @@ generator polynomial has those roots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -107,29 +108,31 @@ def vandermonde(params: RsParams) -> np.ndarray:
 
 def gf_inverse(field: GF, M) -> np.ndarray:
     """Invert a square matrix by Gauss-Jordan elimination over the field.
+    Any leading axes index a stack of matrices, each with its own pivots.
 
-    Each pivot is one numpy step on the augmented matrix [M | I]: scale
-    the pivot row, then clear its column from every other row at once.
+    Each pivot is one numpy step on the augmented matrices [M | I]: scale
+    the pivot rows, then clear their column from every other row at once.
+    Raises SingularMatrix if any matrix of the stack is singular.
     """
     M = np.asarray(M, dtype=np.int64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise InvalidParams(f"matrix of shape {M.shape} is not square")
-    nn = M.shape[0]
-    a = np.concatenate([M, np.eye(nn, dtype=np.int64)], axis=1)
+    nn = M.shape[-1]
+    eye = np.broadcast_to(np.eye(nn, dtype=np.int64), M.shape)
+    stack = np.arange(math.prod(M.shape[:-2]))
+    a = np.concatenate([M, eye], axis=-1).reshape(len(stack), nn, 2 * nn)
     for col in range(nn):
-        nz = np.flatnonzero(a[col:, col])
-        if not nz.size:
+        nz = a[:, col:, col] != 0
+        if not nz.any(axis=1).all():
             raise SingularMatrix(f"no pivot in column {col}")
-        piv = col + int(nz[0])
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        row = a[col] = field.vdiv(a[col], a[col, col])
-        f = a[:, col].copy()
-        f[col] = 0
-        hit = np.flatnonzero(f)
-        if hit.size:
-            a[hit] ^= field.vmul(f[hit][:, None], row)
-    return a[:, nn:]
+        piv = col + nz.argmax(axis=1)
+        rows = a[stack, piv]
+        a[stack, piv] = a[:, col]
+        a[:, col] = row = field.vdiv(rows, rows[:, col : col + 1])
+        f = a[:, :, col].copy()
+        f[:, col] = 0
+        a ^= field.vmul(f[:, :, None], row[:, None, :])
+    return a[:, :, nn:].reshape(M.shape)
 
 
 def invert_submatrix(G, cols, field: GF) -> np.ndarray:

@@ -24,7 +24,6 @@ from regencode.cluster import (
     SeededRandom,
     build_msr_zero_crc_forgery,
     inject,
-    payload_bits,
     run_reconstruction,
     run_regeneration,
     store,
@@ -329,6 +328,11 @@ def test_rs_decoder_sharpness():
             for v in range(two_t // 2 + 1)
             for s in range(two_t - 2 * v + 1)
         ]
+        # from-scratch syndrome matrix in scalar arithmetic, not RsParams.synd
+        synd = [
+            [F16.mul(params.w[p], F16.pow(params.points[p], j)) for j in range(two_t)]
+            for p in range(15)
+        ]
         rng = random.Random(8)
         cases = 0
         while cases < 10_000:
@@ -361,10 +365,7 @@ def test_rs_decoder_sharpness():
                         dec.attempt()
                     except DecodeFailure:
                         pass
-            assert np.array_equal(F16.matmul(dec.word, [
-                [F16.mul(params.w[p], F16.pow(params.points[p], j)) for j in range(two_t)]
-                for p in range(15)
-            ])[0], dec.syndromes)
+            assert np.array_equal(F16.matmul(dec.word, synd)[0], dec.syndromes)
             outcome = dec.attempt()
             assert outcome.codeword == batch.codeword, (v, s)
             assert outcome.error_positions == batch.error_positions

@@ -8,7 +8,8 @@ import pytest
 
 from regencode.cli import main
 
-HEADER_LEN = struct.calcsize(">4sBBBBIHHHIBQBHQ")
+HEADER_FMT = ">4sBBBBIHHHIBQBHQ"
+HEADER_LEN = struct.calcsize(HEADER_FMT)
 
 
 def run(capsys, *argv):
@@ -124,8 +125,7 @@ def test_regenerate_reports_download_symbols(capsys, tmp_path):
     assert "symbols_downloaded=8" in out
 
 
-def test_mixed_chunk_sets_rejected(capsys, tmp_path):
-    _, a = encode_dir(capsys, tmp_path, seed=1)
+def encode_other(capsys, tmp_path):
     other = tmp_path / "other"
     other.mkdir()
     src2 = tmp_path / "p2.bin"
@@ -134,10 +134,67 @@ def test_mixed_chunk_sets_rejected(capsys, tmp_path):
         capsys, "encode", src2, "--family", "msr", "--n", "6", "--k", "3",
         "--d", "4", "--out", other,
     )[0] == 0
+    return other
+
+
+def warning_lines(out):
+    return [line for line in out.splitlines() if line.startswith("warning=")]
+
+
+def test_mixed_chunk_sets_rejected(capsys, tmp_path):
+    # the one file of another set is rejected as a crashed node; the
+    # five files of the majority set still suffice
+    src, a = encode_dir(capsys, tmp_path, seed=1)
+    other = encode_other(capsys, tmp_path)
     (a / "node001.rgen").write_bytes((other / "node001.rgen").read_bytes())
+    dst = tmp_path / "o"
+    code, out, _ = run(capsys, "reconstruct", a, "--out", dst)
+    assert code == 0
+    assert dst.read_bytes() == src.read_bytes()
+    assert warning_lines(out) == [f"warning=chunk_foreign path={a / 'node001.rgen'}"]
+
+
+def test_no_majority_chunk_set_is_fatal(capsys, tmp_path):
+    _, a = encode_dir(capsys, tmp_path, seed=1)
+    other = encode_other(capsys, tmp_path)
+    for i in (0, 2, 4):
+        name = f"node{i:03d}.rgen"
+        (a / name).write_bytes((other / name).read_bytes())
     code, _, err = run(capsys, "reconstruct", a, "--out", tmp_path / "o")
     assert code == 1
     assert "error=MalformedChunk" in err
+
+
+@pytest.mark.parametrize("victim", [0, 3])
+def test_forged_header_is_a_crashed_node(capsys, tmp_path, victim):
+    # a header claiming 8 fewer payload bits outvotes nobody, whichever
+    # file is parsed first
+    src, chunks = encode_dir(capsys, tmp_path)
+    path = chunks / f"node{victim:03d}.rgen"
+    raw = bytearray(path.read_bytes())
+    fields = list(struct.unpack_from(HEADER_FMT, raw))
+    fields[-1] -= 8
+    struct.pack_into(HEADER_FMT, raw, 0, *fields)
+    path.write_bytes(bytes(raw))
+    dst = tmp_path / "o"
+    code, out, _ = run(capsys, "reconstruct", chunks, "--out", dst)
+    assert code == 0
+    assert dst.read_bytes() == src.read_bytes()
+    assert warning_lines(out) == [f"warning=chunk_foreign path={path}"]
+
+
+def test_duplicate_node_index_crashes_both_files(capsys, tmp_path):
+    src, chunks = encode_dir(capsys, tmp_path)
+    copy = chunks / "node006.rgen"
+    copy.write_bytes((chunks / "node002.rgen").read_bytes())
+    dst = tmp_path / "o"
+    code, out, _ = run(capsys, "reconstruct", chunks, "--out", dst)
+    assert code == 0
+    assert dst.read_bytes() == src.read_bytes()
+    assert sorted(warning_lines(out)) == [
+        f"warning=chunk_duplicate path={chunks / name} node_index=2"
+        for name in ("node002.rgen", "node006.rgen")
+    ]
 
 
 def test_truncated_chunk_file(capsys, tmp_path):

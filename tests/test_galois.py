@@ -181,3 +181,56 @@ def test_matmul_matches_naive(m):
             for t in range(7):
                 acc ^= gf.mul(int(A[i, t]), int(B[t, j]))
             assert got[i, j] == acc
+
+
+def scalar_entry(gf, A, B, i, j):
+    acc = 0
+    for t in range(A.shape[1]):
+        acc ^= gf.mul(int(A[i, t]), int(B[t, j]))
+    return acc
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+@pytest.mark.parametrize("extra", [0, 1], ids=["cube", "tables"])
+@pytest.mark.parametrize("tall", [True, False], ids=["tall_a", "wide_b"])
+@pytest.mark.parametrize("q, r", [(4, 3), (1, 1)])
+def test_matmul_long_operand_matches_scalar(m, extra, tall, q, r):
+    # long data against a short constant, with the long side at 2^m (the
+    # cube) and at 2^m + 1 (the product tables), in both orientations
+    gf = GF(m)
+    rng = np.random.default_rng(17 * m + 2 * extra + tall)
+    data = rng.integers(0, gf.q, size=(gf.q + extra, q))
+    const = rng.integers(0, gf.q, size=(q, r))
+    data[0] = 0
+    data[-1] = gf.q - 1
+    data[1::5, 0] = 0
+    const[0, 0] = 0
+    const[-1, -1] = gf.q - 1
+    if q > 1:
+        data[:, 1] = 0
+        const[2] = 0
+    if r > 1:
+        const[:, 1] = 0
+    A, B = (data, const) if tall else (const.T, data.T)
+    got = gf.matmul(A, B)
+    assert got.shape == (A.shape[0], B.shape[1])
+    assert got.dtype == np.int64
+    if m <= 11:
+        cells = [(i, j) for i in range(got.shape[0]) for j in range(got.shape[1])]
+    else:
+        cells = [(0, 0), (got.shape[0] - 1, got.shape[1] - 1)] + [
+            (int(rng.integers(got.shape[0])), int(rng.integers(got.shape[1])))
+            for _ in range(200)
+        ]
+    for i, j in cells:
+        assert got[i, j] == scalar_entry(gf, A, B, i, j)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 300), (300, 3, 0), (300, 0, 2), (2, 0, 300)])
+def test_matmul_empty_operands(shape):
+    gf = GF(8)
+    p, q, r = shape
+    got = gf.matmul(np.zeros((p, q), dtype=np.int64), np.zeros((q, r), dtype=np.int64))
+    assert got.shape == (p, r)
+    assert got.dtype == np.int64
+    assert not got.any()

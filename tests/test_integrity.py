@@ -146,6 +146,37 @@ def test_bit_helpers_round_trip():
         bits_to_symbols([1, 0, 1], 2)
 
 
+def shift_bits(symbols, m):
+    """Oracle: m bits per symbol from an (N, m) shift broadcast."""
+    syms = np.asarray(symbols, dtype=np.int64).reshape(-1)
+    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
+    return ((syms[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
+
+
+def weighted_symbols(bits, m):
+    """Oracle: each group of m bits dotted with the powers of two."""
+    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
+    return np.asarray(bits, dtype=np.int64).reshape(-1, m) @ weights
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_symbol_serialisation_matches_shift_oracle(m):
+    rng = np.random.default_rng(40 + m)
+    syms = np.concatenate([[0, (1 << m) - 1], rng.integers(0, 1 << m, 300)])
+    bits = symbols_to_bits(syms, m)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, shift_bits(syms, m))
+    assert np.array_equal(symbols_to_bits(syms.reshape(2, -1), m), bits)
+    back = bits_to_symbols(bits, m)
+    assert back.dtype == np.int64
+    assert np.array_equal(back, syms)
+    raw = rng.integers(0, 2, 37 * m, dtype=np.uint8)
+    assert np.array_equal(bits_to_symbols(raw, m), weighted_symbols(raw, m))
+    assert np.array_equal(symbols_to_bits(bits_to_symbols(raw, m), m), raw)
+    assert symbols_to_bits([], m).size == 0
+    assert bits_to_symbols([], m).size == 0
+
+
 def test_chunk_checksum_equals_bit_serialisation():
     rng = random.Random(12)
     syms = np.array([[rng.randrange(16) for _ in range(6)] for _ in range(3)])

@@ -470,6 +470,34 @@ def test_gf_inverse_matches_scalar_oracle():
         gf_inverse(GF(4), [[0, 0], [3, 1]])
 
 
+def test_gf_inverse_stack_matches_scalar_oracle():
+    # a (3, 2) stack of invertible matrices, some of which need a row swap
+    rng = np.random.default_rng(62)
+    for m, size in ((4, 4), (11, 19)):
+        field = GF(m)
+        members, want = [], []
+        while len(members) < 6:
+            M = rng.integers(0, field.q, (size, size))
+            if len(members) % 2:
+                M[0, 0] = 0
+            try:
+                want.append(scalar_inverse(field, M.tolist()))
+            except SingularMatrix:
+                continue
+            members.append(M)
+        stack = np.array(members).reshape(3, 2, size, size)
+        got = gf_inverse(field, stack)
+        assert got.shape == stack.shape
+        assert got.reshape(6, size, size).tolist() == want
+        stack[2, 0, 1] = stack[2, 0, 0]  # one singular member fails the whole stack
+        with pytest.raises(SingularMatrix):
+            gf_inverse(field, stack)
+    with pytest.raises(InvalidParams):
+        gf_inverse(GF(4), np.zeros((2, 3, 2), dtype=np.int64))
+    with pytest.raises(InvalidParams):
+        gf_inverse(GF(4), [1, 2])
+
+
 def test_scalar_oracle_agrees_with_batch_decode(rs15_4, gf16):
     rng = random.Random(67)
     for _ in range(40):
