@@ -145,6 +145,10 @@ def unpack_chunk(data: bytes) -> tuple[ChunkHeader, np.ndarray, dict[int, int]]:
         raise MalformedChunk(f"node index {node_index} out of range for n={n}")
     if not (2 <= m <= 16 and 1 <= r <= 64):
         raise MalformedChunk(f"symbol width m={m} or checksum width r={r} out of range")
+    if scheme_code == _SCHEME_CODES[CODED] and n < 3:
+        raise MalformedChunk(f"coded checksum scheme needs n >= 3, got {n}")
+    if not 1 <= k <= d < n:
+        raise MalformedChunk(f"need 1 <= k <= d < n, got n={n}, k={k}, d={d}")
     header = ChunkHeader(_FAMILY_NAMES[family_code], m, generator, prim_poly, n, k, d, beta, r,
                          crc_poly, _SCHEME_NAMES[scheme_code], node_index, bit_len)
     body = data[_HEADER.size :]
@@ -181,10 +185,9 @@ def read_chunk_file(path) -> tuple[ChunkHeader, np.ndarray, dict[int, int]]:
         return unpack_chunk(fh.read())
 
 
-def write_chunk_file(path, header: ChunkHeader, chunk, shares) -> None:
-    """Pack first, then replace the file atomically: a chunk that fails to
-    pack, or a write cut short, leaves any existing file as it was."""
-    data = pack_chunk(header, chunk, shares)
+def write_atomic(path, data: bytes) -> None:
+    """Write to a temporary file beside path, then replace path with it: a
+    write cut short leaves any existing file as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -194,3 +197,9 @@ def write_chunk_file(path, header: ChunkHeader, chunk, shares) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_chunk_file(path, header: ChunkHeader, chunk, shares) -> None:
+    """Pack first, then write atomically: a chunk that fails to pack
+    leaves any existing file as it was."""
+    write_atomic(path, pack_chunk(header, chunk, shares))

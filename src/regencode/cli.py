@@ -25,6 +25,7 @@ from .chunkio import (
     header_for_state,
     params_from_header,
     read_chunk_file,
+    write_atomic,
     write_chunk_file,
 )
 from .cluster import (
@@ -178,8 +179,7 @@ def cmd_reconstruct(args) -> int:
     if metrics.outcome == FAIL:
         print(_record(command="reconstruct", **fields))
         return 1
-    data = bits_to_bytes(bits)
-    Path(args.out).write_bytes(data)
+    write_atomic(args.out, bits_to_bytes(bits))
     print(_record(
         command="reconstruct", **fields,
         payload_bits=state.payload_bit_len, out=args.out,
@@ -380,7 +380,7 @@ def cmd_simulate(args) -> int:
     lines.append(_record(**footer))
     report = "\n".join(str(s) for s in lines)
     if "out" in cfg:
-        Path(cfg["out"]).write_text(report + "\n")
+        write_atomic(cfg["out"], (report + "\n").encode())
     print(report)
     return 0 if wrong == 0 else 1
 

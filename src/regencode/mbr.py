@@ -1,4 +1,6 @@
-"""Minimum-bandwidth regenerating code for any k <= d.
+"""Minimum-bandwidth regenerating code for any k <= d: the U layout, the
+two-phase reconstruct and the regenerate column map, on the shared
+product-matrix layer of ``progressive``.
 
 The B = kd - k(k-1)/2 message symbols fill a symmetric d×d matrix
 
@@ -25,17 +27,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import progressive
-from .errors import (
-    InvalidParams,
-    LengthMismatch,
-    SelfRepair,
-)
-from .galois import GF
-from .rscode import ProgressiveDecoder, RsParams, invert_submatrix, vandermonde
+from .errors import InvalidParams
+from .progressive import ProductMatrixParams, build_u, read_u, symmetric_fill
+from .rscode import ProgressiveDecoder, RsParams, invert_submatrix
 
 
-class MbrParams:
-    """Geometry, generator matrices, and fill maps for one deployment."""
+class MbrParams(ProductMatrixParams):
+    """Product-matrix params for any k <= d, with the [n, k] code of A2's rows."""
 
     family = "mbr"
 
@@ -43,81 +41,22 @@ class MbrParams:
     def alpha_for(k: int, d: int) -> int:  # symbols per node and stripe
         return d
 
-    def __init__(self, n: int, k: int, d: int, beta: int, field: GF):
+    def __init__(self, n: int, k: int, d: int, beta: int, field):
         if k < 1:
             raise InvalidParams(f"k={k} must be positive")
-        if not k <= d <= n - 1:
-            raise InvalidParams(f"need k <= d <= n-1, got n={n}, k={k}, d={d}")
-        if n > field.order - 1:
-            raise InvalidParams(f"n={n} exceeds the {field.order - 1} nonzero points")
-        if beta < 1:
-            raise InvalidParams(f"beta={beta} must be positive")
-        self.n, self.k, self.d, self.beta = n, k, d, beta
-        self.field = field
-        self.alpha = self.alpha_for(k, d)
+        super().__init__(n, k, d, beta, field)
         self.B = k * d - k * (k - 1) // 2
-        self.code = RsParams(n, d, field)
         self.code_k = RsParams(n, k, field)
-        self.G = vandermonde(self.code)  # d×n
         self.bottom = self.G[k:d, :]  # rows multiplying A2ᵀ
-        self.ghat_inv = invert_submatrix(self.G, range(d), field)
         self.ghat_k_inv = invert_submatrix(self.G[:k], range(k), field)
-        self.fill1, self.fill2 = _fill_maps(k, d)
-        tri = np.triu_indices(k)
-        self._canon1 = (tri[0], tri[1], self.fill1[tri])
-
-    def __repr__(self):
-        return (
-            f"MbrParams(n={self.n}, k={self.k}, d={self.d}, "
-            f"beta={self.beta}, m={self.field.m})"
-        )
-
-
-def _fill_maps(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Message index of every entry of A1 (k×k) and A2 ((d-k)×k)."""
-    f1 = np.zeros((k, k), dtype=np.int64)
-    for i in range(1, k + 1):
-        for j in range(i, k + 1):
-            k1 = (i - 1) * (k + 1) - i * (i + 1) // 2 + j
-            f1[i - 1, j - 1] = f1[j - 1, i - 1] = k1
-    f2 = np.zeros((d - k, k), dtype=np.int64)
-    for i in range(k + 1, d + 1):
-        for j in range(1, k + 1):
-            # the row-major offset overshoots by one; shift back so the
-            # combined map lands exactly on 0..B-1
-            k2 = (i - k - 1) * k + k * (k + 1) // 2 + j - 1
-            f2[i - k - 1, j - 1] = k2
-    B = k * d - k * (k - 1) // 2
-    assert sorted(set(f1.reshape(-1)) | set(f2.reshape(-1))) == list(range(B))
-    return f1, f2
-
-
-def build_u(message, params: MbrParams) -> tuple[np.ndarray, np.ndarray]:
-    """Arrange B message symbols into (A1, A2).  Any leading axes index
-    stripes."""
-    msg = np.asarray(message, dtype=np.int64)
-    if msg.shape[-1:] != (params.B,):
-        raise LengthMismatch(f"expected {params.B} message symbols, got {msg.shape}")
-    return msg[..., params.fill1], msg[..., params.fill2]
-
-
-def read_u(a1, a2, params: MbrParams) -> np.ndarray:
-    """Inverse of build_u; A1 is read from its upper triangle, A2 in full.
-    Any leading axes index stripes."""
-    a1 = np.asarray(a1)
-    out = np.zeros(a1.shape[:-2] + (params.B,), dtype=np.int64)
-    r1, c1, k1 = params._canon1
-    out[..., k1] = a1[..., r1, c1]
-    out[..., params.fill2] = a2
-    return out
+        self.fill1 = symmetric_fill(k)  # A1, k×k
+        self.fill2 = np.arange(k * (k + 1) // 2, self.B).reshape(d - k, k)  # A2, row-major
 
 
 def assemble_u(a1, a2, params: MbrParams) -> np.ndarray:
     """The full symmetric d×d information matrix.  Any leading axes index
     stripes."""
-    a1 = np.asarray(a1)
-    a2 = np.asarray(a2)
-    k = params.k
+    a1, a2, k = np.asarray(a1), np.asarray(a2), params.k
     u = np.zeros(a1.shape[:-2] + (params.d, params.d), dtype=np.int64)
     u[..., :k, :k] = a1
     u[..., k:, :k] = a2
@@ -126,15 +65,8 @@ def assemble_u(a1, a2, params: MbrParams) -> np.ndarray:
 
 
 def encode(stripes, params: MbrParams) -> np.ndarray:
-    """Chunks for all nodes, shape (n, beta, d); stripes is beta×B."""
-    stripes = np.asarray(stripes, dtype=np.int64)
-    if stripes.shape != (params.beta, params.B):
-        raise LengthMismatch(
-            f"expected {params.beta}x{params.B} message stripes, got {stripes.shape}"
-        )
-    u_all = assemble_u(*build_u(stripes, params), params).reshape(-1, params.d)  # (beta*d) × d
-    c_all = params.field.matmul(u_all, params.G)
-    return c_all.reshape(params.beta, params.d, params.n).transpose(2, 0, 1)
+    """Chunks for all nodes, shape (n, beta, d); U is the d×d assemble_u."""
+    return progressive.encode(stripes, params, assemble_u)
 
 
 def reconstruct(collector, params: MbrParams, verify) -> tuple[np.ndarray, int]:
@@ -165,11 +97,7 @@ def reconstruct(collector, params: MbrParams, verify) -> tuple[np.ndarray, int]:
 
 def repair_response(chunk, holder: int, failed: int, params: MbrParams) -> np.ndarray:
     """Helper's per-stripe download: inner product with the full column g_failed."""
-    if holder == failed:
-        raise SelfRepair(f"node {failed} cannot help regenerate itself")
-    g = params.G[:, failed : failed + 1]  # d × 1
-    chunk = np.asarray(chunk, dtype=np.int64)
-    return params.field.matmul(chunk, g)[:, 0]
+    return progressive.repair_response(chunk, holder, failed, params)
 
 
 def regenerate(source, failed: int, params: MbrParams, recover, chunk_crc) -> tuple[np.ndarray, int]:

@@ -1,11 +1,12 @@
-"""Minimum-storage regenerating code for d = 2k-2.
+"""Minimum-storage regenerating code for d = 2k-2: the U layout, the
+reconstruct procedure and the regenerate column map.  Parameter checks,
+fill maps, ``encode`` and ``repair_response`` are the shared
+product-matrix layer of ``progressive``.
 
 The B = α(α+1) message symbols (α = k-1 = d/2) fill two symmetric α×α
-matrices A1, A2.  Row r of U = [A1 | A2] is encoded with the [n, d]
-evaluation code, and node i stores column i of the resulting C = U·G,
-which collapses to A1·g_i + λ_i·A2·g_i with g_i = (1, b_i, …, b_i^{α-1}),
-b_i = a^i and λ_i = b_i^α.  Each of the β stripes carries an independent
-U over the same node geometry.
+matrices A1, A2, laid out as U = [A1 | A2].  Node i's column of U·G is
+A1·g_i + λ_i·A2·g_i with g_i = (1, b_i, …, b_i^{α-1}), b_i = a^i and
+λ_i = b_i^α.
 
 Reconstruction from exactly k = α+1 columns needs no error decoding:
 for accessed nodes i ≠ j the cross projections g_j·y_i and g_i·y_j
@@ -16,9 +17,8 @@ way.  When the checksum test rejects that result, the collector falls
 back to per-row error-erasure decoding of the [n, d] row code on the
 shared schedule of ``progressive``.
 
-Regeneration of node i downloads one symbol per stripe from each helper
-j — the inner product g_i·y_j, which is coordinate j of the [n, d]
-codeword (g_i·U)·G — decodes g_i·U, and re-derives the lost column.
+Regeneration decodes t = g_i·U from one symbol per stripe from each
+helper and re-derives the lost column as t[:α] + λ_i·t[α:].
 """
 
 from __future__ import annotations
@@ -26,19 +26,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import progressive
-from .errors import (
-    InvalidParams,
-    LengthMismatch,
-    SelfRepair,
-    SingularMatrix,
-    SingularSystem,
-)
-from .galois import GF
-from .rscode import RsParams, gf_inverse, invert_submatrix, vandermonde
+from .errors import InvalidParams, LengthMismatch, SingularMatrix, SingularSystem
+from .progressive import ProductMatrixParams, build_u, read_u, symmetric_fill
+from .rscode import gf_inverse
 
 
-class MsrParams:
-    """Geometry, generator matrices, and fill maps for one deployment."""
+class MsrParams(ProductMatrixParams):
+    """Product-matrix params with d = 2k-2, the multipliers λ_i and U = [A1 | A2]."""
 
     family = "msr"
 
@@ -46,95 +40,28 @@ class MsrParams:
     def alpha_for(k: int, d: int) -> int:  # symbols per node and stripe
         return d - k + 1
 
-    def __init__(self, n: int, k: int, d: int, beta: int, field: GF):
+    def __init__(self, n: int, k: int, d: int, beta: int, field):
         if k < 2:
             raise InvalidParams(f"k={k} leaves no message symbols")
         if d != 2 * (k - 1):
             raise InvalidParams(f"construction requires d = 2k-2, got k={k}, d={d}")
-        if not k <= d <= n - 1:
-            raise InvalidParams(f"need k <= d <= n-1, got n={n}, k={k}, d={d}")
-        if n > field.order - 1:
-            raise InvalidParams(f"n={n} exceeds the {field.order - 1} nonzero points")
-        if beta < 1:
-            raise InvalidParams(f"beta={beta} must be positive")
-        alpha = self.alpha_for(k, d)
+        super().__init__(n, k, d, beta, field)
+        alpha = self.alpha
         if field.m < (n * alpha - 1).bit_length():
             raise InvalidParams(
                 f"m={field.m} too small for n*alpha={n * alpha}; powers would wrap"
             )
-        self.n, self.k, self.d, self.beta = n, k, d, beta
-        self.field = field
-        self.alpha = alpha
         self.B = alpha * (alpha + 1)
-        self.code = RsParams(n, d, field)
-        self.G = vandermonde(self.code)  # d×n
-        self.ghat_inv = invert_submatrix(self.G, range(d), field)
-        self.gcols = self.G[:alpha, :]  # column i is g_i
         self.lam = field.power(np.arange(n, dtype=np.int64) * alpha)
         if len(set(self.lam.tolist())) != n:
             raise InvalidParams("node multipliers lambda_i collide; enlarge the field")
-        self.fill1, self.fill2 = _fill_maps(alpha)
-        tri = np.triu_indices(alpha)
-        self._canon1 = (tri[0], tri[1], self.fill1[tri])
-        self._canon2 = (tri[0], tri[1], self.fill2[tri])
-
-    def __repr__(self):
-        return (
-            f"MsrParams(n={self.n}, k={self.k}, d={self.d}, "
-            f"beta={self.beta}, m={self.field.m})"
-        )
-
-
-def _fill_maps(alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """Message index of every entry of A1 and A2 (symmetric completion)."""
-    f1 = np.zeros((alpha, alpha), dtype=np.int64)
-    f2 = np.zeros((alpha, alpha), dtype=np.int64)
-    for i in range(1, alpha + 1):
-        for j in range(i, alpha + 1):
-            k1 = (i - 1) * (alpha + 1) - i * (i + 1) // 2 + j
-            f1[i - 1, j - 1] = f1[j - 1, i - 1] = k1
-            jj = j + alpha
-            k2 = (alpha + 1) * (i - 1) + alpha * (alpha + 1) // 2 - i * (i + 1) // 2 + (jj - alpha)
-            f2[i - 1, j - 1] = f2[j - 1, i - 1] = k2
-    B = alpha * (alpha + 1)
-    # the index maps must partition 0..B-1 between the two matrices
-    assert sorted(set(f1.reshape(-1)) | set(f2.reshape(-1))) == list(range(B))
-    return f1, f2
-
-
-def build_u(message, params: MsrParams) -> tuple[np.ndarray, np.ndarray]:
-    """Arrange B message symbols into the symmetric pair (A1, A2).
-    Any leading axes index stripes."""
-    msg = np.asarray(message, dtype=np.int64)
-    if msg.shape[-1:] != (params.B,):
-        raise LengthMismatch(f"expected {params.B} message symbols, got {msg.shape}")
-    return msg[..., params.fill1], msg[..., params.fill2]
-
-
-def read_u(a1, a2, params: MsrParams) -> np.ndarray:
-    """Inverse of build_u; reads the upper-triangle entries of each matrix.
-    Any leading axes index stripes."""
-    a1 = np.asarray(a1)
-    a2 = np.asarray(a2)
-    out = np.zeros(a1.shape[:-2] + (params.B,), dtype=np.int64)
-    r1, c1, k1 = params._canon1
-    r2, c2, k2 = params._canon2
-    out[..., k1] = a1[..., r1, c1]
-    out[..., k2] = a2[..., r2, c2]
-    return out
+        self.fill1 = symmetric_fill(alpha)
+        self.fill2 = symmetric_fill(alpha, alpha * (alpha + 1) // 2)
 
 
 def encode(stripes, params: MsrParams) -> np.ndarray:
-    """Chunks for all nodes, shape (n, beta, alpha); stripes is beta×B."""
-    stripes = np.asarray(stripes, dtype=np.int64)
-    if stripes.shape != (params.beta, params.B):
-        raise LengthMismatch(
-            f"expected {params.beta}x{params.B} message stripes, got {stripes.shape}"
-        )
-    a1, a2 = build_u(stripes, params)
-    u_all = np.concatenate([a1, a2], axis=2).reshape(-1, params.d)  # (beta*alpha) × d
-    c_all = params.field.matmul(u_all, params.G)  # (beta*alpha) × n
-    return c_all.reshape(params.beta, params.alpha, params.n).transpose(2, 0, 1)
+    """Chunks for all nodes, shape (n, beta, alpha); U is [A1 | A2], α×d."""
+    return progressive.encode(stripes, params, lambda a1, a2, _: np.concatenate([a1, a2], axis=-1))
 
 
 def reconstruct_fast(columns: dict[int, np.ndarray], params: MsrParams) -> np.ndarray:
@@ -150,7 +77,7 @@ def reconstruct_fast(columns: dict[int, np.ndarray], params: MsrParams) -> np.nd
     if len(nodes) != params.k:
         raise LengthMismatch(f"fast path needs exactly k={params.k} columns")
     alpha, k, beta = params.alpha, params.k, params.beta
-    m_rows = params.gcols[:, nodes].T  # row t = g_{nodes[t]}
+    m_rows = params.G[:alpha, nodes].T  # row t = g_{nodes[t]}
     others = [[o for o in range(k) if o != t] for t in range(alpha)]
     # W has columns g_i, i in nodes[:alpha]; V_t has rows g_o, o in others[t]
     try:
@@ -191,32 +118,19 @@ def reconstruct(collector, params: MsrParams, verify) -> tuple[np.ndarray, int]:
         u = u.reshape(params.beta, params.alpha, params.d)
         return read_u(u[..., : params.alpha], u[..., params.alpha :], params)
 
-    return progressive.run(
-        collector, params.k, params.code, params.beta, params.alpha,
-        lambda column: column, attempt, verify,
-    )
+    return progressive.run(collector, params.k, params.code, params.beta, params.alpha,
+                           lambda column: column, attempt, verify)
 
 
 def repair_response(chunk, holder: int, failed: int, params: MsrParams) -> np.ndarray:
-    """Helper's per-stripe download: inner product of its column with g_failed."""
-    if holder == failed:
-        raise SelfRepair(f"node {failed} cannot help regenerate itself")
-    g = params.gcols[:, failed : failed + 1]  # alpha × 1
-    chunk = np.asarray(chunk, dtype=np.int64)
-    return params.field.matmul(chunk, g)[:, 0]
+    """Helper's per-stripe download: the inner product g_failed·y_holder."""
+    return progressive.repair_response(chunk, holder, failed, params)
 
 
 def regenerate(source, failed: int, params: MsrParams, recover, chunk_crc) -> tuple[np.ndarray, int]:
-    """Rebuild node `failed` exactly from helper responses.
-
-    recover(helpers) returns the node's checksum once enough shares are
-    in hand (None before that); chunk_crc(chunk) is the candidate's
-    checksum.  The decoded t = g_failed·U gives the lost column as
-    t[:α] + λ_failed·t[α:].  Returns (chunk, decode_rounds).
-    """
+    """Rebuild node `failed` exactly from helper responses; recover and
+    chunk_crc are as for ``progressive.regenerate``.  Returns (chunk,
+    decode_rounds)."""
     alpha = params.alpha
-
-    def column(t):
-        return t[:, :alpha] ^ params.field.vmul(params.lam[failed], t[:, alpha:])
-
+    column = lambda t: t[:, :alpha] ^ params.field.vmul(params.lam[failed], t[:, alpha:])
     return progressive.regenerate(source, failed, params, recover, chunk_crc, column)

@@ -1,4 +1,15 @@
-"""The progressive retrieval driver shared by both code families.
+"""The product-matrix layer shared by both code families.
+
+Each stripe's B message symbols fill a symmetric message matrix U, whose
+rows are encoded with the [n, d] evaluation code; node i stores column i
+of U·G, and a helper answers a repair of node f with its chunk times
+g_f = G[:α, f].  The families differ only in how U is laid out (``msr``:
+two symmetric α×α blocks side by side; ``mbr``: one symmetric d×d matrix
+with a zero corner), in how a collector reconstructs U, and in how the
+decoded g_f·U becomes the lost column.  This module holds the rest:
+parameter checks and generator matrices, the fill maps and U's packing
+and unpacking, ``encode``, ``repair_response``, and the progressive
+retrieval driver.
 
 Reconstruction and regeneration read what a fault-free run needs and
 read more only when the integrity test rejects the decoded result.
@@ -13,10 +24,98 @@ k, k+2, … (MBR's A2 rows) and d, d+2, … (regeneration).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .errors import ChecksumUnrecoverable, ClusterExhausted, DecodeFailure, SelfRepair
-from .rscode import ProgressiveDecoder
+from .errors import (ChecksumUnrecoverable, ClusterExhausted, DecodeFailure, InvalidParams,
+                     LengthMismatch, SelfRepair)
+from .galois import GF
+from .rscode import ProgressiveDecoder, RsParams, invert_submatrix, vandermonde
+
+
+class ProductMatrixParams:
+    """Geometry and generator matrices for one deployment.  Each family
+    subclass sets ``family``, ``alpha_for``, ``B`` and the fill maps
+    ``fill1``/``fill2`` (message index of every entry of A1 and A2)."""
+
+    def __init__(self, n: int, k: int, d: int, beta: int, field: GF):
+        if not k <= d <= n - 1:
+            raise InvalidParams(f"need k <= d <= n-1, got n={n}, k={k}, d={d}")
+        if n > field.order - 1:
+            raise InvalidParams(f"n={n} exceeds the {field.order - 1} nonzero points")
+        if beta < 1:
+            raise InvalidParams(f"beta={beta} must be positive")
+        self.n, self.k, self.d, self.beta = n, k, d, beta
+        self.field = field
+        self.alpha = self.alpha_for(k, d)
+        self.code = RsParams(n, d, field)
+        self.G = vandermonde(self.code)  # d×n; column i is g_i
+        self.ghat_inv = invert_submatrix(self.G, range(d), field)
+
+    @cached_property
+    def reads(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(rows, cols, symbols) of A1 and A2: each message symbol's first
+        row-major entry."""
+        out = []
+        for fill in (self.fill1, self.fill2):
+            symbols, first = np.unique(fill, return_index=True)
+            out.append((*np.divmod(first, fill.shape[1]), symbols))
+        return out
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(n={self.n}, k={self.k}, d={self.d}, "
+            f"beta={self.beta}, m={self.field.m})"
+        )
+
+
+def symmetric_fill(size: int, start: int = 0) -> np.ndarray:
+    """Message index of every entry of a size×size symmetric matrix whose
+    upper triangle holds start, start+1, … in row-major order."""
+    fill = np.zeros((size, size), dtype=np.int64)
+    rows, cols = np.triu_indices(size)
+    fill[rows, cols] = fill[cols, rows] = start + np.arange(rows.size)
+    return fill
+
+
+def build_u(message, params) -> tuple[np.ndarray, np.ndarray]:
+    """Arrange B message symbols into (A1, A2).  Any leading axes index
+    stripes."""
+    msg = np.asarray(message, dtype=np.int64)
+    if msg.shape[-1:] != (params.B,):
+        raise LengthMismatch(f"expected {params.B} message symbols, got {msg.shape}")
+    return msg[..., params.fill1], msg[..., params.fill2]
+
+
+def read_u(a1, a2, params) -> np.ndarray:
+    """Inverse of build_u.  Any leading axes index stripes."""
+    a1, a2 = np.asarray(a1), np.asarray(a2)
+    out = np.zeros(a1.shape[:-2] + (params.B,), dtype=np.int64)
+    for a, (rows, cols, symbols) in zip((a1, a2), params.reads):
+        out[..., symbols] = a[..., rows, cols]
+    return out
+
+
+def encode(stripes, params, layout) -> np.ndarray:
+    """Chunks for all nodes, shape (n, beta, alpha); stripes is beta×B.
+    ``layout(a1, a2, params)`` lays each stripe's U out as α rows of d."""
+    stripes = np.asarray(stripes, dtype=np.int64)
+    if stripes.shape != (params.beta, params.B):
+        raise LengthMismatch(
+            f"expected {params.beta}x{params.B} message stripes, got {stripes.shape}"
+        )
+    u_all = layout(*build_u(stripes, params), params).reshape(-1, params.d)
+    c_all = params.field.matmul(u_all, params.G)  # (beta*alpha) × n
+    return c_all.reshape(params.beta, params.alpha, params.n).transpose(2, 0, 1)
+
+
+def repair_response(chunk, holder: int, failed: int, params) -> np.ndarray:
+    """Helper's per-stripe download: its chunk times g_failed."""
+    if holder == failed:
+        raise SelfRepair(f"node {failed} cannot help regenerate itself")
+    g = params.G[: params.alpha, failed : failed + 1]  # alpha × 1
+    return params.field.matmul(np.asarray(chunk, dtype=np.int64), g)[:, 0]
 
 
 def run(source, first: int, code, beta: int, rows: int, take, attempt, accept):
@@ -67,8 +166,9 @@ def run(source, first: int, code, beta: int, rows: int, take, attempt, accept):
 def regenerate(source, failed: int, params, recover, chunk_crc, column):
     """Rebuild node ``failed`` from helper responses; (chunk, rounds).
 
-    ``column`` maps the decoded β×d vectors g_failed·U to the lost chunk;
-    recover and chunk_crc are as for ``msr.regenerate``.
+    ``column`` maps the decoded β×d vectors g_failed·U to the lost chunk.
+    recover(helpers) returns the node's checksum once enough shares are
+    in hand (None before that); chunk_crc(chunk) is the candidate's.
     """
     helpers: list[int] = []
     checksum = None

@@ -1,11 +1,13 @@
-"""Chunk-file format: numpy packing against per-symbol byte loops, and
-atomic writes."""
+"""Chunk-file format: numpy packing against per-symbol byte loops, a
+seeded fuzz of the parser, and atomic writes."""
 
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regencode.chunkio import (
     ChunkHeader,
@@ -114,3 +116,38 @@ def test_write_is_atomic(tmp_path):
     write_chunk_file(path, header, chunk + 1, shares)
     assert np.array_equal(read_chunk_file(path)[1], chunk + 1)
     assert os.listdir(tmp_path) == ["node002.rgen"]
+
+
+def fuzz_file(r, scheme):
+    header = make_header(8, r, scheme, node_index=0, beta=2)
+    chunk = np.arange(header.beta * header.alpha).reshape(header.beta, header.alpha)
+    return pack_chunk(header, chunk, {i: 3 * i for i in range(1, header.n)})
+
+
+FUZZ_FILES = [fuzz_file(32, REPLICATED), fuzz_file(8, CODED)]
+N_OFFSET = struct.calcsize(">4sBBBBI")  # where the u16 fields n, k, d start
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    which=st.sampled_from([0, 1]),
+    edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=6),
+    cut=st.none() | st.integers(0, 1 << 16),
+)
+@example(which=1, edits=[(N_OFFSET, 0), (N_OFFSET + 1, 2)], cut=None)  # coded, n = 2
+# k = 6 > d + 1 makes alpha = -1, and the cut matches the body size that implies
+@example(which=0, edits=[(N_OFFSET + 3, 6)], cut=HEADER_LEN + 22)
+def test_unpack_parses_or_rejects_any_bytes(which, edits, cut):
+    # byte overwrites anywhere in header or body, then an optional cut:
+    # the file parses into a consistent chunk or is MalformedChunk
+    data = bytearray(FUZZ_FILES[which])
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    if cut is not None:
+        data = data[: cut % (len(data) + 1)]
+    try:
+        header, chunk, shares = unpack_chunk(bytes(data))
+    except MalformedChunk:
+        return
+    assert chunk.shape == (header.beta, header.alpha)
+    assert sorted(shares) == [i for i in range(header.n) if i != header.node_index]

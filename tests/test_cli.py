@@ -235,6 +235,39 @@ def test_truncated_body_is_a_crashed_node(capsys, tmp_path, command):
     assert warnings[0].startswith(f"warning=chunk_unreadable path={victim} detail=")
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "regenerate"])
+def test_forged_node_count_is_a_crashed_node(capsys, tmp_path, command):
+    # a coded-scheme header claiming n=2 has no share layout; the file is
+    # unreadable, not a fatal parameter error, and the other five suffice
+    src, chunks = encode_dir(capsys, tmp_path, scheme="coded", r=8)
+    victim = chunks / "node000.rgen"
+    original = victim.read_bytes()
+    raw = bytearray(original)
+    fields = list(struct.unpack_from(HEADER_FMT, raw))
+    fields[6] = 2  # n
+    struct.pack_into(HEADER_FMT, raw, 0, *fields)
+    victim.write_bytes(bytes(raw))
+    warning = (f"warning=chunk_unreadable path={victim} "
+               "detail='coded checksum scheme needs n >= 3, got 2'\n")
+    if command == "reconstruct":
+        dst = tmp_path / "out.bin"
+        code, out, _ = run(capsys, "reconstruct", chunks, "--out", dst)
+        assert dst.read_bytes() == src.read_bytes()
+        report = ("command=reconstruct outcome=SUCCESS nodes_contacted=3 "
+                  "symbols_downloaded=36 checksum_symbols_downloaded=0 "
+                  f"decode_rounds=1 payload_bits=272 out={dst}\n")
+    else:
+        code, out, _ = run(capsys, "regenerate", chunks, "--failed", 0)
+        assert victim.read_bytes() == original
+        report = ("command=regenerate failed=0 outcome=SUCCESS nodes_contacted=4 "
+                  "symbols_downloaded=24 checksum_symbols_downloaded=4 "
+                  "decode_rounds=1 repair_download_symbols=24 "
+                  "reconstruct_download_symbols=36 share_warnings=0 "
+                  f"out={victim}\n")
+    assert code == 0
+    assert out == warning + report
+
+
 def test_analyze_large_deployment_figures(capsys):
     code, out, _ = run(
         capsys, "analyze", "--family", "msr", "--n", "100", "--k", "20",
@@ -315,6 +348,37 @@ def test_simulate_report_file(capsys, tmp_path):
     code, out, _ = run(capsys, "simulate", "--config", cfg)
     assert code == 0
     assert report.read_text() == out
+
+
+def fail_replace(monkeypatch):
+    def boom(src, dst):
+        raise OSError("replace failed")
+    monkeypatch.setattr(os, "replace", boom)
+
+
+def test_reconstruct_output_write_is_atomic(capsys, tmp_path, monkeypatch):
+    src, chunks = encode_dir(capsys, tmp_path)
+    dst = tmp_path / "out.bin"
+    dst.write_bytes(b"previous contents")
+    fail_replace(monkeypatch)
+    code, _, err = run(capsys, "reconstruct", chunks, "--out", dst)
+    assert code == 1 and "error=OSError" in err
+    assert dst.read_bytes() == b"previous contents"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_simulate_report_write_is_atomic(capsys, tmp_path, monkeypatch):
+    report = tmp_path / "report.txt"
+    report.write_text("previous report\n")
+    cfg = write_config(
+        tmp_path, family="mbr", n=6, k=3, d=4, seed=0, trials=2,
+        operation="reconstruct", out=report,
+    )
+    fail_replace(monkeypatch)
+    code, _, err = run(capsys, "simulate", "--config", cfg)
+    assert code == 1 and "error=OSError" in err
+    assert report.read_text() == "previous report\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_simulate_config_validation(capsys, tmp_path):

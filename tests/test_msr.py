@@ -142,7 +142,7 @@ def test_chunk_identity_per_node():
     a1, a2 = msr.build_u(msg[0], p)
     f = p.field
     for i in range(p.n):
-        g = p.gcols[:, i]
+        g = p.G[: p.alpha, i]
         lam = int(p.lam[i])
         for r in range(p.alpha):
             v1 = 0
@@ -184,7 +184,7 @@ def per_stripe_reconstruct_fast(columns, params):
     field = params.field
     nodes = list(columns)
     alpha, k = params.alpha, params.k
-    m_rows = params.gcols[:, nodes].T
+    m_rows = params.G[: params.alpha, nodes].T
     w_inv = gf_inverse(field, m_rows[:alpha].T)
     v_invs = []
     for t in range(alpha):
@@ -346,7 +346,7 @@ def test_repair_response_properties():
         for s in range(p.beta):
             a1, a2 = msr.build_u(msg[s], p)
             u = np.concatenate([a1, a2], axis=1)
-            g = p.gcols[:, failed : failed + 1].T  # 1 × alpha
+            g = p.G[: p.alpha, failed : failed + 1].T  # 1 × alpha
             t = p.field.matmul(g, u)[0]
             cw = encode_eval(t.tolist(), p.code)
             for j in range(p.n):
