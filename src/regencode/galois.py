@@ -3,8 +3,9 @@
 Addition is XOR.  Multiplication, inversion and exponentiation go through
 eagerly built log/antilog tables for a configurable primitive polynomial
 and generator element.  Bulk operations (syndrome updates, Chien search,
-matrix products) go through ``vmul``, ``vdiv``, ``matmul`` and ``power``
-on numpy arrays; this module is the only one that knows the table format.
+re-encoding, matrix products) go through ``vmul``, ``vdiv``, ``prod``,
+``matmul`` and ``power`` on numpy arrays; this module is the only one
+that knows the table format.
 
 ``matmul`` picks its kernel from the operand shapes.  When an outer
 dimension is longer than the field size 2^m, one operand is long data and
@@ -167,6 +168,12 @@ class GF:
         if (lb == 2 * self.order).any():
             raise ZeroInverse("division by zero")
         return self._exp[self._log[a] - lb + self.order]
+
+    def prod(self, a, axis=-1) -> np.ndarray:
+        """Product of the field elements of a along an axis."""
+        la = self._log[a]
+        zero = np.logical_or.reduce(la == 2 * self.order, axis)
+        return np.where(zero, 0, self._exp[np.add.reduce(la, axis) % self.order])
 
     def power(self, e) -> np.ndarray:
         """generator ** e elementwise, for any integer exponents."""

@@ -5,13 +5,20 @@ u(x) = sum_j u_j x^j at the points a^0, a^1, ..., a^{n-1}, where a is the
 field generator.  Any dim columns of the resulting Vandermonde generator
 matrix are invertible, so the code is MDS with minimum distance n-dim+1.
 
-Decoding runs on the punctured view of the code: the n - dim syndromes
-carry the dual-code column multipliers w_p = 1 / prod_{q!=p}(a^p - a^q),
-which makes the standard pipeline (syndromes -> Berlekamp-Massey with
-erasure initialisation -> Chien search -> Forney) work for any length
-n <= 2^m - 1 with the budget
+Decoding corrects errors and erasures within the budget
 
     2 * errors + erasures <= n - dim.
+
+Errors are located by Welch-Berlekamp interpolation (Berlekamp & Welch,
+US 4 633 470): the received symbols, re-encoded against the first dim
+of them, are points of a key equation whose least solution is the error
+locator.  The solutions form a module with a two-element Groebner basis
+that grows by one update per point (Fitzpatrick, "On the key equation",
+IEEE T-IT 1995), so a decoder fed symbols over several rounds pays only
+for the new ones.  The errata values come from the n - dim syndromes of
+the punctured view of the code, which carry the dual-code column
+multipliers w_p = 1 / prod_{q!=p}(a^p - a^q): Forney with the erasure
+and error locator works for any length n <= 2^m - 1.
 
 At full length (n == 2^m - 1) the multipliers collapse to w_p = a^p and
 the syndromes become the classical evaluations of the received word at
@@ -51,18 +58,13 @@ class RsParams:
         self.dim = dim
         self.field = field
         self.two_t = n - dim
-        self.points = field.power(np.arange(n)).tolist()  # a^p
-
+        x = field.power(np.arange(n))
+        self.points = x.tolist()  # a^p
+        # 1/(a^p + a^q), with 1 on the diagonal, so that the product of a
+        # row over a set of positions leaves out the row's own position
+        self.inv_diff = field.vdiv(1, (x[:, None] ^ x) | np.eye(n, dtype=np.int64))
         # Dual-code column multipliers w_p = 1 / prod_{q != p}(a^p - a^q).
-        w = []
-        for p in range(n):
-            acc = 1
-            ap = self.points[p]
-            for s in range(n):
-                if s != p:
-                    acc = field.mul(acc, ap ^ self.points[s])
-            w.append(field.inv(acc))
-        self.w = np.array(w, dtype=np.int64)
+        self.w = field.prod(self.inv_diff)
 
         p = np.arange(n, dtype=np.int64)[:, None]
         # w_p·a^{p·j}, the contribution of a unit symbol at p to S_j
@@ -148,26 +150,21 @@ def invert_submatrix(G, cols, field: GF) -> np.ndarray:
     return gf_inverse(field, G[:, cols])
 
 
-def _poly_add_scaled_shifted(field: GF, a, b, scale, shift):
-    """a(x) + scale * x^shift * b(x)."""
-    out = list(a) + [0] * max(0, shift + len(b) - len(a))
-    if scale:
-        ls = field.log[scale]
-        for j, bj in enumerate(b):
-            if bj:
-                out[shift + j] ^= field.exp[ls + field.log[bj]]
-    return out
-
-
 class ProgressiveDecoder:
     """Error-erasure decoder over a block of rows, fed symbols incrementally.
 
     The rows share one set of received positions: each absorb delivers,
     per position, one symbol for every row.  ``rows=None`` is a block of
-    one row that takes and returns plain ints.  The (rows × n-dim)
-    syndrome matrix is maintained under symbol arrival, so each retrieval
-    round only pays for the new symbols; a decode attempt may be made
-    after any absorb.  Positions never absorbed count as erasures.
+    one row that takes and returns plain ints.  Positions never absorbed
+    count as erasures; a decode attempt may be made after any absorb.
+
+    Errors are located by Welch-Berlekamp interpolation.  The first dim
+    positions absorbed are the base B; every later position p is a point
+    (a^p, z_p) of the key equation Lambda(a^p)·z_p = g(a^p), deg g <
+    deg Lambda, where z_p re-encodes y_p against B.  Row 0's basis of
+    solutions and the (rows × n-dim) syndrome matrix, from which the
+    errata values come, are both extended at each absorb, so each
+    retrieval round pays only for its new symbols.
     """
 
     def __init__(self, params: RsParams, rows: int | None = None):
@@ -178,6 +175,10 @@ class ProgressiveDecoder:
         self.have = np.zeros(params.n, dtype=bool)
         self._synd = np.zeros((height, params.two_t), dtype=np.int64)
         self.round = 0
+        self._base: list[int] = []  # the first dim positions absorbed
+        self._points: list[int] = []  # every later one, in absorb order
+        self._reenc = None  # set once B is complete, see _reencode
+        self._basis = _start_basis()  # row 0's
 
     @property
     def syndromes(self) -> np.ndarray:
@@ -207,31 +208,90 @@ class ProgressiveDecoder:
             self.have[pos] = True
             if params.two_t:
                 self._synd ^= field.matmul(ys, params.synd[pos])
+            room = params.dim - len(self._base)
+            self._base += pos[:room]
+            if 0 < room <= len(pos):
+                self._reencode()
+            new = pos[room:]
+            if new:
+                self._points += new
+                if len(self.word):
+                    _interpolate(field, self._basis, new, self._z(0, new), params.two_t // 2)
         self.round += 1
         return self
+
+    def _reencode(self) -> None:
+        """The map z = R·y that re-encodes a row against the complete base B.
+
+        z_p = (y_p - T(a^p))/V_B(a^p), with T the interpolant of degree
+        < dim through the row on B and V_B = prod_{q in B}(x + a^q), is
+        y_p/V_B(a^p) + sum_q y_q·w^B_q/(a^p + a^q) in barycentric form,
+        with w^B_q = 1/prod_{r in B, r != q}(a^q + a^r).  Row p of R holds
+        these coefficients (its rows for B are never read).
+        """
+        field = self.params.field
+        base = np.asarray(self._base)
+        inv = self.params.inv_diff[:, base]
+        v = field.prod(inv)  # 1/V_B(a^p) for p outside B, w^B_q for q in B
+        self._reenc = np.zeros((len(v), len(v)), dtype=np.int64)
+        self._reenc[:, base] = field.vmul(inv, v[base])
+        np.fill_diagonal(self._reenc, v)
+
+    def _z(self, r: int, points: list[int]) -> list[int]:
+        """Row r re-encoded at the points."""
+        terms = self.params.field.vmul(self._reenc[points], self.word[r])
+        return np.bitwise_xor.reduce(terms, axis=1).tolist()
+
+    def _locate(self, r: int) -> list[int]:
+        """Error positions of row r, or DecodeFailure past its radius.
+
+        Row 0 reads the basis kept across absorbs; any other row builds
+        its own from scratch.  With N points, the least element of the
+        basis is the unique solution of least degree: it locates e errors
+        exactly when 2e <= N, i.e. 2e + s <= n - dim, and then has e
+        distinct roots among the received positions.
+        """
+        basis = self._basis
+        if r:
+            basis = _start_basis()
+            _interpolate(self.params.field, basis, self._points, self._z(r, self._points),
+                         self.params.two_t // 2)
+        lam, g, _ = min(basis, key=lambda b: b[2])
+        lam, g = _trim(lam), _trim(g)
+        deg = len(lam) - 1
+        if deg < 0 or 2 * deg > len(self._points) or len(g) > deg:
+            raise DecodeFailure(f"no locator within the budget for {len(self._points)} points")
+        if not deg:
+            return []
+        received = self.have.nonzero()[0]
+        roots = received[_at_inverse_points(self.params, [lam[::-1]], received)[0] == 0]
+        if len(roots) != deg:
+            raise DecodeFailure(f"locator of degree {deg} has {len(roots)} roots")
+        return roots.tolist()
 
     def attempt(self) -> DecodeOutcome:
         """Decode every row; errors are the union and the total over rows.
 
         The rows share their error positions (a Byzantine node corrupts its
-        whole chunk).  A row whose syndromes under gamma·Lambda_E vanish at
-        s+|E|..n-dim-1 is within its unique-decoding radius of a codeword
-        that differs only at erasures and E, since 2|E| + s <= n-dim, so
-        one vectorised Forney step fills all such rows.  The first row
-        still dirty runs Berlekamp-Massey alone; its errors join E (or
-        replace it past the budget).  E starts empty and row 0 goes first,
-        so a round that cannot succeed costs one Berlekamp-Massey.
+        whole chunk).  Row 0 is located first, from its kept basis, so a
+        round that cannot succeed fails here, before the erasure locator
+        gamma is built.  Its errors seed the located set E.  A row whose
+        syndromes under gamma·Lambda_E vanish at s+|E|..n-dim-1 is within
+        its unique-decoding radius of a codeword that differs only at
+        erasures and E, since 2|E| + s <= n-dim, so one vectorised Forney
+        step fills all such rows.  The first row still dirty is located
+        alone; its errors join E (or replace it past the budget).
         """
         params = self.params
         field = params.field
         two_t = params.two_t
-        erased = np.flatnonzero(~self.have).tolist()
+        erased = (~self.have).nonzero()[0].tolist()
         s = len(erased)
         if s > two_t:
             raise DecodeFailure(f"{s} erasures exceed the {two_t} parity symbols")
+        located = self._locate(0) if len(self.word) else []
         gamma = _locator(params, erased)
         codeword = self.word.copy()
-        located: list[int] = []
         errors: set[int] = set()
         count = 0
 
@@ -251,89 +311,119 @@ class ProgressiveDecoder:
                 hit = e[:, s:] != 0
                 errors.update(np.asarray(located)[hit.any(axis=0)].tolist())
                 count += int(hit.sum())
-                e[:, s:] ^= self.word[np.ix_(ok, located)]
-                codeword[np.ix_(ok, roots)] = e
+                e[:, s:] ^= self.word[ok[:, None], located]
+                codeword[ok[:, None], roots] = e
             return rows[dirty]
 
-        todo = np.arange(len(codeword))
-        if not _times_mod(field, gamma, self._synd[:1], s).any():
-            todo = fill(todo)
+        todo = fill(np.arange(len(codeword)))
         while todo.size:
             r = int(todo[0])
-            codeword[r], found = self._decode_row(r, s, gamma)
-            errors |= found
-            count += len(found)
-            union = found.union(located)
+            found = self._locate(r)
+            union = set(found).union(located)
             located = sorted(union if 2 * len(union) + s <= two_t else found)
-            todo = fill(todo[1:])
+            todo = fill(todo)
+            if todo.size and todo[0] == r:  # never, for an exact locator
+                raise DecodeFailure(f"row {r} stays dirty under its own errors")
         if self.rows is None:
             codeword = codeword[0].tolist()
         return DecodeOutcome(codeword, errors, count)
 
-    def _decode_row(self, r: int, s: int, gamma: list[int]) -> tuple[np.ndarray, set[int]]:
-        """Berlekamp-Massey, Chien and Forney for one row; (codeword, errors)."""
-        params = self.params
-        field = params.field
-        two_t = params.two_t
-        S = self._synd[r].tolist()
 
-        # Berlekamp-Massey seeded with the erasure locator: the register
-        # starts at length s and only the remaining two_t - s syndromes
-        # are free to locate errors, giving 2v <= two_t - s.
-        lam, B, L, b, gap = list(gamma), list(gamma), s, 1, 1
-        for i in range(s, two_t):
-            d = 0
-            for jj, lj in enumerate(lam):
-                if lj and jj <= i and S[i - jj]:
-                    d ^= field.exp[field.log[lj] + field.log[S[i - jj]]]
-            if d == 0:
-                gap += 1
-            elif 2 * L <= i + s:
-                T = _poly_add_scaled_shifted(field, lam, B, field.div(d, b), gap)
-                B, b, L, gap, lam = lam, d, i + 1 + s - L, 1, T
-            else:
-                lam = _poly_add_scaled_shifted(field, lam, B, field.div(d, b), gap)
-                gap += 1
+def _start_basis() -> list:
+    """(Lambda, g, weight) pairs spanning all solutions before any point."""
+    return [[[1], [], 0], [[], [1], 1]]
 
-        if 2 * (L - s) + s > two_t:
-            raise DecodeFailure(f"{L - s} errors with {s} erasures exceed the budget {two_t}")
-        while len(lam) > 1 and lam[-1] == 0:
-            lam.pop()
-        deg = len(lam) - 1
-        if deg != L:
-            raise DecodeFailure("locator degree is inconsistent with its length")
 
-        # Chien search: evaluate lam at a^{-p} for every position p.
-        roots = np.flatnonzero(_at_inverse_points(params, [lam], slice(None))[0] == 0)
-        if len(roots) != deg:
-            raise DecodeFailure(f"locator of degree {deg} has {len(roots)} roots")
+def _interpolate(field: GF, basis: list, positions, zs, cap: int) -> None:
+    """Extend basis by the points (a^p, z_p), one update per point.
 
-        codeword = self.word[r].copy()
-        e = _forney(params, lam, _times_mod(field, lam, self._synd[r : r + 1]), roots)[0]
-        got = self.have[roots]
-        zero = np.flatnonzero(got & (e == 0))
-        if zero.size:
-            raise DecodeFailure(f"claimed error at {roots[zero[0]]} has zero magnitude")
-        codeword[roots] ^= e
-        return codeword, set(roots[got].tolist())
+    The weight of (Lambda, g) is max(deg Lambda, deg g + 1); element 0
+    leads in Lambda and element 1 in g, and a tie in weight orders
+    element 1 first.  Per point, the least element with a nonzero
+    discrepancy Delta = Lambda(a^p)·z_p + g(a^p) is the pivot: a multiple
+    of it clears the other's discrepancy, and it is then multiplied by
+    (x + a^p).
+    (Koetter's update on the Groebner basis of Fitzpatrick, "On the key
+    equation", IEEE T-IT 1995.)
+
+    Weights never fall, and a locator needs 2·weight <= N <= n - dim.
+    So past cap = (n - dim) // 2 element 0 can never locate, and element
+    1, which could only pivot for element 0 from a weight at most
+    element 0's, is no longer kept up to date.
+    """
+    exp, log, order = field.exp, field.log, field.order
+
+    def at(poly, p):  # poly(a^p) by Horner; log(a^p) = p
+        acc = 0
+        for c in reversed(poly):
+            acc = exp[log[acc] + p] ^ c if acc else c
+        return acc
+
+    def add(a, c, b):  # a + c·b, in place, for nonzero c
+        lc = log[c]
+        a.extend([0] * (len(b) - len(a)))
+        for i, x in enumerate(b):
+            if x:
+                a[i] ^= exp[log[x] + lc]
+
+    def times(poly, p):  # poly·(x + a^p)
+        if not poly:
+            return poly
+        return [y ^ exp[log[x] + p] if x else y for x, y in zip(poly + [0], [0] + poly)]
+
+    (l0, g0, w0), (l1, g1, w1) = basis
+    for p, z in zip(positions, zs):
+        if w0 > cap:
+            break
+        d0 = at(g0, p)
+        if z and (v := at(l0, p)):
+            d0 ^= exp[log[v] + log[z]]
+        if w1 > cap:
+            if d0:
+                l0, g0, w0 = times(l0, p), times(g0, p), w0 + 1
+            continue
+        d1 = at(g1, p)
+        if z and (v := at(l1, p)):
+            d1 ^= exp[log[v] + log[z]]
+        if d1 and (not d0 or w1 <= w0):
+            if d0:
+                c = exp[log[d0] - log[d1] + order]
+                add(l0, c, l1)
+                add(g0, c, g1)
+            l1, g1, w1 = times(l1, p), times(g1, p), w1 + 1
+        elif d0:
+            if d1:
+                c = exp[log[d1] - log[d0] + order]
+                add(l1, c, l0)
+                add(g1, c, g0)
+            l0, g0, w0 = times(l0, p), times(g0, p), w0 + 1
+    basis[:] = [l0, g0, w0], [l1, g1, w1]
+
+
+def _trim(poly: list[int]) -> list[int]:
+    """poly without its zero high coefficients; [] for the zero polynomial."""
+    end = len(poly)
+    while end and not poly[end - 1]:
+        end -= 1
+    return poly[:end]
 
 
 def _locator(params: RsParams, positions, poly=(1,)) -> list[int]:
     """poly(x)·prod (1 - a^p x) over the given positions."""
     exp, log = params.field.exp, params.field.log
     poly = list(poly)
-    for p in positions:  # scalar like Berlekamp-Massey; log(a^p) = p
+    for p in positions:  # log(a^p) = p
         poly = [x ^ (exp[log[y] + p] if y else 0) for x, y in zip(poly + [0], [0] + poly)]
     return poly
 
 
-def _times_mod(field: GF, poly: list[int], S: np.ndarray, lo: int = 0) -> np.ndarray:
-    """Coefficients lo..two_t-1 of poly(x)·S(x) for every row of S."""
+def _times_mod(field: GF, poly: list[int], S: np.ndarray) -> np.ndarray:
+    """poly(x)·S(x) mod x^two_t for every row of S."""
     two_t = S.shape[1]
     poly = np.asarray(poly[:two_t], dtype=np.int64)
-    j = np.flatnonzero(poly)
-    shift = np.arange(lo, two_t)[None, :] - j[:, None]  # coefficient c takes S_{c-j}
-    part = np.where(shift >= 0, S[:, shift], 0)  # (rows, terms, two_t - lo)
+    j = poly.nonzero()[0]
+    shift = np.arange(two_t)[None, :] - j[:, None]  # coefficient c takes S_{c-j}
+    part = np.where(shift >= 0, S[:, shift], 0)  # (rows, terms, two_t)
     return np.bitwise_xor.reduce(field.vmul(poly[j][:, None], part), axis=1)
 
 

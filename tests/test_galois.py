@@ -161,6 +161,18 @@ def test_vector_ops_match_scalar(m):
                         [0, -1, gf.order, -gf.order, 2 * gf.order + 1]])
     g = gf.generator
     assert gf.power(e).tolist() == [gf.pow(g, x) for x in e.tolist()]
+    # products along an axis: 30 rows of 10, the first four rows with a zero
+    rows = a.reshape(30, 10)
+    want = []
+    for row in rows.tolist():
+        acc = 1
+        for x in row:
+            acc = gf.mul(acc, x)
+        want.append(acc)
+    assert gf.prod(rows).tolist() == want
+    assert gf.prod(rows[-1]) == want[-1]
+    assert gf.prod(rows.T, axis=0).tolist() == want
+    assert gf.prod(rows[:, :0]).tolist() == [1] * 30  # the empty product
 
 
 @pytest.mark.parametrize("m", range(2, 17))

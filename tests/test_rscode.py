@@ -392,18 +392,22 @@ class ScalarDecoder:
     def __init__(self, params):
         self.params = params
         self.received = {}
+        self.S = [0] * params.two_t
 
     def absorb(self, symbols):
-        self.received.update({int(p): int(y) for p, y in symbols.items()})
+        field = self.params.field
+        for p, y in symbols.items():
+            p, y = int(p), int(y)
+            self.received[p] = y
+            w, x = int(self.params.w[p]), self.params.points[p]
+            for j in range(self.params.two_t):
+                self.S[j] ^= field.mul(y, field.mul(w, field.pow(x, j)))
 
     def attempt(self):
         params = self.params
         field = params.field
         n, two_t = params.n, params.two_t
-        S = [0] * two_t
-        for p, y in self.received.items():
-            for j in range(two_t):
-                S[j] ^= field.mul(y, field.mul(params.w[p], field.pow(params.points[p], j)))
+        S = self.S
         erased = [p for p in range(n) if p not in self.received]
         s = len(erased)
         if s > two_t:
@@ -615,13 +619,127 @@ def test_block_decoder_on_shared_column_errors(seed):
     assert successes or seed % 2  # a row over budget may fail every round
 
 
-def test_shared_error_columns_run_few_berlekamp_massey(monkeypatch):
+def test_block_decoder_at_the_byzantine_row_code_shape():
+    # The row code of the `byzantine` benchmark: [100, 38] over GF(2^11)
+    # with 31 Byzantine columns.  Each row corrupts each of them with
+    # probability 1/2 and the last row has 3 private errors as well.  40
+    # positions arrive first, then 2 per round, as the reconstruct ladder
+    # reads them; every round's attempt is compared row by row.
+    rng = np.random.default_rng(808)
+    params = RsParams(100, 38, GF(11))
+    rows = 4
+    cw = encode_eval(rng.integers(0, 2048, (rows, 38)), params)
+    cols = rng.choice(100, size=31, replace=False)
+    words = cw.copy()
+    for r in range(rows):
+        hit = cols[rng.random(cols.size) < 0.5]
+        words[r, hit] ^= rng.integers(1, 2048, hit.size)
+    private = rng.choice(np.setdiff1d(np.arange(100), cols), size=3, replace=False)
+    words[-1, private] ^= rng.integers(1, 2048, private.size)
+    block = ProgressiveDecoder(params, rows)
+    oracles = [ScalarDecoder(params) for _ in range(rows)]
+    order = rng.permutation(100).tolist()
+    outcomes = []
+    for batch in [order[:40]] + [order[i : i + 2] for i in range(40, 100, 2)]:
+        block.absorb({p: words[:, p] for p in batch})
+        for r, dec in enumerate(oracles):
+            dec.absorb({p: words[r, p] for p in batch})
+        outcomes.append(assert_block_matches_oracles(block, oracles))
+    assert not outcomes[0] and outcomes[-1]  # the ladder fails, then succeeds
+
+
+def _attempt_or_none(dec):
+    try:
+        out = dec.attempt()
+    except DecodeFailure:
+        return None
+    return np.asarray(out.codeword).tolist(), out.error_positions, out.corrected_count
+
+
+def _fed(params, rows, words, order, sizes):
+    """A block decoder fed the columns of words at order, in batches of
+    the given sizes (repeated)."""
+    dec = ProgressiveDecoder(params, rows)
+    start = 0
+    for size in itertools.cycle(sizes):
+        if start >= len(order):
+            return dec
+        dec.absorb({p: words[:, p] for p in order[start : start + size]})
+        start += size
+
+
+@pytest.mark.parametrize("m, n, dim, rows, nerr, nerase", [
+    (4, 15, 5, 3, 3, 4),  # full length, within the radius
+    (4, 15, 5, 3, 4, 4),  # one error beyond it
+    (3, 7, 3, 2, 2, 0),   # full length, exactly at the radius
+    (5, 20, 8, 2, 5, 2),
+    (4, 12, 12, 2, 0, 0),  # dim = n: no parity
+    (4, 12, 12, 2, 0, 1),
+    (4, 10, 4, 0, 0, 3),  # no rows, as in MBR with d = k
+    (4, 10, 4, 0, 0, 7),
+])
+def test_attempt_is_independent_of_absorb_order_and_base(m, n, dim, rows, nerr, nerase):
+    # The first dim positions absorbed are the re-encoding base.  The same
+    # received symbols, absorbed with all errors inside the base, with
+    # none of them there, in sorted order in one batch and in random orders
+    # and batch sizes, give one attempt outcome.
+    rng = np.random.default_rng(1000 * m + 10 * n + nerr + nerase)
+    field = GF(m)
+    params = RsParams(n, dim, field)
+    words = encode_eval(rng.integers(0, field.q, (rows, dim)), params).reshape(rows, n)
+    pos = rng.permutation(n)
+    errs, kept = pos[:nerr].tolist(), sorted(pos[nerr + nerase :].tolist())
+    words[:, errs] ^= rng.integers(1, field.q, (rows, nerr))
+    received = errs + kept
+    schedules = [
+        (received, [n]),  # errors first: all of them in the base
+        (kept + errs, [1, 2]),  # errors last
+        (sorted(received), [n]),
+    ] + [(rng.permutation(received).tolist(), rng.integers(1, 5, 3).tolist()) for _ in range(4)]
+    outcomes = [_attempt_or_none(_fed(params, rows, words, order, sizes))
+                for order, sizes in schedules]
+    assert all(out == outcomes[0] for out in outcomes)
+    if rows:
+        oracles = [ScalarDecoder(params) for _ in range(rows)]
+        for r, dec in enumerate(oracles):
+            dec.absorb({p: words[r, p] for p in received})
+        assert assert_block_matches_oracles(_fed(params, rows, words, received, [n]), oracles) == (
+            outcomes[0] is not None)
+    else:
+        assert outcomes[0] == (None if nerase > n - dim else ([], set(), 0))
+
+
+def test_one_shot_decode_is_independent_of_dict_order(rs15_4, gf16):
+    # decode_error_erasure absorbs the dict in its own order, so its first
+    # dim keys are the base; inside and beyond the radius, any key order
+    # gives the same outcome
+    rng = random.Random(59)
+    for _ in range(200):
+        s = rng.randrange(0, 8)
+        v = rng.randrange(0, (11 - s) // 2 + 3)
+        cw = encode_eval([rng.randrange(16) for _ in range(4)], rs15_4)
+        symbols, _, flipped = corrupt(rng, gf16, cw, s, v)
+        items = list(symbols.items())
+        rng.shuffle(items)
+        first = sorted(flipped) + [p for p in sorted(symbols) if p not in flipped]
+        words = [dict(items), dict(sorted(items)), {p: symbols[p] for p in first}]
+        outcomes = []
+        for word in words:
+            try:
+                out = decode_error_erasure(ReceivedWord(word), rs15_4)
+                outcomes.append((out.codeword, out.error_positions, out.corrected_count))
+            except DecodeFailure:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_shared_error_columns_run_few_row_locators(monkeypatch):
     # the point of the located set: rows that share their error columns are
-    # filled by one Forney step, not decoded one by one
+    # filled by one Forney step, not located one by one
     calls = []
-    decode_row = ProgressiveDecoder._decode_row
-    monkeypatch.setattr(ProgressiveDecoder, "_decode_row",
-                        lambda self, r, *args: calls.append(r) or decode_row(self, r, *args))
+    locate = ProgressiveDecoder._locate
+    monkeypatch.setattr(ProgressiveDecoder, "_locate",
+                        lambda self, r: calls.append(r) or locate(self, r))
     rng = np.random.default_rng(71)
     params = RsParams(24, 8, GF(5))
     rows, cols = 40, np.array([3, 11, 17, 20])
@@ -630,6 +748,7 @@ def test_shared_error_columns_run_few_berlekamp_massey(monkeypatch):
         words = cw.copy()
         flip = rng.random((rows, cols.size)) >= keep
         words[:, cols] ^= np.where(flip, rng.integers(1, 32, (rows, cols.size)), 0)
+        assert flip[0].any()  # so that row 0's run adds a column too
         block = ProgressiveDecoder(params, rows)
         block.absorb({p: words[:, p] for p in range(params.n) if p != 5})
         calls.clear()
@@ -637,9 +756,9 @@ def test_shared_error_columns_run_few_berlekamp_massey(monkeypatch):
         assert out.codeword.tolist() == cw.tolist()
         assert out.error_positions == set(cols[flip.any(axis=0)].tolist())
         assert out.corrected_count == flip.sum()
-        # each row decoded alone adds at least one column to the located set
+        # each row located alone adds at least one column to the located set
         assert 1 <= len(calls) <= cols.size and calls[0] == 0
-    # over budget in every row: the attempt fails after one decode
+    # over budget in every row: the attempt fails after one locator run
     words = cw.copy()
     words[:, : params.two_t // 2 + 1] ^= 1
     block = ProgressiveDecoder(params, rows)
