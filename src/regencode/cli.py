@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import capability_table, code_point, percent
+from .analysis import capability_table, code_point, cut_set_bound, percent
 from .chunkio import (
     header_for_state,
     params_from_header,
@@ -149,7 +149,8 @@ def cmd_encode(args) -> int:
     if args.beta:
         beta = args.beta
     else:
-        per_stripe = cls(args.n, args.k, args.d, 1, field).B * args.m
+        alpha = cls.alpha_for(args.k, args.d)
+        per_stripe = cut_set_bound(args.n, args.k, args.d, alpha, 1) * args.m
         beta = max(1, -((bits + args.r) // -per_stripe))
     params = cls(args.n, args.k, args.d, beta, field)
     state = store(

@@ -2,8 +2,8 @@
 
 Addition is XOR.  Multiplication, inversion and exponentiation go through
 eagerly built log/antilog tables for a configurable primitive polynomial
-and generator element.  Bulk operations (syndrome updates, Chien search,
-re-encoding, matrix products) go through ``vmul``, ``vdiv``, ``prod``,
+and generator element.  Bulk operations (re-encoding, interpolation,
+locator roots, matrix products) go through ``vmul``, ``vdiv``, ``prod``,
 ``matmul`` and ``power`` on numpy arrays; this module is the only one
 that knows the table format.
 

@@ -78,15 +78,17 @@ class CrcParams:
         self.mask = (1 << r) - 1
         self.rpoly = _reflect(poly, r)
         self._zlib = r == 32 and poly == DEFAULT_CRC_POLYS[32]
-        self._table = None
-        if r >= 8:
-            table = []
-            for byte in range(256):
-                crc = byte
-                for _ in range(8):
-                    crc = (crc >> 1) ^ (self.rpoly if crc & 1 else 0)
-                table.append(crc)
-            self._table = table
+
+    @functools.cached_property
+    def _table(self) -> list[int]:
+        """Register update per input byte, for r >= 8 off the zlib path."""
+        table = []
+        for byte in range(256):
+            crc = byte
+            for _ in range(8):
+                crc = (crc >> 1) ^ (self.rpoly if crc & 1 else 0)
+            table.append(crc)
+        return table
 
     def __repr__(self):
         return f"CrcParams(r={self.r}, poly=0x{self.poly:x})"
@@ -141,7 +143,7 @@ def _crc_register(bits, params: CrcParams, init: int) -> int:
     crc = init
     bits = np.asarray(bits, dtype=np.uint8)
     nfull = len(bits) // 8
-    if params._table is not None and nfull:
+    if params.r >= 8 and nfull:
         data = np.packbits(bits[: nfull * 8], bitorder="little").tobytes()
         if params._zlib:  # zlib complements the register on entry and exit
             crc = zlib.crc32(data, crc ^ params.mask) ^ params.mask

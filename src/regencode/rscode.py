@@ -15,10 +15,14 @@ of them, are points of a key equation whose least solution is the error
 locator.  The solutions form a module with a two-element Groebner basis
 that grows by one update per point (Fitzpatrick, "On the key equation",
 IEEE T-IT 1995), so a decoder fed symbols over several rounds pays only
-for the new ones.  The errata values come from the n - dim syndromes of
-the punctured view of the code, which carry the dual-code column
-multipliers w_p = 1 / prod_{q!=p}(a^p - a^q): Forney with the erasure
-and error locator works for any length n <= 2^m - 1.
+for the new ones.  The decoded word is the interpolant of degree < dim
+through dim received positions outside the located errors E, evaluated
+at every other position in barycentric form; it is the answer exactly
+when it agrees with the received symbols outside E (Gao, "A new algorithm
+for decoding Reed-Solomon codes", 2003, fills the word the same way,
+without syndromes).  Syndromes are only computed on demand, with the
+dual-code column multipliers w_p = 1 / prod_{q!=p}(a^p - a^q), which
+exist for any length n <= 2^m - 1.
 
 At full length (n == 2^m - 1) the multipliers collapse to w_p = a^p and
 the syndromes become the classical evaluations of the received word at
@@ -162,9 +166,9 @@ class ProgressiveDecoder:
     positions absorbed are the base B; every later position p is a point
     (a^p, z_p) of the key equation Lambda(a^p)·z_p = g(a^p), deg g <
     deg Lambda, where z_p re-encodes y_p against B.  Row 0's basis of
-    solutions and the (rows × n-dim) syndrome matrix, from which the
-    errata values come, are both extended at each absorb, so each
-    retrieval round pays only for its new symbols.
+    solutions is extended at each absorb, so each retrieval round pays
+    only for its new symbols.  An attempt fills the rows by interpolation
+    through a base outside the located errors (see attempt).
     """
 
     def __init__(self, params: RsParams, rows: int | None = None):
@@ -173,7 +177,6 @@ class ProgressiveDecoder:
         height = 1 if rows is None else rows
         self.word = np.zeros((height, params.n), dtype=np.int64)  # 0 where unread
         self.have = np.zeros(params.n, dtype=bool)
-        self._synd = np.zeros((height, params.two_t), dtype=np.int64)
         self.round = 0
         self._base: list[int] = []  # the first dim positions absorbed
         self._points: list[int] = []  # every later one, in absorb order
@@ -182,7 +185,9 @@ class ProgressiveDecoder:
 
     @property
     def syndromes(self) -> np.ndarray:
-        return self._synd[0] if self.rows is None else self._synd
+        """S_j = sum_p w_p·a^{p·j}·y_p over the received symbols, per row."""
+        synd = self.params.field.matmul(self.word, self.params.synd)
+        return synd[0] if self.rows is None else synd
 
     def absorb(self, new_symbols: dict) -> "ProgressiveDecoder":
         """Add {position: symbol}, or {position: vector of rows symbols}."""
@@ -206,8 +211,6 @@ class ProgressiveDecoder:
             ys = ys.T  # (rows, positions)
             self.word[:, pos] = ys
             self.have[pos] = True
-            if params.two_t:
-                self._synd ^= field.matmul(ys, params.synd[pos])
             room = params.dim - len(self._base)
             self._base += pos[:room]
             if 0 < room <= len(pos):
@@ -229,12 +232,9 @@ class ProgressiveDecoder:
         with w^B_q = 1/prod_{r in B, r != q}(a^q + a^r).  Row p of R holds
         these coefficients (its rows for B are never read).
         """
-        field = self.params.field
-        base = np.asarray(self._base)
-        inv = self.params.inv_diff[:, base]
-        v = field.prod(inv)  # 1/V_B(a^p) for p outside B, w^B_q for q in B
+        weighted, v = _barycentric(self.params, self._base)
         self._reenc = np.zeros((len(v), len(v)), dtype=np.int64)
-        self._reenc[:, base] = field.vmul(inv, v[base])
+        self._reenc[:, self._base] = weighted
         np.fill_diagonal(self._reenc, v)
 
     def _z(self, r: int, points: list[int]) -> list[int]:
@@ -274,23 +274,24 @@ class ProgressiveDecoder:
 
         The rows share their error positions (a Byzantine node corrupts its
         whole chunk).  Row 0 is located first, from its kept basis, so a
-        round that cannot succeed fails here, before the erasure locator
-        gamma is built.  Its errors seed the located set E.  A row whose
-        syndromes under gamma·Lambda_E vanish at s+|E|..n-dim-1 is within
-        its unique-decoding radius of a codeword that differs only at
-        erasures and E, since 2|E| + s <= n-dim, so one vectorised Forney
-        step fills all such rows.  The first row still dirty is located
-        alone; its errors join E (or replace it past the budget).
+        round that cannot succeed fails here, before any row is filled.
+        Its errors seed the located set E.  B' is the first dim received
+        positions outside E, in absorb order, and one product evaluates
+        every row's interpolant through B' at all other positions.  A row
+        whose interpolant agrees with it at the received positions outside
+        E is within its unique-decoding radius of that codeword, since
+        2|E| + s <= n-dim, so it takes the interpolant at erasures and E.
+        The first row still dirty is located alone; its errors join E (or
+        replace it past the budget).
         """
         params = self.params
         field = params.field
-        two_t = params.two_t
-        erased = (~self.have).nonzero()[0].tolist()
-        s = len(erased)
-        if s > two_t:
-            raise DecodeFailure(f"{s} erasures exceed the {two_t} parity symbols")
+        received = self._base + self._points  # in absorb order
+        s = params.n - len(received)
+        if s > params.two_t:
+            raise DecodeFailure(f"{s} erasures exceed the {params.two_t} parity symbols")
         located = self._locate(0) if len(self.word) else []
-        gamma = _locator(params, erased)
+        erased = (~self.have).nonzero()[0].tolist()
         codeword = self.word.copy()
         errors: set[int] = set()
         count = 0
@@ -300,33 +301,53 @@ class ProgressiveDecoder:
             nonlocal count
             if not rows.size:
                 return rows
-            lam = _locator(params, located, gamma)
-            S = self._synd if rows.size == len(self._synd) else self._synd[rows]
-            prod = _times_mod(field, lam, S)  # lam·S mod x^two_t
-            dirty = prod[:, s + len(located) :].any(axis=1)
-            roots = erased + located
-            if roots and not dirty.all():
-                ok, prod = (rows[~dirty], prod[~dirty]) if dirty.any() else (rows, prod)
-                e = _forney(params, lam, prod, roots)
-                hit = e[:, s:] != 0
-                errors.update(np.asarray(located)[hit.any(axis=0)].tolist())
-                count += int(hit.sum())
-                e[:, s:] ^= self.word[ok[:, None], located]
-                codeword[ok[:, None], roots] = e
-            return rows[dirty]
+            out = set(located)
+            kept = [p for p in received if p not in out]
+            base, others = kept[: params.dim], kept[params.dim :]
+            fills = erased + located
+            weighted, v = _barycentric(params, base)
+            cols = others + fills  # every position outside B'
+            interp = field.vdiv(weighted[cols], v[cols, None])  # T(a^p) from T on B'
+            word = self.word if rows.size == len(self.word) else self.word[rows]
+            vals = field.matmul(word[:, base], interp.T)
+            dirty = (vals[:, : len(others)] != word[:, others]).any(axis=1)
+            todo = rows[dirty]
+            if todo.size:
+                rows, word, vals = rows[~dirty], word[~dirty], vals[~dirty]
+            vals = vals[:, len(others) :]
+            hit = vals[:, s:] != word[:, located]
+            errors.update(np.compress(hit.any(axis=0), located).tolist())
+            count += int(hit.sum())
+            codeword[rows[:, None] if rows.size < len(codeword) else slice(None), fills] = vals
+            return todo
 
         todo = fill(np.arange(len(codeword)))
         while todo.size:
             r = int(todo[0])
             found = self._locate(r)
             union = set(found).union(located)
-            located = sorted(union if 2 * len(union) + s <= two_t else found)
+            located = sorted(union if 2 * len(union) + s <= params.two_t else found)
             todo = fill(todo)
             if todo.size and todo[0] == r:  # never, for an exact locator
                 raise DecodeFailure(f"row {r} stays dirty under its own errors")
         if self.rows is None:
             codeword = codeword[0].tolist()
         return DecodeOutcome(codeword, errors, count)
+
+
+def _barycentric(params: RsParams, base) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric weights of the interpolant through the positions of base.
+
+    Returns (W, v): W[p, j] = w_j / (a^p + a^{base_j}), with w_j =
+    1/prod_{q in base, q != base_j}(a^{base_j} + a^q), and v_p = 1/V(a^p),
+    V = prod_{q in base}(x + a^q), for p outside the base (v_p = w_j at
+    p = base_j).  The interpolant T of degree < len(base) through y on the
+    base is T(a^p) = sum_j W[p, j]·y_{base_j} / v_p.
+    """
+    field = params.field
+    inv = params.inv_diff[:, base]
+    v = field.prod(inv)
+    return field.vmul(inv, v[base]), v
 
 
 def _start_basis() -> list:
@@ -408,42 +429,10 @@ def _trim(poly: list[int]) -> list[int]:
     return poly[:end]
 
 
-def _locator(params: RsParams, positions, poly=(1,)) -> list[int]:
-    """poly(x)·prod (1 - a^p x) over the given positions."""
-    exp, log = params.field.exp, params.field.log
-    poly = list(poly)
-    for p in positions:  # log(a^p) = p
-        poly = [x ^ (exp[log[y] + p] if y else 0) for x, y in zip(poly + [0], [0] + poly)]
-    return poly
-
-
-def _times_mod(field: GF, poly: list[int], S: np.ndarray) -> np.ndarray:
-    """poly(x)·S(x) mod x^two_t for every row of S."""
-    two_t = S.shape[1]
-    poly = np.asarray(poly[:two_t], dtype=np.int64)
-    j = poly.nonzero()[0]
-    shift = np.arange(two_t)[None, :] - j[:, None]  # coefficient c takes S_{c-j}
-    part = np.where(shift >= 0, S[:, shift], 0)  # (rows, terms, two_t)
-    return np.bitwise_xor.reduce(field.vmul(poly[j][:, None], part), axis=1)
-
-
 def _at_inverse_points(params: RsParams, polys, positions) -> np.ndarray:
     """Every row of polys (degree at most n - dim) at a^-p, shape (rows, positions)."""
     polys = np.asarray(polys, dtype=np.int64)
     return params.field.matmul(polys, params.chien[positions, : polys.shape[1]].T)
-
-
-def _forney(params: RsParams, lam: list[int], omega: np.ndarray, roots) -> np.ndarray:
-    """Errata values e_p = a^p·omega(a^-p) / (w_p·lam'(a^-p)) at the roots
-    of lam, for every row of errata evaluators omega."""
-    field = params.field
-    roots = np.asarray(roots, dtype=np.int64)
-    deriv = [lam[j] if j % 2 else 0 for j in range(1, len(lam))]
-    den = _at_inverse_points(params, [deriv], roots)[0]
-    if not den.all():
-        raise DecodeFailure("errata evaluator derivative vanished at a root")
-    num = _at_inverse_points(params, omega, roots)
-    return field.vmul(num, field.vdiv(field.power(roots), field.vmul(params.w[roots], den)))
 
 
 def decode_error_erasure(word: ReceivedWord, params: RsParams) -> DecodeOutcome:

@@ -14,6 +14,7 @@ from regencode.rscode import (
     ProgressiveDecoder,
     ReceivedWord,
     RsParams,
+    _barycentric,
     decode_error_erasure,
     encode_eval,
     gf_inverse,
@@ -53,7 +54,7 @@ def oracle_solve(field, A, rhs):
 def recomputed_syndromes(dec):
     """Oracle: a decoder's syndromes from scratch as one field matrix
     product over a matrix built in scalar arithmetic (entry (p, j) is
-    w_p·(a^p)^j); must match its incremental state."""
+    w_p·(a^p)^j); must match its syndromes property."""
     params = dec.params
     field = params.field
     H = [
@@ -709,6 +710,53 @@ def test_attempt_is_independent_of_absorb_order_and_base(m, n, dim, rows, nerr, 
         assert outcomes[0] == (None if nerase > n - dim else ([], set(), 0))
 
 
+@pytest.mark.parametrize("m", range(3, 12))
+def test_barycentric_weights_interpolate_codewords(m):
+    # Through any dim positions of a codeword, in any order, the weights
+    # give the codeword at every other position (the fill map), and the
+    # re-encoded values y_p·v_p + sum_j W[p, j]·y_{base_j} there are zero
+    rng = np.random.default_rng(900 + m)
+    field = GF(m)
+    for _ in range(3):
+        n = int(rng.integers(2, min(field.order, 60) + 1))
+        for dim in sorted({1, n - 1, int(rng.integers(1, n))}):
+            params = RsParams(n, dim, field)
+            cw = encode_eval(rng.integers(0, field.q, (3, dim)), params)
+            base = rng.permutation(n)[:dim].tolist()
+            rest = np.setdiff1d(np.arange(n), base)
+            W, v = _barycentric(params, base)
+            fill = field.vdiv(W[rest], v[rest, None])
+            assert np.array_equal(field.matmul(cw[:, base], fill.T), cw[:, rest])
+            z = field.matmul(cw[:, base], W[rest].T) ^ field.vmul(cw[:, rest], v[rest])
+            assert not z.any()
+
+
+def test_located_errors_inside_the_base_move_the_fill_base():
+    # Errors among the first dim positions absorbed: the fill skips them and
+    # interpolates through later positions.  Row 0 locates two columns of
+    # the base; row 2 adds a third base column and one outside the base, so
+    # the fill base moves again after the union.
+    rng = np.random.default_rng(77)
+    params = RsParams(24, 8, GF(5))
+    rows = 6
+    cw = encode_eval(rng.integers(0, 32, (rows, 8)), params)
+    order = rng.permutation(params.n).tolist()
+    received = order[:-4]
+    words = cw.copy()
+    words[:, order[:2]] ^= rng.integers(1, 32, (rows, 2))
+    words[2, [order[2], order[10]]] ^= rng.integers(1, 32, 2)
+    block = ProgressiveDecoder(params, rows)
+    oracles = [ScalarDecoder(params) for _ in range(rows)]
+    for batch in (received[:8], received[8:]):
+        block.absorb({p: words[:, p] for p in batch})
+        for r, dec in enumerate(oracles):
+            dec.absorb({p: words[r, p] for p in batch})
+    assert assert_block_matches_oracles(block, oracles)
+    out = block.attempt()
+    assert out.codeword.tolist() == cw.tolist()
+    assert out.error_positions == set(order[:3]) | {order[10]}
+
+
 def test_one_shot_decode_is_independent_of_dict_order(rs15_4, gf16):
     # decode_error_erasure absorbs the dict in its own order, so its first
     # dim keys are the base; inside and beyond the radius, any key order
@@ -735,7 +783,7 @@ def test_one_shot_decode_is_independent_of_dict_order(rs15_4, gf16):
 
 def test_shared_error_columns_run_few_row_locators(monkeypatch):
     # the point of the located set: rows that share their error columns are
-    # filled by one Forney step, not located one by one
+    # filled by one interpolation, not located one by one
     calls = []
     locate = ProgressiveDecoder._locate
     monkeypatch.setattr(ProgressiveDecoder, "_locate",
