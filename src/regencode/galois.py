@@ -8,16 +8,15 @@ locator roots, matrix products) go through ``vmul``, ``vdiv``, ``prod``,
 that knows the table format.
 
 ``matmul`` picks its kernel from the operand shapes.  When an outer
-dimension is longer than the field size 2^m, one operand is long data and
-the other a short constant matrix (an encode, a decode projection, a
-repair inner product): every coefficient c of the constant gets a
-multiply-by-c table of 2^m entries, and the product is one table gather
-of a row of the data per coefficient, XOR-accumulated (the product-table
-method of Plank, Greenan & Miller, FAST 2013, without the SIMD).
-Otherwise the product is one (p, q, r) log/exp cube.  The tables cost
-q·r·2^m cells for a tall A (p·q·2^m for a wide B), fewer than the cube's
-p·q·r exactly when the long side exceeds 2^m, so the switch needs no
-setting.
+dimension L exceeds 2^(m+1), one operand is long data and the other a
+short constant matrix (an encode, a decode projection, a repair inner
+product): each coefficient c of the constant gets a multiply-by-c table
+of 2^m entries, and the product is one gather of a data row per
+coefficient, XOR-accumulated (the product-table method of Plank, Greenan
+& Miller, FAST 2013, without the SIMD); from that length the tables cost
+under half the cube cells they replace.  Otherwise the log/exp cube of
+all p·q·r products is XOR-reduced over q in even blocks of at most
+_BLOCK_CELLS cells, so no temporary outgrows a block or the (p, r) result.
 """
 
 from __future__ import annotations
@@ -25,6 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParams, ZeroInverse
+
+# int64 cells in one block of the matmul log/exp cube: just under glibc's default
+# 128 KiB mmap threshold with malloc's chunk header, so blocks come from the heap.
+_BLOCK_CELLS = (1 << 14) - 16
 
 # Primitive polynomials by degree, bit i = coefficient of x^i.
 # Conventional choices; primitivity is re-verified at construction time.
@@ -69,9 +72,7 @@ class GF:
         if prim_poly is None:
             prim_poly = DEFAULT_PRIMITIVE_POLYS[m]
         if prim_poly.bit_length() != m + 1:
-            raise InvalidParams(
-                f"polynomial 0x{prim_poly:x} does not have degree {m}"
-            )
+            raise InvalidParams(f"polynomial 0x{prim_poly:x} does not have degree {m}")
         q = 1 << m
         if not 1 <= generator < q:
             raise InvalidParams(f"generator {generator} outside field of size {q}")
@@ -104,9 +105,7 @@ class GF:
             log[x] = i
             x = _clmul_mod(x, generator, prim_poly, m)
         if x != 1:
-            raise InvalidParams(
-                f"generator {generator} does not have order {self.order}"
-            )
+            raise InvalidParams(f"generator {generator} does not have order {self.order}")
 
         self.exp = exp  # doubled: exp[i] == generator ** (i % order), 0 <= i < 2*order
         self.log = log  # log[0] is a placeholder and must never be used
@@ -160,14 +159,25 @@ class GF:
 
     def vmul(self, a, b) -> np.ndarray:
         """Elementwise (broadcast) product of arrays of field elements."""
-        return self._exp[self._log[a] + self._log[b]]
+        return self._exp_of_sum(self._log[a], self._log[b])
 
     def vdiv(self, a, b) -> np.ndarray:
         """Elementwise (broadcast) quotient a / b; raises on a zero divisor."""
         lb = self._log[b]
         if (lb == 2 * self.order).any():
             raise ZeroInverse("division by zero")
-        return self._exp[self._log[a] - lb + self.order]
+        return self._exp_of_sum(self._log[a], self.order - lb)
+
+    def _exp_of_sum(self, la, lb) -> np.ndarray:
+        """exp[la + lb] in one buffer: the sum in place in the larger fresh log array
+        if it has the broadcast shape, then the gather over it (indices in range)."""
+        if la.size < lb.size:
+            la, lb = lb, la
+        try:
+            s = np.add(la, lb, out=la)
+        except (TypeError, ValueError):  # a scalar, or an outer sum: one new buffer
+            s = np.asarray(la + lb)
+        return self._exp.take(s, out=s, mode="clip")
 
     def prod(self, a, axis=-1) -> np.ndarray:
         """Product of the field elements of a along an axis."""
@@ -184,16 +194,27 @@ class GF:
         A, B = np.asarray(A), np.asarray(B)
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
             raise InvalidParams(f"incompatible shapes {A.shape} x {B.shape}")
-        p, r = A.shape[0], B.shape[1]
-        if max(p, r) <= self.q:
+        (p, q), r = A.shape, B.shape[1]
+        if max(p, r) <= 2 * self.q:
             la, lb = self._log[A], self._log[B]
-            return np.bitwise_xor.reduce(self._exp[la[:, :, None] + lb[None, :, :]], axis=1)
+            if p * q * r <= _BLOCK_CELLS:
+                return np.bitwise_xor.reduce(self._exp[la[:, :, None] + lb[None, :, :]], axis=1)
+            # even blocks of inner indices, _BLOCK_CELLS cells at most (or one index)
+            blocks = -(-q // max(1, _BLOCK_CELLS // (p * r)))
+            out, part = np.zeros((p, r), dtype=np.int64), np.empty((p, r), dtype=np.int64)
+            buf = np.empty(p * -(-q // blocks) * r, dtype=np.int64)
+            for i in range(blocks):
+                j0, j1 = i * q // blocks, (i + 1) * q // blocks
+                cube = buf[: p * (j1 - j0) * r].reshape(p, j1 - j0, r)
+                np.add(la[:, j0:j1, None], lb[None, j0:j1, :], out=cube)
+                out ^= np.bitwise_xor.reduce(self._exp.take(cube, out=cube, mode="clip"), axis=1, out=part)
+            return out
         if p > r:  # tall data A times constant B, as (Bᵀ·Aᵀ)ᵀ
             return np.ascontiguousarray(self._table_product(B.T, A.T).T, dtype=np.int64)
         return self._table_product(A, B).astype(np.int64)
 
     def _table_product(self, C, D) -> np.ndarray:
-        """C·D for a short constant C (s, q) and long data D (q, L > 2^m).
+        """C·D for a short constant C (s, q) and long data D (q, L > 2^(m+1)).
 
         tables[i, j, x] = C[i, j]·x, so output row i is the XOR over j of
         row D[j] looked up in table (i, j).

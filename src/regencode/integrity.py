@@ -234,18 +234,17 @@ class CodedLayout:
         self.k_prime = k_prime
         self.field = GF(m_prime)
         self.code = RsParams(n - 1, k_prime, self.field)
-        self.ghat_inv = invert_submatrix(
-            vandermonde(self.code), range(k_prime), self.field
-        )
+        self.ghat_inv = invert_submatrix(vandermonde(self.code), range(k_prime), self.field)
 
-    def checksum_to_message(self, checksum: int) -> list[int]:
-        padded = np.concatenate(
-            [
-                int_to_bits(checksum, self.r),
-                np.zeros(self.k_prime * self.m_prime - self.r, dtype=np.uint8),
-            ]
-        )
-        return bits_to_symbols(padded, self.m_prime).tolist()
+    def checksum_to_message(self, checksum):
+        """The zero-padded r bits as k' m'-bit symbols; one row per checksum of an array."""
+        cs = np.asarray(checksum, dtype=np.uint64)
+        if (cs >> np.uint64(self.r - 1) > 1).any():
+            raise InvalidParams(f"checksum does not fit in {self.r} bits")
+        bits = np.zeros(cs.shape + (self.k_prime * self.m_prime,), dtype=np.uint8)
+        bits[..., : self.r] = cs[..., None] >> np.arange(self.r - 1, -1, -1, dtype=np.uint64) & 1
+        msg = bits_to_symbols(bits.reshape(-1), self.m_prime).reshape(cs.shape + (self.k_prime,))
+        return msg.tolist() if cs.ndim == 0 else msg
 
     def message_to_checksum(self, message) -> int:
         bits = symbols_to_bits(message, self.m_prime)
@@ -257,31 +256,31 @@ def coded_layout(n: int, r: int) -> CodedLayout:
     return CodedLayout(n, r)
 
 
-def _peer_position(holder: int, owner: int) -> int:
-    """Index of a holder node within the owner's ascending peer list."""
-    return holder - 1 if holder > owner else holder
+def _peer_position(holder, owner):
+    """Index of a holder node within the owner's ascending peer list; elementwise on arrays."""
+    return holder - (holder > owner)
+
+
+@functools.cache
+def _directory_index(n: int) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
+    """Row j: the owners i != j ascending, as lists and array, and j's peer positions."""
+    holder, owner = (a.reshape(n, n - 1) for a in np.nonzero(~np.eye(n, dtype=bool)))
+    return owner.tolist(), owner, _peer_position(holder, owner)
 
 
 def build_directory(checksums, scheme: str, crc: CrcParams) -> list[dict[int, int]]:
     """Shares held by each node: shares[j][i] is j's share of node i's checksum."""
-    n = len(checksums)
     if scheme not in SCHEMES:
         raise InvalidParams(f"unknown checksum scheme {scheme!r}")
-    shares: list[dict[int, int]] = [{} for _ in range(n)]
+    n = len(checksums)
+    owner_lists, owners, positions = _directory_index(n)
+    cs = np.array([int(c) for c in checksums], dtype=np.uint64)
     if scheme == REPLICATED:
-        for i, cs in enumerate(checksums):
-            for j in range(n):
-                if j != i:
-                    shares[j][i] = int(cs)
-        return shares
-    layout = coded_layout(n, crc.r)
-    messages = [layout.checksum_to_message(int(cs)) for cs in checksums]
-    cws = encode_eval(messages, layout.code).tolist()  # one codeword per owner
-    for i, cw in enumerate(cws):
-        for j in range(n):
-            if j != i:
-                shares[j][i] = cw[_peer_position(j, i)]
-    return shares
+        held = cs[owners]
+    else:  # one codeword per owner, then holder j takes coordinate positions[j]
+        layout = coded_layout(n, crc.r)
+        held = encode_eval(layout.checksum_to_message(cs), layout.code)[owners, positions]
+    return [dict(zip(own, vals)) for own, vals in zip(owner_lists, held.tolist())]
 
 
 def recover_checksum(

@@ -207,11 +207,11 @@ def scalar_entry(gf, A, B, i, j):
 @pytest.mark.parametrize("tall", [True, False], ids=["tall_a", "wide_b"])
 @pytest.mark.parametrize("q, r", [(4, 3), (1, 1)])
 def test_matmul_long_operand_matches_scalar(m, extra, tall, q, r):
-    # long data against a short constant, with the long side at 2^m (the
-    # cube) and at 2^m + 1 (the product tables), in both orientations
+    # long data against a short constant, with the long side at 2^(m+1)
+    # (the cube) and at 2^(m+1) + 1 (the product tables), in both orientations
     gf = GF(m)
     rng = np.random.default_rng(17 * m + 2 * extra + tall)
-    data = rng.integers(0, gf.q, size=(gf.q + extra, q))
+    data = rng.integers(0, gf.q, size=(2 * gf.q + extra, q))
     const = rng.integers(0, gf.q, size=(q, r))
     data[0] = 0
     data[-1] = gf.q - 1
@@ -246,3 +246,98 @@ def test_matmul_empty_operands(shape):
     assert got.shape == (p, r)
     assert got.dtype == np.int64
     assert not got.any()
+
+
+def scalar_matmul(gf, A, B):
+    """Oracle: XOR of scalar GF.mul products, one inner index at a time."""
+    A, B = A.tolist(), B.tolist()
+    out = [[0] * (len(B[0]) if B else 0) for _ in A]
+    for row, a_row in zip(out, A):
+        for a, b_row in zip(a_row, B):
+            if a:
+                for j, b in enumerate(b_row):
+                    row[j] ^= gf.mul(a, b)
+    return out
+
+
+# (m, p, q, r) around the cube's block bound and the table switch
+BLOCK_SHAPES = [
+    (8, 93, 16, 11),  # exactly _BLOCK_CELLS: one cube
+    (8, 107, 9, 17),  # three cells over: blocks of 4 and 5
+    (11, 8, 38, 62),  # two even blocks of 19 (not 33 + 5)
+    (11, 8, 39, 62),  # blocks of 19 and 20
+    (11, 40, 37, 20),  # blocks of 18 and 19
+    (11, 152, 38, 100),  # p·r near the bound: one inner index per block
+    (8, 200, 1, 200),  # q = 1: one block, however many cells
+    (8, 0, 38, 62),  # zero rows
+    (8, 62, 38, 0),  # zero columns
+    (2, 4, 1100, 4),  # p = r = 2^m, blocks of 550
+    (4, 16, 70, 16),
+    (8, 256, 8, 9),  # p = 2^m, blocked
+    (8, 9, 8, 256),  # r = 2^m, blocked
+    (11, 60, 20, 20),
+    (16, 20, 50, 20),
+]
+
+
+@pytest.mark.parametrize("m, p, q, r", BLOCK_SHAPES)
+def test_matmul_blocks_match_scalar(m, p, q, r):
+    from regencode.galois import _BLOCK_CELLS
+
+    assert _BLOCK_CELLS == 93 * 16 * 11 == 107 * 9 * 17 - 3
+    gf = GF(m)
+    rng = np.random.default_rng(p * 1000 + q * 10 + r + m)
+    A = rng.integers(0, gf.q, size=(p, q))
+    B = rng.integers(0, gf.q, size=(q, r))
+    if p and q and r:
+        A[0] = 0
+        B[:, -1] = 0
+        A[-1, -1] = B[-1, 0] = gf.q - 1
+    got = gf.matmul(A, B)
+    assert got.dtype == np.int64 and got.shape == (p, r)
+    assert got.tolist() == scalar_matmul(gf, A, B)
+    # an all-zero operand on either side
+    assert not gf.matmul(np.zeros_like(A), B).any()
+    assert not gf.matmul(A, np.zeros_like(B)).any()
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 11, 16])
+@pytest.mark.parametrize("long", [0, 1], ids=["cube", "tables"])
+def test_matmul_switch_matches_scalar(m, long):
+    # the longer outer side at 2^(m+1) (the log/exp cube, blocked when it is
+    # large) and one past it (product tables), with enough inner terms to
+    # pass the block bound
+    gf = GF(m)
+    rng = np.random.default_rng(31 * m + long)
+    if m > 11:  # keep the oracle small: the long side on B, a few columns checked
+        A = rng.integers(0, gf.q, size=(2, 3))
+        B = rng.integers(0, gf.q, size=(3, 2 * gf.q + long))
+        cols = [0, 1, B.shape[1] - 1]
+        assert gf.matmul(A, B)[:, cols].tolist() == scalar_matmul(gf, A, B[:, cols])
+        return
+    q = 40 if m > 2 else 1100
+    A = rng.integers(0, gf.q, size=(2 * gf.q + long, q))
+    B = rng.integers(0, gf.q, size=(q, 3))
+    assert gf.matmul(A, B).tolist() == scalar_matmul(gf, A, B)
+
+
+def test_vector_ops_broadcast_in_one_buffer():
+    gf = GF(8)
+    rng = np.random.default_rng(5)
+    col = rng.integers(0, gf.q, size=(7, 1))
+    row = rng.integers(1, gf.q, size=(1, 9))
+    full = rng.integers(0, gf.q, size=(7, 9))
+    keep = [col.copy(), row.copy(), full.copy()]
+    outer = [[gf.mul(x, y) for y in row[0].tolist()] for x in col[:, 0].tolist()]
+    assert gf.vmul(col, row).tolist() == outer  # neither has the full shape
+    assert gf.vmul(row, col).tolist() == outer
+    want = [[gf.mul(x, y) for x, y in zip(fr, row[0].tolist())] for fr in full.tolist()]
+    assert gf.vmul(full, row).tolist() == want
+    assert gf.vmul(row, full).tolist() == want
+    assert gf.vdiv(full, row).tolist() == [
+        [gf.div(x, y) for x, y in zip(fr, row[0].tolist())] for fr in full.tolist()]
+    assert gf.vdiv(3, row).tolist() == [[gf.div(3, y) for y in row[0].tolist()]]
+    assert gf.vmul(5, full).tolist() == [[gf.mul(5, x) for x in fr] for fr in full.tolist()]
+    assert int(gf.vmul(3, 7)) == gf.mul(3, 7) and int(gf.vdiv(3, 7)) == gf.div(3, 7)
+    for before, after in zip(keep, [col, row, full]):  # operands untouched
+        assert np.array_equal(before, after)

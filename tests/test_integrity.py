@@ -10,6 +10,7 @@ from regencode.errors import DecodeFailure, InvalidParams, NoMajority, TooShort
 from regencode.integrity import (
     CODED,
     REPLICATED,
+    SCHEMES,
     CrcParams,
     bits_to_bytes,
     bits_to_int,
@@ -26,6 +27,7 @@ from regencode.integrity import (
     recover_checksum,
     symbols_to_bits,
 )
+from regencode.rscode import encode_eval
 
 CRC32 = CrcParams()
 
@@ -229,6 +231,69 @@ def test_coded_directory_round_trip_and_overhead():
             sub = rng.sample(peers, 8)
             responses = {j: shares[j][i] for j in sub}
             assert recover_checksum(responses, i, CODED, 12, crc) == checksums[i]
+
+
+def per_share_directory(checksums, scheme, crc):
+    """Oracle: the per-checksum, per-share loop, with each message built
+    bit by bit from the checksum's r bits and zero padding."""
+    n = len(checksums)
+    shares = [{} for _ in range(n)]
+    if scheme == REPLICATED:
+        for i, cs in enumerate(checksums):
+            for j in range(n):
+                if j != i:
+                    shares[j][i] = int(cs)
+        return shares
+    layout = coded_layout(n, crc.r)
+    pad = np.zeros(layout.k_prime * layout.m_prime - crc.r, dtype=np.uint8)
+    for i, cs in enumerate(checksums):
+        bits = np.concatenate([int_to_bits(int(cs), crc.r), pad])
+        message = bits_to_symbols(bits, layout.m_prime).tolist()
+        cw = encode_eval(message, layout.code)
+        for j in range(n):
+            if j != i:
+                shares[j][i] = cw[j - 1 if j > i else j]
+    return shares
+
+
+def coded_layout_fails(n, r):
+    try:
+        coded_layout(n, r)
+    except InvalidParams:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("n", [3, 4, 17, 100])
+@pytest.mark.parametrize("r", [8, 16, 32])
+def test_directory_matches_per_share_oracle(scheme, n, r):
+    crc = CrcParams(r)
+    rng = random.Random(f"directory|{scheme}|{n}|{r}")
+    checksums = [0, (1 << r) - 1] + [rng.randrange(1 << r) for _ in range(n - 2)]
+    rng.shuffle(checksums)
+    if scheme == CODED and coded_layout_fails(n, r):
+        with pytest.raises(InvalidParams):
+            per_share_directory(checksums, scheme, crc)
+        with pytest.raises(InvalidParams):
+            build_directory(checksums, scheme, crc)
+        return
+    want = per_share_directory(checksums, scheme, crc)
+    got = build_directory(checksums, scheme, crc)
+    assert len(got) == n
+    for j in range(n):
+        assert list(got[j]) == [i for i in range(n) if i != j]  # owners, ascending
+        assert got[j] == want[j]
+        assert all(type(v) is int for v in got[j].values())
+
+
+def test_checksum_to_message_rejects_wide_checksums():
+    layout = coded_layout(17, 16)
+    assert layout.checksum_to_message(0xFFFF) == [31, 31, 31, 16]  # m' = 5, k' = 4
+    with pytest.raises(InvalidParams):
+        layout.checksum_to_message(1 << 16)
+    with pytest.raises(InvalidParams):
+        build_directory([1] * 16 + [1 << 16], CODED, CrcParams(16))
 
 
 def test_replicated_recovery_thresholds_exhaustive():
