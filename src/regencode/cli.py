@@ -48,7 +48,7 @@ from .cluster import (
 )
 from .errors import InvalidParams, MalformedChunk, RegencodeError
 from .galois import GF
-from .integrity import REPLICATED, SCHEMES, CrcParams, bits_to_bytes
+from .integrity import REPLICATED, SCHEMES, CrcParams
 
 
 def _record(**fields) -> str:
@@ -180,7 +180,7 @@ def cmd_reconstruct(args) -> int:
     if metrics.outcome == FAIL:
         print(_record(command="reconstruct", **fields))
         return 1
-    write_atomic(args.out, bits_to_bytes(bits))
+    write_atomic(args.out, np.packbits(bits).tobytes())
     print(_record(
         command="reconstruct", **fields,
         payload_bits=state.payload_bit_len, out=args.out,

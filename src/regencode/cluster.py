@@ -1,10 +1,12 @@
 """In-memory storage-cluster simulator with fault injection and metrics.
 
 A cluster holds one framed message: the payload bits are extended with a
-CRC, zero-padded to ``beta * B * m`` bits, cut into ``beta`` stripes of B
-field symbols, and encoded with the configured regenerating code.  Every
-node stores its chunk plus a directory of checksum shares vouching for the
-*other* nodes' chunks.
+CRC and zero-padded to ``beta * B * m`` bits, packed into bytes once (the
+frame format of ``integrity``), cut into ``beta`` stripes of B field
+symbols, and encoded with the configured regenerating code.  A collector
+tests each candidate's packed frame against its CRC and unpacks bits only
+for the accepted one.  Every node stores its chunk plus a directory of
+checksum shares vouching for the *other* nodes' chunks.
 
 Fault injection is storage-level: a Byzantine node keeps answering the
 protocol faithfully, but what it stores has been rewritten.  RandomCorruption
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -43,20 +45,20 @@ from .integrity import (
     SCHEMES,
     CrcParams,
     _peer_position,
-    bits_to_symbols,
-    bits_to_int,
+    bits_at,
     build_directory,
-    bytes_to_bits,
+    bytes_to_symbols,
     chunk_checksum,
     coded_layout,
-    crc_append,
+    crc_checksum,
     crc_linear,
     crc_verify,
     recover_checksum,
-    symbols_to_bits,
+    symbols_to_bytes,
 )
 from .mbr import MbrParams
 from .msr import MsrParams
+from .progressive import read_u
 from .rscode import encode_eval
 
 # family name (CLI flag, chunk header, simulate config) -> params class, codec
@@ -88,17 +90,9 @@ class ClusterState:
     rng_seed: int = 0
 
     def clone(self) -> "ClusterState":
-        nodes = [
+        return replace(self, nodes=[
             NodeSlot(s.chunk.copy(), dict(s.shares), s.status) for s in self.nodes
-        ]
-        return ClusterState(
-            params=self.params,
-            crc=self.crc,
-            scheme=self.scheme,
-            payload_bit_len=self.payload_bit_len,
-            nodes=nodes,
-            rng_seed=self.rng_seed,
-        )
+        ])
 
 
 @dataclass
@@ -138,15 +132,6 @@ class FaultPlan:
 # store
 
 
-def _as_bits(payload) -> np.ndarray:
-    if isinstance(payload, (bytes, bytearray)):
-        return bytes_to_bits(bytes(payload))
-    bits = np.asarray(payload, dtype=np.uint8)
-    if bits.ndim != 1 or not np.all(bits <= 1):
-        raise InvalidParams("payload must be bytes or a flat 0/1 bit array")
-    return bits
-
-
 def store(payload, params, scheme: str = REPLICATED, *, crc: CrcParams | None = None,
           seed: int = 0) -> ClusterState:
     """Frame the payload, encode it, and place chunks plus checksum shares."""
@@ -155,18 +140,26 @@ def store(payload, params, scheme: str = REPLICATED, *, crc: CrcParams | None = 
     if scheme not in SCHEMES:
         raise InvalidParams(f"unknown checksum scheme {scheme!r}")
     crc = crc if crc is not None else CrcParams()
-    bits = _as_bits(payload)
+    if isinstance(payload, (bytes, bytearray)):
+        data, nbits = bytes(payload), 8 * len(payload)
+    else:
+        bits = np.asarray(payload, dtype=np.uint8)
+        if bits.ndim != 1 or not np.all(bits <= 1):
+            raise InvalidParams("payload must be bytes or a flat 0/1 bit array")
+        data, nbits = np.packbits(bits).tobytes(), bits.size
     m = params.field.m
     capacity = params.beta * params.B * m
-    if bits.size + crc.r > capacity:
+    if nbits + crc.r > capacity:
         raise PayloadTooLarge(
-            f"payload of {bits.size} bits + {crc.r}-bit CRC exceeds "
+            f"payload of {nbits} bits + {crc.r}-bit CRC exceeds "
             f"{capacity}-bit frame"
         )
-    framed = np.zeros(capacity, dtype=np.uint8)
-    extended = crc_append(bits, crc)
-    framed[: extended.size] = extended
-    stripes = bits_to_symbols(framed, m).reshape(params.beta, params.B)
+    # payload, then CRC, then zero pad, most-significant bit first
+    nbytes = -(-capacity // 8)
+    frame = bits_at(data, 0, nbits) << crc.r | crc_checksum(data, nbits, crc)
+    frame <<= 8 * nbytes - nbits - crc.r
+    stripes = bytes_to_symbols(frame.to_bytes(nbytes, "big"), m, params.beta * params.B)
+    stripes = stripes.reshape(params.beta, params.B)
     chunks = CODECS[params.family].encode(stripes, params)
     checksums = [chunk_checksum(chunks[i], m, crc) for i in range(params.n)]
     directory = build_directory(checksums, scheme, crc)
@@ -177,17 +170,10 @@ def store(payload, params, scheme: str = REPLICATED, *, crc: CrcParams | None = 
         params=params,
         crc=crc,
         scheme=scheme,
-        payload_bit_len=int(bits.size),
+        payload_bit_len=nbits,
         nodes=nodes,
         rng_seed=seed,
     )
-
-
-def frame_bits(state: ClusterState, stripes) -> np.ndarray:
-    """Bits of the framed message (payload ∥ CRC) for candidate stripes."""
-    m = state.params.field.m
-    bits = symbols_to_bits(np.asarray(stripes).reshape(-1), m)
-    return bits[: state.payload_bit_len + state.crc.r]
 
 
 # ---------------------------------------------------------------------------
@@ -317,76 +303,54 @@ class ExplicitOrder:
 # protocol drivers
 
 
-class _MeteredCollector:
-    """Serves whole chunks in policy order; crashed nodes are never queued."""
-
-    def __init__(self, state: ClusterState, order, metrics: RunMetrics):
-        self._state = state
-        self._queue = deque(order)
-        self._metrics = metrics
-
-    def fetch(self, count: int):
-        out = []
-        while self._queue and len(out) < count:
-            idx = self._queue.popleft()
-            out.append((idx, self._state.nodes[idx].chunk))
-        if out:
-            p = self._state.params
-            self._metrics.nodes_contacted += len(out)
-            self._metrics.symbols_downloaded += len(out) * p.beta * p.alpha
-            self._metrics.decode_rounds += 1
-        return out
-
-
+@dataclass
 class _MeteredSource:
-    """Serves repair responses plus one checksum share per helper."""
+    """Serves ``serve(j)`` for the nodes of ``queue`` (policy order, so no
+    crashed node); each item costs ``symbols`` symbols plus ``shares``
+    checksum symbols."""
 
-    def __init__(self, state: ClusterState, failed: int, order, metrics: RunMetrics):
-        self._state = state
-        self._failed = failed
-        self._queue = deque(order)
-        self._metrics = metrics
-        self.shares: dict[int, int] = {}
+    queue: deque
+    metrics: RunMetrics
+    serve: object
+    symbols: int
+    shares: int = 0
 
     def fetch(self, count: int):
-        state, failed, params = self._state, self._failed, self._state.params
         out = []
-        while self._queue and len(out) < count:
-            j = self._queue.popleft()
-            slot = state.nodes[j]
-            resp = CODECS[params.family].repair_response(slot.chunk, j, failed, params)
-            self.shares[j] = slot.shares[failed]
-            out.append((j, resp))
+        while self.queue and len(out) < count:
+            j = self.queue.popleft()
+            out.append((j, self.serve(j)))
         if out:
-            self._metrics.nodes_contacted += len(out)
-            self._metrics.symbols_downloaded += len(out) * state.params.beta
-            self._metrics.checksum_symbols_downloaded += len(out)
-            self._metrics.decode_rounds += 1
+            self.metrics.nodes_contacted += len(out)
+            self.metrics.symbols_downloaded += len(out) * self.symbols
+            self.metrics.checksum_symbols_downloaded += len(out) * self.shares
+            self.metrics.decode_rounds += 1
         return out
 
 
 def run_reconstruction(state: ClusterState, policy=None) -> tuple:
     """Full data-collector protocol; returns (payload bits or None, metrics)."""
     policy = policy if policy is not None else SeededRandom()
+    params = state.params
     metrics = RunMetrics()
-    collector = _MeteredCollector(state, policy.order(state), metrics)
+    collector = _MeteredSource(deque(policy.order(state)), metrics,
+                               lambda j: state.nodes[j].chunk, params.beta * params.alpha)
 
-    framed = None  # frame bits of the last candidate tested: the accepted one
+    framed = None  # packed frame of the last candidate tested: the accepted one
 
     def verify(stripes) -> bool:
         nonlocal framed
-        framed = frame_bits(state, stripes)
-        return crc_verify(framed, state.crc)
+        framed = symbols_to_bytes(stripes, params.field.m)
+        return crc_verify(framed, state.payload_bit_len + state.crc.r, state.crc)
 
-    codec = CODECS[state.params.family]
     try:
-        _, rounds = codec.reconstruct(collector, state.params, verify)
+        _, rounds = CODECS[params.family].reconstruct(collector, params, verify)
     except ClusterExhausted:
         metrics.outcome = FAIL
         return None, metrics
     metrics.decode_rounds = rounds
     metrics.outcome = SUCCESS
-    return framed[: state.payload_bit_len], metrics
+    return np.unpackbits(np.frombuffer(framed, np.uint8), count=state.payload_bit_len), metrics
 
 
 def run_regeneration(
@@ -404,10 +368,14 @@ def run_regeneration(
         raise InvalidParams(f"node index {failed} out of range for n={params.n}")
     policy = policy if policy is not None else SeededRandom()
     metrics = RunMetrics()
-    source = _MeteredSource(state, failed, policy.order(state, {failed}), metrics)
+    codec = CODECS[params.family]
+    source = _MeteredSource(
+        deque(policy.order(state, {failed})), metrics,
+        lambda j: codec.repair_response(state.nodes[j].chunk, j, failed, params),
+        params.beta, 1)
 
     def recover(helpers) -> int | None:
-        responses = {j: source.shares[j] for j in helpers}
+        responses = {j: state.nodes[j].shares[failed] for j in helpers}
         try:
             return recover_checksum(
                 responses, failed, state.scheme, params.n, state.crc
@@ -419,9 +387,7 @@ def run_regeneration(
         return chunk_checksum(chunk, params.field.m, state.crc)
 
     try:
-        chunk, rounds = CODECS[params.family].regenerate(
-            source, failed, params, recover, chunk_crc
-        )
+        chunk, rounds = codec.regenerate(source, failed, params, recover, chunk_crc)
     except (ClusterExhausted, ChecksumUnrecoverable):
         metrics.outcome = FAIL
         return None, metrics
@@ -536,21 +502,14 @@ def build_msr_zero_crc_forgery(state: ClusterState, colluders) -> ConsistentForg
     assert all(w[p] != 0 for p in support)
 
     def message_delta(gamma: np.ndarray) -> np.ndarray:
-        # decoded message delta when row r of stripe s shifts by gamma[s,r]*u
-        out = np.zeros((beta, params.B), dtype=np.int64)
-        for s in range(beta):
-            for r in range(alpha):
-                g = int(gamma[s, r])
-                if not g:
-                    continue
-                for j in range(r, alpha):
-                    out[s, params.fill1[r, j]] ^= field.mul(g, u_vec[j])
-                    out[s, params.fill2[r, j]] ^= field.mul(g, u_vec[alpha + j])
-        return out
+        # decoded message delta when row r of stripe s shifts by gamma[s,r]*u;
+        # read_u takes each symbol from its upper-triangle entry (r, j >= r)
+        prod = field.vmul(gamma[..., None], np.array(u_vec, dtype=np.int64))
+        return read_u(prod[..., :alpha], prod[..., alpha:], params)
 
     def residue(delta: np.ndarray) -> int:
-        bits = symbols_to_bits(delta.reshape(-1), m)
-        return crc_linear(bits[:L], crc) ^ bits_to_int(bits[L : L + crc.r])
+        data = symbols_to_bytes(delta, m)
+        return crc_linear(data, L, crc) ^ bits_at(data, L, crc.r)
 
     unknowns = []  # (stripe, row, bit)
     residues = []
@@ -573,8 +532,7 @@ def build_msr_zero_crc_forgery(state: ClusterState, colluders) -> ConsistentForg
 
     delta = message_delta(gamma)
     assert residue(delta) == 0
-    bits = symbols_to_bits(delta.reshape(-1), m)
-    if not bits[:L].any():
+    if not bits_at(symbols_to_bytes(delta, m), 0, L):
         raise InvalidParams(
             "forgery does not alter the payload; use a payload that fills "
             "the frame"

@@ -1,14 +1,21 @@
-"""CRC checksums and checksum-share directories.
+"""CRC checksums, the packed frame format and checksum-share directories.
 
 The CRC uses the IEEE 802.3 convention: reflected input/output, all-ones
 initial register, final complement.  With the default width r=32 and
 polynomial 0x04C11DB7 the byte-stream behaviour is identical to zlib's
 crc32 when bytes are expanded least-significant-bit first.  Payloads here
 are arbitrary *bit* sequences (symbol sizes are rarely byte multiples),
-so the register is defined directly over the bit stream; whole-byte
-prefixes go through zlib.crc32 for that default, and through a table
-for other parameters.  A CRC of width r lets a fraction
-1/2^r of random corruptions through; that residual risk is inherent.
+so the register is defined over the bit stream.
+
+A frame (payload ∥ CRC ∥ zero pad) is carried as bytes plus a bit
+length, most-significant bit first: the layout ``np.packbits`` produces,
+so 0/1 bit arrays cross the API edge through packbits/unpackbits.  m-bit
+field symbols follow each other in the same order, so for m = 8 the
+frame bytes are the symbols.  The CRC core reads whole bytes through a
+bit-reversal table into zlib.crc32 (for that default) or a byte table
+(other r >= 8), and the tail of fewer than 8 bits, or everything when
+r < 8, bit by bit.  A CRC of width r lets a fraction 1/2^r of random
+corruptions through; that residual risk is inherent.
 
 For regeneration each node's chunk checksum is spread over the other
 n-1 nodes in one of two ways:
@@ -94,104 +101,93 @@ class CrcParams:
         return f"CrcParams(r={self.r}, poly=0x{self.poly:x})"
 
 
-# -- bit packing helpers --------------------------------------------------
+# -- frames: packed bytes, most-significant bit first ---------------------
+
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def bytes_to_bits(data: bytes) -> np.ndarray:
-    """Expand bytes most-significant-bit first."""
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+def bits_at(data: bytes, start: int, width: int) -> int:
+    """The ``width`` bits of ``data`` from bit ``start`` on, as an integer."""
+    if start + width > 8 * len(data):
+        raise InvalidParams(f"bits {start}..{start + width - 1} run past {len(data)} bytes")
+    first, stop = start >> 3, (start + width + 7) >> 3
+    value = int.from_bytes(data[first:stop], "big")
+    return value >> (8 * stop - start - width) & ((1 << width) - 1)
 
 
-def bits_to_bytes(bits) -> bytes:
-    """Pack bits most-significant-bit first, zero-padding the tail byte."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
+def symbols_to_bytes(symbols, m: int) -> bytes:
+    """Serialise field elements as m bits each, most-significant first, and
+    zero-pad the last byte.  For m == 8 each symbol is one byte; otherwise
+    the last m bits of each symbol's big-endian uint16 are kept."""
+    syms = np.asarray(symbols).reshape(-1)
+    if m == 8:
+        return syms.astype(np.uint8).tobytes()
+    bits = np.unpackbits(syms.astype(">u2").view(np.uint8)).reshape(-1, 16)[:, 16 - m :]
+    return np.packbits(bits).tobytes()
 
 
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    if value >> width:
-        raise InvalidParams(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def bits_to_int(bits) -> int:
-    out = 0
-    for b in np.asarray(bits, dtype=np.uint8).tolist():
-        out = (out << 1) | b
-    return out
-
-
-def symbols_to_bits(symbols, m: int) -> np.ndarray:
-    """Serialise field elements as m bits each, most-significant first:
-    the last m bits of each symbol as a big-endian uint16."""
-    be = np.asarray(symbols).reshape(-1).astype(">u2")
-    return np.unpackbits(be.view(np.uint8)).reshape(-1, 16)[:, 16 - m :].reshape(-1)
-
-
-def bits_to_symbols(bits, m: int) -> np.ndarray:
-    bits = np.asarray(bits, dtype=np.uint8)
-    if len(bits) % m:
-        raise InvalidParams(f"{len(bits)} bits do not split into {m}-bit symbols")
-    padded = np.zeros((len(bits) // m, 16), dtype=np.uint8)
-    padded[:, 16 - m :] = bits.reshape(-1, m)
+def bytes_to_symbols(data: bytes, m: int, count: int) -> np.ndarray:
+    """The first ``count`` m-bit symbols of ``data``, as int64."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if 8 * raw.size < count * m:
+        raise InvalidParams(f"{raw.size} bytes hold fewer than {count} {m}-bit symbols")
+    if m == 8:
+        return raw[:count].astype(np.int64)
+    padded = np.zeros((count, 16), dtype=np.uint8)
+    padded[:, 16 - m :] = np.unpackbits(raw, count=count * m).reshape(count, m)
     return np.packbits(padded).view(">u2").astype(np.int64)
 
 
 # -- CRC core -------------------------------------------------------------
 
 
-def _crc_register(bits, params: CrcParams, init: int) -> int:
+def _crc_register(data: bytes, nbits: int, params: CrcParams, init: int) -> int:
+    """The register after the first nbits bits of ``data``, fed in frame
+    order: whole bytes, bit-reversed for the reflected register, go through
+    zlib or the byte table, and the tail (everything for r < 8) bit by bit."""
+    if not 0 <= nbits <= 8 * len(data):
+        raise InvalidParams(f"{nbits} bits do not fit in {len(data)} bytes")
     crc = init
-    bits = np.asarray(bits, dtype=np.uint8)
-    nfull = len(bits) // 8
-    if params.r >= 8 and nfull:
-        data = np.packbits(bits[: nfull * 8], bitorder="little").tobytes()
+    nfull = nbits // 8 if params.r >= 8 else 0
+    if nfull:
+        whole = bytes(data[:nfull]).translate(_REVERSED)
         if params._zlib:  # zlib complements the register on entry and exit
-            crc = zlib.crc32(data, crc ^ params.mask) ^ params.mask
+            crc = zlib.crc32(whole, crc ^ params.mask) ^ params.mask
         else:
             table = params._table
-            for byte in data:
+            for byte in whole:
                 crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-        tail = bits[nfull * 8 :]
-    else:
-        tail = bits
     rpoly = params.rpoly
-    for b in tail.tolist():
-        crc = (crc >> 1) ^ (rpoly if (crc ^ b) & 1 else 0)
+    for i in range(8 * nfull, nbits):
+        crc = (crc >> 1) ^ (rpoly if (crc ^ data[i >> 3] >> (7 - (i & 7))) & 1 else 0)
     return crc
 
 
-def crc_checksum(bits, params: CrcParams) -> int:
-    """Checksum of a bit sequence under the configured parameterisation."""
-    return _crc_register(bits, params, params.mask) ^ params.mask
+def crc_checksum(data: bytes, nbits: int, params: CrcParams) -> int:
+    """Checksum of the first nbits bits of a packed frame."""
+    return _crc_register(data, nbits, params, params.mask) ^ params.mask
 
 
-def crc_linear(bits, params: CrcParams) -> int:
+def crc_linear(data: bytes, nbits: int, params: CrcParams) -> int:
     """The GF(2)-linear part of the checksum (zero init, no final xor).
 
     crc_checksum(x ^ y) == crc_checksum(x) ^ crc_linear(y) for equal-length
     x and y, which is what makes consistent low-weight forgeries possible.
     """
-    return _crc_register(bits, params, 0)
+    return _crc_register(data, nbits, params, 0)
 
 
-def crc_append(bits, params: CrcParams) -> np.ndarray:
-    """Payload followed by its r checksum bits (most-significant first)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    return np.concatenate([bits, int_to_bits(crc_checksum(bits, params), params.r)])
-
-
-def crc_verify(bits, params: CrcParams) -> bool:
-    """True when the trailing r bits match the checksum of the prefix."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if len(bits) < params.r:
-        raise TooShort(f"{len(bits)} bits cannot carry an r={params.r} checksum")
-    payload, stored = bits[: len(bits) - params.r], bits[len(bits) - params.r :]
-    return crc_checksum(payload, params) == bits_to_int(stored)
+def crc_verify(data: bytes, nbits: int, params: CrcParams) -> bool:
+    """True when bits nbits-r .. nbits-1 hold the checksum of the bits before."""
+    if nbits < params.r:
+        raise TooShort(f"{nbits} bits cannot carry an r={params.r} checksum")
+    payload = nbits - params.r
+    return crc_checksum(data, payload, params) == bits_at(data, payload, params.r)
 
 
 def chunk_checksum(symbols, m: int, params: CrcParams) -> int:
     """Checksum of a stored chunk, taken over its serialised bits."""
-    return crc_checksum(symbols_to_bits(symbols, m), params)
+    return crc_checksum(symbols_to_bytes(symbols, m), np.size(symbols) * m, params)
 
 
 # -- checksum directories -------------------------------------------------
@@ -241,14 +237,18 @@ class CodedLayout:
         cs = np.asarray(checksum, dtype=np.uint64)
         if (cs >> np.uint64(self.r - 1) > 1).any():
             raise InvalidParams(f"checksum does not fit in {self.r} bits")
-        bits = np.zeros(cs.shape + (self.k_prime * self.m_prime,), dtype=np.uint8)
-        bits[..., : self.r] = cs[..., None] >> np.arange(self.r - 1, -1, -1, dtype=np.uint64) & 1
-        msg = bits_to_symbols(bits.reshape(-1), self.m_prime).reshape(cs.shape + (self.k_prime,))
+        # symbol t holds the checksum bits of weight r-(t+1)m' .. r-tm'-1; the
+        # last symbol may run into the zero pad (negative weights)
+        shift = self.r - self.m_prime * np.arange(1, self.k_prime + 1)
+        right, left = np.maximum(shift, 0).astype(np.uint64), np.maximum(-shift, 0).astype(np.uint64)
+        msg = ((cs[..., None] >> right << left) & np.uint64((1 << self.m_prime) - 1)).astype(np.int64)
         return msg.tolist() if cs.ndim == 0 else msg
 
     def message_to_checksum(self, message) -> int:
-        bits = symbols_to_bits(message, self.m_prime)
-        return bits_to_int(bits[: self.r])
+        value = 0
+        for symbol in message:
+            value = value << self.m_prime | int(symbol)
+        return value >> (self.k_prime * self.m_prime - self.r)
 
 
 @functools.cache

@@ -1,4 +1,4 @@
-"""Checksum core, bit packing, and checksum-share directories."""
+"""Checksum core, packed frames, and checksum-share directories."""
 
 import random
 import zlib
@@ -6,27 +6,27 @@ import zlib
 import numpy as np
 import pytest
 
+from regencode.cluster import CODECS, run_reconstruction, store
 from regencode.errors import DecodeFailure, InvalidParams, NoMajority, TooShort
+from regencode.galois import GF
 from regencode.integrity import (
     CODED,
     REPLICATED,
     SCHEMES,
     CrcParams,
-    bits_to_bytes,
-    bits_to_int,
-    bits_to_symbols,
+    bits_at,
     build_directory,
-    bytes_to_bits,
+    bytes_to_symbols,
     chunk_checksum,
     coded_layout,
-    crc_append,
     crc_checksum,
     crc_linear,
     crc_verify,
-    int_to_bits,
     recover_checksum,
-    symbols_to_bits,
+    symbols_to_bytes,
 )
+from regencode.mbr import MbrParams
+from regencode.msr import MsrParams
 from regencode.rscode import encode_eval
 
 CRC32 = CrcParams()
@@ -50,15 +50,26 @@ def lsb_first_bits(data: bytes) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
 
 
+def packed(bits):
+    """(frame bytes, bit length) of a 0/1 sequence, most-significant bit first."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return np.packbits(bits).tobytes(), bits.size
+
+
+def int_bits(value, width):
+    """Oracle: the width bits of value, most-significant first."""
+    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+
+
 # -- CRC core --------------------------------------------------------------
 
 
 def test_crc32_matches_zlib_on_byte_streams():
     rng = random.Random(0xC4C)
-    assert crc_checksum(np.zeros(0, dtype=np.uint8), CRC32) == zlib.crc32(b"") == 0
+    assert crc_checksum(b"", 0, CRC32) == zlib.crc32(b"") == 0
     for size in [1, 2, 3, 7, 8, 9, 63, 64, 65, 300]:
         data = rng.randbytes(size)
-        assert crc_checksum(lsb_first_bits(data), CRC32) == zlib.crc32(data)
+        assert crc_checksum(*packed(lsb_first_bits(data)), CRC32) == zlib.crc32(data)
 
 
 def test_crc_matches_long_division_oracle_all_widths():
@@ -67,7 +78,7 @@ def test_crc_matches_long_division_oracle_all_widths():
         params = CrcParams(r)
         for _ in range(25):
             bits = [rng.randrange(2) for _ in range(rng.randrange(0, 90))]
-            assert crc_checksum(bits, params) == oracle_crc(bits, r, params.poly)
+            assert crc_checksum(*packed(bits), params) == oracle_crc(bits, r, params.poly)
 
 
 def test_crc_byte_table_agrees_with_bitwise_on_ragged_lengths():
@@ -76,26 +87,30 @@ def test_crc_byte_table_agrees_with_bitwise_on_ragged_lengths():
     rng = random.Random(7)
     for nbits in range(0, 40):
         bits = [rng.randrange(2) for _ in range(nbits)]
-        assert crc_checksum(bits, params) == oracle_crc(bits, 16, params.poly)
+        assert crc_checksum(*packed(bits), params) == oracle_crc(bits, 16, params.poly)
 
 
 def test_append_verify_round_trip_and_single_bit_flips():
     rng = random.Random(3)
     for nbits in (0, 1, 17, 80):
         payload = np.array([rng.randrange(2) for _ in range(nbits)], dtype=np.uint8)
-        ext = crc_append(payload, CRC32)
-        assert len(ext) == nbits + 32
-        assert crc_verify(ext, CRC32)
+        ext = np.concatenate([payload, int_bits(oracle_crc(payload, 32, CRC32.poly), 32)])
+        assert crc_verify(*packed(ext), CRC32)
+        # bits past nbits (a frame's zero pad, or anything else) are not read
+        tail = np.concatenate([ext, np.ones(13, dtype=np.uint8)])
+        assert crc_verify(packed(tail)[0], ext.size, CRC32)
         for pos in range(len(ext)):
             flipped = ext.copy()
             flipped[pos] ^= 1
-            assert not crc_verify(flipped, CRC32)
+            assert not crc_verify(*packed(flipped), CRC32)
 
 
 def test_verify_too_short():
-    assert crc_verify(np.zeros(32, dtype=np.uint8), CrcParams(32)) is not None
+    assert crc_verify(bytes(4), 32, CrcParams(32)) is not None
     with pytest.raises(TooShort):
-        crc_verify(np.zeros(31, dtype=np.uint8), CrcParams(32))
+        crc_verify(bytes(4), 31, CrcParams(32))
+    with pytest.raises(InvalidParams):  # more bits than the data holds
+        crc_verify(bytes(3), 32, CrcParams(32))
 
 
 def test_crc_linearity():
@@ -106,13 +121,13 @@ def test_crc_linearity():
         x = np.array([rng.randrange(2) for _ in range(nbits)], dtype=np.uint8)
         d1 = np.array([rng.randrange(2) for _ in range(nbits)], dtype=np.uint8)
         d2 = np.array([rng.randrange(2) for _ in range(nbits)], dtype=np.uint8)
-        assert crc_checksum(x ^ d1, params) == crc_checksum(x, params) ^ crc_linear(
-            d1, params
-        )
-        assert crc_linear(d1 ^ d2, params) == crc_linear(d1, params) ^ crc_linear(
-            d2, params
-        )
-    assert crc_linear(np.zeros(64, dtype=np.uint8), params) == 0
+        assert crc_checksum(*packed(x ^ d1), params) == crc_checksum(
+            *packed(x), params
+        ) ^ crc_linear(*packed(d1), params)
+        assert crc_linear(*packed(d1 ^ d2), params) == crc_linear(
+            *packed(d1), params
+        ) ^ crc_linear(*packed(d2), params)
+    assert crc_linear(bytes(8), 64, params) == 0
 
 
 def test_crc_params_validation():
@@ -125,27 +140,28 @@ def test_crc_params_validation():
     assert CrcParams(5, poly=0x15).r == 5
 
 
-# -- bit packing -----------------------------------------------------------
+# -- packed frames ---------------------------------------------------------
 
 
 def test_bit_helpers_round_trip():
     rng = random.Random(9)
     data = rng.randbytes(33)
-    assert bits_to_bytes(bytes_to_bits(data)) == data
-    for width in (1, 7, 32, 50):
-        v = rng.randrange(1 << width)
-        assert bits_to_int(int_to_bits(v, width)) == v
-    with pytest.raises(InvalidParams):
-        int_to_bits(16, 4)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    for width in (0, 1, 7, 32, 50):
+        for start in (0, 3, 8, 13, 264 - width):
+            want = int("".join(map(str, bits[start : start + width])) or "0", 2)
+            assert bits_at(data, start, width) == want
+        v = rng.randrange(1 << width) if width else 0
+        assert bits_at(packed(np.concatenate([bits[:5], int_bits(v, width)]))[0], 5, width) == v
     for m in (4, 8, 11):
         syms = [rng.randrange(1 << m) for _ in range(40)]
-        bits = symbols_to_bits(syms, m)
-        assert len(bits) == 40 * m
-        assert bits_to_symbols(bits, m).tolist() == syms
+        data = symbols_to_bytes(syms, m)
+        assert len(data) == 40 * m // 8
+        assert bytes_to_symbols(data, m, 40).tolist() == syms
     # explicit order check: symbol 0b1011 over m=4 is MSB first
-    assert symbols_to_bits([0b1011], 4).tolist() == [1, 0, 1, 1]
+    assert symbols_to_bytes([0b1011], 4) == bytes([0b10110000])
     with pytest.raises(InvalidParams):
-        bits_to_symbols([1, 0, 1], 2)
+        bytes_to_symbols(b"\x00", 2, 5)
 
 
 def shift_bits(symbols, m):
@@ -165,24 +181,27 @@ def weighted_symbols(bits, m):
 def test_symbol_serialisation_matches_shift_oracle(m):
     rng = np.random.default_rng(40 + m)
     syms = np.concatenate([[0, (1 << m) - 1], rng.integers(0, 1 << m, 300)])
-    bits = symbols_to_bits(syms, m)
-    assert bits.dtype == np.uint8
-    assert np.array_equal(bits, shift_bits(syms, m))
-    assert np.array_equal(symbols_to_bits(syms.reshape(2, -1), m), bits)
-    back = bits_to_symbols(bits, m)
+    data = symbols_to_bytes(syms, m)
+    assert type(data) is bytes
+    assert data == packed(shift_bits(syms, m))[0]
+    assert symbols_to_bytes(syms.reshape(2, -1), m) == data
+    back = bytes_to_symbols(data, m, syms.size)
     assert back.dtype == np.int64
     assert np.array_equal(back, syms)
+    assert np.array_equal(bytes_to_symbols(data, m, 5), syms[:5])
     raw = rng.integers(0, 2, 37 * m, dtype=np.uint8)
-    assert np.array_equal(bits_to_symbols(raw, m), weighted_symbols(raw, m))
-    assert np.array_equal(symbols_to_bits(bits_to_symbols(raw, m), m), raw)
-    assert symbols_to_bits([], m).size == 0
-    assert bits_to_symbols([], m).size == 0
+    raw_data = packed(raw)[0]
+    assert np.array_equal(bytes_to_symbols(raw_data, m, 37), weighted_symbols(raw, m))
+    assert symbols_to_bytes(bytes_to_symbols(raw_data, m, 37), m) == raw_data
+    assert symbols_to_bytes([], m) == b""
+    assert bytes_to_symbols(b"", m, 0).size == 0
 
 
 def test_chunk_checksum_equals_bit_serialisation():
     rng = random.Random(12)
     syms = np.array([[rng.randrange(16) for _ in range(6)] for _ in range(3)])
-    expect = crc_checksum(symbols_to_bits(syms, 4), CRC32)
+    expect = oracle_crc(shift_bits(syms, 4), 32, CRC32.poly)
+    assert crc_checksum(*packed(shift_bits(syms, 4)), CRC32) == expect
     assert chunk_checksum(syms, 4, CRC32) == expect
 
 
@@ -247,8 +266,8 @@ def per_share_directory(checksums, scheme, crc):
     layout = coded_layout(n, crc.r)
     pad = np.zeros(layout.k_prime * layout.m_prime - crc.r, dtype=np.uint8)
     for i, cs in enumerate(checksums):
-        bits = np.concatenate([int_to_bits(int(cs), crc.r), pad])
-        message = bits_to_symbols(bits, layout.m_prime).tolist()
+        bits = np.concatenate([int_bits(int(cs), crc.r), pad])
+        message = weighted_symbols(bits, layout.m_prime).tolist()
         cw = encode_eval(message, layout.code)
         for j in range(n):
             if j != i:
@@ -400,5 +419,48 @@ def test_zlib_prefix_matches_table_path():
     inputs.append(rng.integers(0, 2, 8 * 65536).astype(np.uint8))
     inputs.append(rng.integers(0, 2, 8 * 65536 + 5).astype(np.uint8))
     for bits in inputs:
-        assert crc_checksum(bits, CRC32) == crc_checksum(bits, table_only)
-        assert crc_linear(bits, CRC32) == crc_linear(bits, table_only)
+        assert crc_checksum(*packed(bits), CRC32) == crc_checksum(*packed(bits), table_only)
+        assert crc_linear(*packed(bits), CRC32) == crc_linear(*packed(bits), table_only)
+
+
+# -- store and reconstruct against the bit-level recipe -------------------
+
+
+# GF(4) has too few points for any MSR code (k >= 2 needs n >= 3 > 2)
+SHAPES = {("mbr", 2): (2, 1, 1), ("msr", 3): (3, 2, 2), ("mbr", 3): (3, 2, 2)}
+
+
+@pytest.mark.parametrize("r", [4, 8, 16, 32])
+@pytest.mark.parametrize("family, m", [("mbr", 2)] + [
+    (family, m) for m in (3, 8, 11, 16) for family in ("msr", "mbr")])
+def test_store_frames_match_bit_level_recipe(family, m, r):
+    """Chunks are the encode of payload ∥ CRC ∥ zero pad cut into m-bit
+    symbols, built here one uint8 per bit, for every payload length mod 8
+    at both ends of the frame; reconstruction returns the payload bits."""
+    cls = MbrParams if family == "mbr" else MsrParams
+    n, k, d = SHAPES.get((family, m), (6, 3, 4))
+    field, crc = GF(m), CrcParams(r)
+    per_stripe = cls(n, k, d, 1, field).B * m
+    params = cls(n, k, d, -(-(r + 16) // per_stripe), field)
+    capacity = params.beta * params.B * m
+    rng = np.random.default_rng([m, r, family == "mbr"])
+    for nbits in [*range(8), *range(capacity - r - 7, capacity - r + 1)]:
+        payload = rng.integers(0, 2, nbits, dtype=np.uint8)
+        framed = np.zeros(capacity, dtype=np.uint8)
+        framed[: nbits + r] = np.concatenate([payload, int_bits(oracle_crc(payload, r, crc.poly), r)])
+        stripes = weighted_symbols(framed, m).reshape(params.beta, params.B)
+        want = CODECS[family].encode(stripes, params)
+        state = store(payload, params, crc=crc)
+        assert state.payload_bit_len == nbits
+        assert all(np.array_equal(slot.chunk, want[i]) for i, slot in enumerate(state.nodes))
+        if nbits % 8 == 0:
+            as_bytes = store(packed(payload)[0], params, crc=crc)
+            assert all(np.array_equal(slot.chunk, want[i]) for i, slot in enumerate(as_bytes.nodes))
+        out, _ = run_reconstruction(state)
+        assert out.dtype == np.uint8 and np.array_equal(out, payload)
+        frame, length = packed(framed[: nbits + r])
+        assert crc_verify(frame, length, crc)
+        for pos in range(length):
+            flipped = bytearray(frame)
+            flipped[pos >> 3] ^= 0x80 >> (pos & 7)
+            assert not crc_verify(bytes(flipped), length, crc)
