@@ -14,7 +14,6 @@ from .errors import (
     RegencodeError,
     SelfRepair,
     SingularMatrix,
-    SingularSystem,
     TooShort,
     ZeroInverse,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "ZeroInverse",
     "LengthMismatch",
     "SingularMatrix",
-    "SingularSystem",
     "DecodeFailure",
     "DuplicatePosition",
     "TooShort",

@@ -25,10 +25,6 @@ class SingularMatrix(RegencodeError):
     """
 
 
-class SingularSystem(RegencodeError):
-    """A linear system that should have a unique solution does not."""
-
-
 class DecodeFailure(RegencodeError):
     """The error-erasure decoder could not produce a consistent codeword."""
 

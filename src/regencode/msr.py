@@ -12,10 +12,11 @@ Reconstruction from exactly k = α+1 columns needs no error decoding:
 for accessed nodes i ≠ j the cross projections g_j·y_i and g_i·y_j
 differ only in their A2 terms (the A1 terms cancel by symmetry), so
 (λ_i + λ_j) divides out g_j·A2·g_i, and α such bilinear values pin down
-A2·g_i through an invertible Vandermonde system; A1 follows the same
-way.  When the checksum test rejects that result, the collector falls
-back to per-row error-erasure decoding of the [n, d] row code on the
-shared schedule of ``progressive``.
+A2·g_i through an invertible Vandermonde system, inverted in closed form
+(``rscode.vandermonde_inverse``); A1 follows the same way.  When the
+checksum test rejects that result, the collector falls back to per-row
+error-erasure decoding of the [n, d] row code on the shared schedule of
+``progressive``.
 
 Regeneration decodes t = g_i·U from one symbol per stripe from each
 helper and re-derives the lost column as t[:α] + λ_i·t[α:].
@@ -26,9 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import progressive
-from .errors import InvalidParams, LengthMismatch, SingularMatrix, SingularSystem
+from .errors import InvalidParams, LengthMismatch
 from .progressive import ProductMatrixParams, build_u, read_u, symmetric_fill
-from .rscode import gf_inverse
+from .rscode import vandermonde_inverse
 
 
 class MsrParams(ProductMatrixParams):
@@ -76,14 +77,15 @@ def reconstruct_fast(columns: dict[int, np.ndarray], params: MsrParams) -> np.nd
     nodes = list(columns)
     if len(nodes) != params.k:
         raise LengthMismatch(f"fast path needs exactly k={params.k} columns")
+    if not all(0 <= i < params.n for i in nodes):
+        raise InvalidParams(f"node ids {nodes} outside [0, {params.n})")
     alpha, k, beta = params.alpha, params.k, params.beta
     m_rows = params.G[:alpha, nodes].T  # row t = g_{nodes[t]}
-    others = [[o for o in range(k) if o != t] for t in range(alpha)]
-    # W has columns g_i, i in nodes[:alpha]; V_t has rows g_o, o in others[t]
-    try:
-        w_inv, *v_invs = gf_inverse(field, np.stack([m_rows[:alpha].T] + [m_rows[o] for o in others]))
-    except SingularMatrix as e:  # defensive: distinct points make this impossible
-        raise SingularSystem(str(e)) from e
+    # others[t] is the access set without t.  W (columns g_i, i < alpha) is the
+    # Vandermonde matrix on others[alpha]; V_t (rows g_o) is that on others[t], transposed
+    others = [[o for o in range(k) if o != t] for t in range(k)]
+    inv = vandermonde_inverse(field, field.power(np.asarray(nodes)[others]))
+    w_inv, v_invs = inv[alpha], inv[:alpha].transpose(0, 2, 1)
     lam = params.lam[nodes]
     # 1/(λ_o + λ_t) off the diagonal; the diagonal is never read
     gap = (lam[:, None] ^ lam[None, :]) + np.eye(k, dtype=np.int64)
@@ -97,7 +99,7 @@ def reconstruct_fast(columns: dict[int, np.ndarray], params: MsrParams) -> np.nd
     r = proj[:, :alpha] ^ field.vmul(q, lam[:alpha, None])  # r[o, t, s] = g_o·A1·g_t
     qr = np.concatenate([q, r], axis=2)
     # column t of Z (of W) solves V_t·z = q[others, t] (= r[...]) per stripe
-    zw = np.stack([field.matmul(v_invs[t], qr[o, t]) for t, o in enumerate(others)])
+    zw = np.stack([field.matmul(v_invs[t], qr[o, t]) for t, o in enumerate(others[:alpha])])
     # zw[t, i, (z|w, s)] is the row (i, z|w, s) of the left operand, column t
     a = field.matmul(zw.reshape(alpha, -1).T, w_inv).reshape(alpha, 2, beta, alpha)
     a = a.transpose(1, 2, 0, 3)  # [z|w, s, i, column]

@@ -118,7 +118,8 @@ def gf_inverse(field: GF, M) -> np.ndarray:
 
     Each pivot is one numpy step on the augmented matrices [M | I]: scale
     the pivot rows, then clear their column from every other row at once.
-    Raises SingularMatrix if any matrix of the stack is singular.
+    Raises SingularMatrix if any matrix of the stack is singular.  Serves
+    the set-up inverses; the MSR fast path uses vandermonde_inverse.
     """
     M = np.asarray(M, dtype=np.int64)
     if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
@@ -139,6 +140,29 @@ def gf_inverse(field: GF, M) -> np.ndarray:
         f[:, col] = 0
         a ^= field.vmul(f[:, :, None], row[:, None, :])
     return a[:, :, nn:].reshape(M.shape)
+
+
+def vandermonde_inverse(field: GF, x) -> np.ndarray:
+    """Inverse of V[r, c] = x_c^r on points x in closed form (Traub, SIAM
+    Review 1966), over any leading stack axes of x.  Row i is w_i times the
+    coefficients of M(x)/(x + x_i), lowest first, with M = prod_j (x + x_j)
+    and w_i = 1/prod_{j!=i}(x_i + x_j).  Raises SingularMatrix on a repeated point."""
+    x = np.asarray(x, dtype=np.int64)
+    n = x.shape[-1]
+    den = field.prod((x[..., :, None] ^ x[..., None, :]) | np.eye(n, dtype=np.int64))  # 1/w_i
+    if not den.all():
+        raise SingularMatrix("repeated Vandermonde point")
+    # coefficient index leading, so every step runs on whole contiguous planes;
+    # M highest coefficient first, one factor (x + x_j) per step
+    h = np.zeros((n + 1,) + x.shape[:-1], dtype=np.int64)
+    h[0] = 1
+    for j in range(n):
+        h[1 : j + 2] ^= field.vmul(h[: j + 1], x[..., j])
+    q = np.empty((n,) + x.shape, dtype=np.int64)
+    q[0] = 1  # M/(x + x_i) for every i at once, by synthetic division
+    for d in range(1, n):
+        q[d] = h[d, ..., None] ^ field.vmul(x, q[d - 1])
+    return field.vdiv(np.moveaxis(q[::-1], 0, -1), den[..., None])
 
 
 def invert_submatrix(G, cols, field: GF) -> np.ndarray:

@@ -208,10 +208,11 @@ def per_stripe_reconstruct_fast(columns, params):
     return out
 
 
-@pytest.mark.parametrize("n,k,field", [(6, 3, F16), (10, 4, F64), (20, 6, GF(8))])
+@pytest.mark.parametrize("n,k,field", [(6, 3, F16), (10, 4, F64), (20, 6, GF(8)), (100, 20, GF(11))])
 def test_batched_fast_path_matches_per_stripe_oracle(n, k, field):
     # random access sets in random order; on some trials columns are
-    # corrupted, and the batched path must give the same wrong candidate
+    # corrupted, and the batched path must give the same wrong candidate.
+    # [100, 20, 38] over GF(2^11) is the benchmark's byzantine code
     rng = np.random.default_rng(n)
     p = msr.MsrParams(n, k, 2 * k - 2, 7, field)
     msg = rng.integers(0, field.q, (p.beta, p.B))
@@ -226,6 +227,18 @@ def test_batched_fast_path_matches_per_stripe_oracle(n, k, field):
         assert np.array_equal(got, per_stripe_reconstruct_fast(cols, p))
         if not trial % 2:
             assert np.array_equal(got, msg)
+
+
+def test_fast_reconstruct_rejects_node_ids_outside_range():
+    # -1 once indexed as node n-1 and decoded the true message; n escaped
+    # as a bare IndexError
+    p = small_params()
+    msg = rand_msg(random.Random(8), p)
+    chunks = msr.encode(msg, p)
+    for bad in (-1, p.n):
+        with pytest.raises(InvalidParams, match="outside"):
+            msr.reconstruct_fast({bad: chunks[5], 1: chunks[1], 2: chunks[2]}, p)
+    assert np.array_equal(msr.reconstruct_fast({5: chunks[5], 1: chunks[1], 2: chunks[2]}, p), msg)
 
 
 def test_fast_reconstruct_wrong_count():

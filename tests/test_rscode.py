@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -20,6 +21,7 @@ from regencode.rscode import (
     gf_inverse,
     invert_submatrix,
     vandermonde,
+    vandermonde_inverse,
 )
 
 
@@ -501,6 +503,48 @@ def test_gf_inverse_stack_matches_scalar_oracle():
         gf_inverse(GF(4), np.zeros((2, 3, 2), dtype=np.int64))
     with pytest.raises(InvalidParams):
         gf_inverse(GF(4), [1, 2])
+
+
+def vandermonde_on(field, x):
+    """V[..., r, c] = x_c^r (0^0 = 1) by repeated products, for any stack of x."""
+    rows = [np.ones_like(x)]
+    for _ in range(1, x.shape[-1]):
+        rows.append(field.vmul(rows[-1], x))
+    return np.stack(rows, axis=-2)
+
+
+def test_vandermonde_inverse_matches_gauss_jordan():
+    # distinct points in random order, 0 among them on every third draw
+    rng = np.random.default_rng(71)
+
+    def points(field, size, *stack):
+        x = np.array([1 + rng.choice(field.order, size, replace=False) for _ in range(math.prod(stack))])
+        for row in x[::3]:
+            row[rng.integers(size)] = 0
+        return x.reshape(*stack, size)
+
+    for m in range(2, 17):
+        field = GF(m)
+        for size in range(1, min(field.order, 24) + 1):
+            for stack in ((), (2, 3)) if size % 4 == 1 else ((),):
+                x = points(field, size, *stack)
+                got = vandermonde_inverse(field, x)
+                assert got.shape == x.shape + (size,)
+                assert np.array_equal(got, gf_inverse(field, vandermonde_on(field, x))), (m, x)
+
+
+def test_vandermonde_inverse_byzantine_stack_and_repeats():
+    # the MSR fast path's stack on the byzantine code: 20 sets of 19 of the
+    # points a^0 .. a^99 over GF(2^11)
+    field = GF(11)
+    rng = np.random.default_rng(72)
+    x = field.power(np.array([rng.choice(100, 19, replace=False) for _ in range(20)]))
+    assert np.array_equal(vandermonde_inverse(field, x), gf_inverse(field, vandermonde_on(field, x)))
+    for x in ([5, 3, 5], [0, 0], [[1, 2, 3], [4, 6, 4]]):
+        with pytest.raises(SingularMatrix):
+            vandermonde_inverse(GF(4), x)
+        with pytest.raises(SingularMatrix):
+            gf_inverse(GF(4), vandermonde_on(GF(4), np.array(x)))
 
 
 def test_scalar_oracle_agrees_with_batch_decode(rs15_4, gf16):
