@@ -241,6 +241,88 @@ def test_fast_reconstruct_rejects_node_ids_outside_range():
     assert np.array_equal(msr.reconstruct_fast({5: chunks[5], 1: chunks[1], 2: chunks[2]}, p), msg)
 
 
+def test_fast_reconstruct_rejects_malformed_columns():
+    # a wrong beta or alpha once escaped as a numpy ValueError and a symbol
+    # past the field as an IndexError; on the matrix route (beta > B) a
+    # negative symbol would index a multiply table from its end
+    for beta in (5, 7):  # structured route, matrix route
+        p = small_params(beta)
+        msg = rand_msg(random.Random(beta), p)
+        chunks = msr.encode(msg, p)
+        good = {5: chunks[5], 1: chunks[1], 2: chunks[2]}
+        for shape in ((beta - 1, p.alpha), (beta + 1, p.alpha), (beta, p.alpha + 1), (beta,)):
+            with pytest.raises(LengthMismatch):
+                msr.reconstruct_fast({**good, 1: np.zeros(shape, dtype=np.int64)}, p)
+        for bad in (300, p.field.q, -1):
+            col = chunks[1].copy()
+            col[beta - 1, 1] = bad
+            with pytest.raises(InvalidParams, match=f"symbol {bad} outside"):
+                msr.reconstruct_fast({**good, 1: col}, p)
+        assert np.array_equal(msr.reconstruct_fast(good, p), msg)
+
+
+def field_product(field, a, b):
+    """Matrix product by scalar log/antilog lookups, one inner index at a
+    time, sharing no code with GF.matmul."""
+    exp, log = np.array(field.exp), np.array(field.log)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for j in range(a.shape[1]):
+        x, z = a[:, j, None], b[None, j, :]
+        out ^= np.where((x != 0) & (z != 0), exp[log[x] + log[z]], 0)
+    return out
+
+
+def encoding_inverse(nodes, params):
+    """E_S^-1 by Gauss-Jordan, where row s of E_S is what the nodes store
+    (node by node) for the unit message e_s, so a message M reads Y = M·E_S."""
+    unit = msr.MsrParams(params.n, params.k, params.d, params.B, params.field)
+    chunks = msr.encode(np.eye(params.B, dtype=np.int64), unit)
+    return gf_inverse(params.field, np.concatenate([chunks[i] for i in nodes], axis=1))
+
+
+def structured_candidate(cols, params):
+    return msr._reconstruct_structured(
+        np.concatenate([np.asarray(c).T for c in cols.values()], axis=1), list(cols), params)
+
+
+@pytest.mark.parametrize("n,k,field,betas,subsets", [
+    (4, 2, GF(8), (1, 2, 3, 50), None),
+    (6, 3, GF(8), (1, 6, 7, 50), None),
+    (6, 3, F16, (1, 6, 7, 50), None),
+    (10, 4, GF(8), (1, 12, 13, 50), None),
+    (14, 5, GF(8), (50,), 1),  # alpha = 4: the structured route at beta > B
+    (100, 20, GF(11), (381,), 1),
+])
+def test_fast_path_routes_match_encoding_inverse(n, k, field, betas, subsets):
+    # every route must equal Y·E_S^-1 on clean and on corrupted columns, and
+    # the matrix route (beta > B, alpha <= 3) the structured algebra bit for bit
+    rng = np.random.default_rng(n * field.m)
+    if subsets is None:
+        access = list(itertools.combinations(range(n), k))
+    else:
+        access = [tuple(rng.choice(n, size=k, replace=False).tolist()) for _ in range(subsets)]
+    cases = []
+    for beta in betas:
+        p = msr.MsrParams(n, k, 2 * k - 2, beta, field)
+        msg = rng.integers(0, field.q, (beta, p.B))
+        cases.append((p, msg, msr.encode(msg, p)))
+    for subset in access:
+        for nodes in (list(subset), list(subset)[::-1]):
+            e_inv = encoding_inverse(nodes, cases[0][0])
+            for p, msg, chunks in cases:
+                cols = {i: chunks[i] for i in nodes}
+                assert np.array_equal(msr.reconstruct_fast(cols, p), msg)
+                bad = nodes[int(rng.integers(k))]
+                flip = rng.integers(0, field.q, (p.beta, p.alpha))
+                flip[int(rng.integers(p.beta)), int(rng.integers(p.alpha))] |= 1
+                cols[bad] = chunks[bad] ^ flip
+                got = msr.reconstruct_fast(cols, p)
+                assert np.array_equal(got, structured_candidate(cols, p))
+                y = np.concatenate([cols[i] for i in nodes], axis=1)
+                assert np.array_equal(got, field_product(field, y, e_inv))
+                assert not np.array_equal(got, msg)
+
+
 def test_fast_reconstruct_wrong_count():
     p = small_params()
     chunks = msr.encode(np.zeros((1, p.B), dtype=np.int64), p)
