@@ -119,7 +119,7 @@ def gf_inverse(field: GF, M) -> np.ndarray:
     Each pivot is one numpy step on the augmented matrices [M | I]: scale
     the pivot rows, then clear their column from every other row at once.
     Raises SingularMatrix if any matrix of the stack is singular.  Serves
-    the set-up inverses; the MSR fast path uses vandermonde_inverse.
+    the set-up inverses; the MSR and MBR fast paths use vandermonde_inverse.
     """
     M = np.asarray(M, dtype=np.int64)
     if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
@@ -224,7 +224,15 @@ class ProgressiveDecoder:
             if self.have[p]:
                 raise DuplicatePosition(f"position {p} already delivered")
         if pos:
-            ys = np.array(list(new_symbols.values()), dtype=np.int64).reshape(len(pos), -1)
+            try:
+                ys = np.array(list(new_symbols.values()), dtype=np.int64)
+            except ValueError:  # numpy's "inhomogeneous shape": flatten, then compare sizes
+                flat = [np.ravel(v) for v in new_symbols.values()]
+                sizes = sorted({v.size for v in flat})
+                if len(sizes) > 1:
+                    raise LengthMismatch(f"symbol vectors of unequal lengths {sizes}") from None
+                ys = np.array(flat, dtype=np.int64)
+            ys = ys.reshape(len(pos), -1)
             if ys.shape[1] != self.word.shape[0]:
                 raise LengthMismatch(
                     f"expected {self.word.shape[0]} symbols per position, got {ys.shape[1]}"

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from regencode import mbr
+from regencode import mbr, progressive
 from regencode.errors import (
     ClusterExhausted,
     InvalidParams,
@@ -16,7 +16,7 @@ from regencode.errors import (
 )
 from regencode.galois import GF
 from regencode.integrity import CrcParams, chunk_checksum
-from regencode.rscode import encode_eval
+from regencode.rscode import ProgressiveDecoder, encode_eval
 
 F16 = GF(4)
 CRC32 = CrcParams()
@@ -178,6 +178,158 @@ def test_reconstruct_degenerate_d_equals_k():
     coll = ListCollector(chunks, [4, 0, 2])
     out, rounds = mbr.reconstruct(coll, p, truth_verify(msg))
     assert np.array_equal(out, msg) and rounds == 1
+
+
+# -- fast reconstruction -----------------------------------------------------
+
+
+def two_decoder_reconstruct(columns, params):
+    """Oracle: the round-two candidate, two block decoders over the [n, k]
+    code, on the columns given (k of them here, so no error is located)."""
+    field, k, d, beta = params.field, params.k, params.d, params.beta
+    dec = ProgressiveDecoder(params.code_k, beta * (d - k))
+    dec.absorb({i: np.asarray(c)[:, k:].reshape(-1) for i, c in columns.items()})
+    a2 = field.matmul(dec.attempt().codeword[:, :k], params.ghat_k_inv).reshape(beta, d - k, k)
+    e = field.matmul(a2.transpose(0, 2, 1).reshape(beta * k, d - k), params.bottom)
+    e = e.reshape(beta, k, params.n)
+    dec = ProgressiveDecoder(params.code_k, beta * k)
+    dec.absorb({i: (np.asarray(c)[:, :k] ^ e[:, :, i]).reshape(-1) for i, c in columns.items()})
+    a1 = field.matmul(dec.attempt().codeword[:, :k], params.ghat_k_inv).reshape(beta, k, k)
+    return mbr.read_u(a1, a2, params)
+
+
+def stripes_through_algebra(monkeypatch):
+    """Record how many stripes each run of the two-phase algebra takes: k·d
+    on the decoding-matrix route, beta on the data route."""
+    seen, inner = [], mbr._two_phase
+    monkeypatch.setattr(mbr, "_two_phase", lambda y, *a: seen.append(len(y)) or inner(y, *a))
+    return seen
+
+
+@pytest.mark.parametrize("n,k,d,field,betas,subsets,by_matrix", [
+    (6, 3, 4, GF(8), (1, 12, 13, 40), None, True),  # the files workload's code
+    (6, 3, 4, F16, (1, 13), None, True),
+    (6, 3, 3, GF(8), (1, 9, 10, 40), None, True),  # d = k: A2 is empty
+    (6, 3, 4, GF(16), (12, 13), None, True),
+    (8, 2, 5, GF(8), (11,), 6, True),
+    (10, 4, 7, GF(8), (29, 40), 6, False),  # D too dense: data route at beta > k·d
+    (20, 10, 11, GF(8), (111,), 2, False),
+])
+def test_fast_path_matches_two_decoder_path(monkeypatch, n, k, d, field, betas, subsets,
+                                            by_matrix):
+    # clean columns give the message; with random columns corrupted the
+    # candidate equals the decoders' bit for bit, so the checksum verdict
+    # and every count after it are those of the decoder path
+    rng = np.random.default_rng(n * d * field.m)
+    if subsets is None:
+        access = list(itertools.combinations(range(n), k))
+    else:
+        access = [tuple(rng.choice(n, size=k, replace=False).tolist()) for _ in range(subsets)]
+    seen = stripes_through_algebra(monkeypatch)
+    for beta in betas:
+        p = mbr.MbrParams(n, k, d, beta, field)
+        msg = rng.integers(0, field.q, (beta, p.B))
+        chunks = mbr.encode(msg, p)
+        for subset in access:
+            nodes = [int(i) for i in rng.permutation(subset)]
+            cols = {i: chunks[i] for i in nodes}
+            assert np.array_equal(mbr.reconstruct_fast(cols, p), msg)
+            for i in rng.choice(nodes, size=int(rng.integers(1, k + 1)), replace=False):
+                flip = rng.integers(0, field.q, (beta, d))
+                flip[int(rng.integers(beta)), int(rng.integers(d))] |= 1
+                cols[i] = chunks[i] ^ flip
+            got = mbr.reconstruct_fast(cols, p)
+            assert np.array_equal(got, two_decoder_reconstruct(cols, p))
+            assert not np.array_equal(got, msg)
+    assert set(seen) == {k * d if by_matrix and b > k * d else b for b in betas}
+
+
+def test_rejected_candidate_matches_round_two_oracle():
+    # the collector reads exactly k columns, one of them corrupt: the fast
+    # path's candidate goes to the verifier, which rejects it, and the
+    # cluster runs out
+    rng = np.random.default_rng(12)
+    for beta in (5, 13):
+        p = mbr.MbrParams(6, 3, 4, beta, GF(8))
+        msg = rng.integers(0, p.field.q, (beta, p.B))
+        chunks = mbr.encode(msg, p)
+        chunks[4] ^= rng.integers(1, p.field.q, chunks[4].shape)
+        order = [4, 0, 5]
+        candidates = []
+
+        def reject(candidate):
+            candidates.append(candidate)
+            return False
+
+        with pytest.raises(ClusterExhausted):
+            mbr.reconstruct(ListCollector(chunks, order), p, reject)
+        assert len(candidates) == 1
+        want = two_decoder_reconstruct({i: chunks[i] for i in order}, p)
+        assert np.array_equal(candidates[0], want)
+
+
+def test_fast_path_builds_no_decoder(monkeypatch):
+    # a fault-free reconstruct accepted in round one error-decodes nothing
+    class NoDecoder:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("ProgressiveDecoder built on the fast path")
+
+    monkeypatch.setattr(mbr, "ProgressiveDecoder", NoDecoder)
+    monkeypatch.setattr(progressive, "ProgressiveDecoder", NoDecoder)
+    rng = random.Random(13)
+    for beta in (2, 13):
+        p = small_params(beta)
+        msg = rand_msg(rng, p)
+        chunks = mbr.encode(msg, p)
+        for subset in itertools.combinations(range(p.n), p.k):
+            out, rounds = mbr.reconstruct(ListCollector(chunks, subset), p, truth_verify(msg))
+            assert np.array_equal(out, msg) and rounds == 1
+
+
+def test_fast_reconstruct_rejects_node_ids_outside_range():
+    p = small_params(2)
+    msg = rand_msg(random.Random(14), p)
+    chunks = mbr.encode(msg, p)
+    for bad in (-1, p.n):
+        with pytest.raises(InvalidParams, match="outside"):
+            mbr.reconstruct_fast({bad: chunks[5], 1: chunks[1], 2: chunks[2]}, p)
+    assert np.array_equal(mbr.reconstruct_fast({5: chunks[5], 1: chunks[1], 2: chunks[2]}, p), msg)
+
+
+def test_fast_reconstruct_rejects_malformed_columns():
+    # through the decoders, a wrong shape escaped as numpy's "inhomogeneous
+    # shape" ValueError and an out-of-field symbol in the top k rows was
+    # named after its XOR with A2ᵀ·bottom
+    for beta in (5, 13):  # data route, matrix route
+        p = mbr.MbrParams(6, 3, 4, beta, GF(8))
+        msg = rand_msg(random.Random(beta), p)
+        chunks = mbr.encode(msg, p)
+        good = {5: chunks[5], 1: chunks[1], 2: chunks[2]}
+        for shape in ((beta - 1, p.d), (beta + 1, p.d), (beta, p.d + 1), (beta, p.k), (beta,)):
+            with pytest.raises(LengthMismatch):
+                mbr.reconstruct_fast({**good, 1: np.zeros(shape, dtype=np.int64)}, p)
+        for row in (0, p.k - 1, p.d - 1):  # top rows and the bottom row
+            for bad in (256, 300, -1):
+                col = chunks[1].copy()
+                col[beta - 1, row] = bad
+                with pytest.raises(InvalidParams, match=f"symbol {bad} outside field of size 256"):
+                    mbr.reconstruct_fast({**good, 1: col}, p)
+        with pytest.raises(LengthMismatch):
+            mbr.reconstruct_fast({5: chunks[5], 1: chunks[1]}, p)
+        assert np.array_equal(mbr.reconstruct_fast(good, p), msg)
+
+
+def test_reconstruct_malformed_column_in_a_later_round():
+    # round two feeds the decoder; a short column there raised numpy's
+    # ValueError from absorb
+    rng = random.Random(15)
+    p = small_params(3)
+    msg = rand_msg(rng, p)
+    chunks = [c for c in mbr.encode(msg, p)]
+    chunks[0] = chunks[0] ^ 1  # round one rejects
+    chunks[4] = chunks[4][:2]
+    with pytest.raises(LengthMismatch):
+        mbr.reconstruct(ListCollector(chunks, range(p.n)), p, truth_verify(msg))
 
 
 def test_repair_response_properties():

@@ -871,3 +871,15 @@ def test_block_decoder_validates_blocks(rs15_4):
     with pytest.raises(InvalidParams):
         block.absorb({2: [1, 16, 3]})
     assert block.have.sum() == 1
+
+
+def test_block_decoder_rejects_ragged_vectors(rs15_4):
+    # vectors of unequal lengths in one absorb once escaped as numpy's
+    # "inhomogeneous shape" ValueError; equal sizes in other shapes flatten
+    block = ProgressiveDecoder(rs15_4, 3)
+    for ragged in ({1: [1, 2, 3], 2: [1, 2]}, {1: np.zeros(3, dtype=np.int64), 2: np.zeros((2, 2))}):
+        with pytest.raises(LengthMismatch, match="unequal lengths"):
+            block.absorb(ragged)
+    assert not block.have.any()
+    block.absorb({1: [[1], [2], [3]], 2: [4, 5, 6]})
+    assert block.word[:, [1, 2]].T.tolist() == [[1, 2, 3], [4, 5, 6]]
