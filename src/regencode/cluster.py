@@ -40,11 +40,9 @@ from .errors import (
     PayloadTooLarge,
 )
 from .integrity import (
-    CODED,
     REPLICATED,
     SCHEMES,
     CrcParams,
-    _peer_position,
     bits_at,
     build_directory,
     bytes_to_symbols,
@@ -409,30 +407,22 @@ def rebuild_shares(
     Returns the share directory plus the owners whose checksums could not
     be recovered (those shares are zero-filled).
     """
-    params, crc = state.params, state.crc
-    shares: dict[int, int] = {}
+    n, crc = state.params.n, state.crc
+    checksums = [0] * n  # a zero checksum has zero shares under both schemes
     missing: list[int] = []
-    for owner in range(params.n):
+    for owner in range(n):
         if owner == newcomer:
             continue
         responses = {
             j: state.nodes[j].shares[owner]
-            for j in range(params.n)
+            for j in range(n)
             if j not in (owner, newcomer) and state.nodes[j].status != CRASHED
         }
         try:
-            cs = recover_checksum(responses, owner, state.scheme, params.n, crc)
+            checksums[owner] = recover_checksum(responses, owner, state.scheme, n, crc)
         except (NoMajority, DecodeFailure, InvalidParams):
-            shares[owner] = 0
             missing.append(owner)
-            continue
-        if state.scheme == REPLICATED:
-            shares[owner] = cs
-        else:
-            layout = coded_layout(params.n, crc.r)
-            cw = encode_eval(layout.checksum_to_message(cs), layout.code)
-            shares[owner] = cw[_peer_position(newcomer, owner)]
-    return shares, missing
+    return build_directory(checksums, state.scheme, crc)[newcomer], missing
 
 
 # ---------------------------------------------------------------------------

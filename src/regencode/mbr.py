@@ -19,15 +19,17 @@ and decode those to get A1.  From exactly k columns S both phases are
 plain interpolation, solved in closed form with one Vandermonde inverse
 (``rscode.vandermonde_inverse``) of G_S = G[:k, S]: A2 = Y_bot·G_S⁻¹,
 then A1 = (Y_top + A2ᵀ·G[k:d, S])·G_S⁻¹.  That algebra is linear in
-the k·d symbols read per stripe, so when β > k·d and its decoding
-matrix D, (k·d)×B, has at most 3·(k·d + B) nonzero coefficients (45 at
-[6,3,4]; a measured crossover), it runs once on the k·d identity to
-give D, and the message is one product of the columns with D.  When
-the checksum test rejects, more columns are read on the shared schedule
-of ``progressive``, topped up to k, the dimension of the [n, k] code,
-and both phases error-decode with block decoders.  Regeneration works
-exactly as in the MSR family except the decoded vector g_i·U,
-transposed via U's symmetry, *is* the lost column.
+the k·d symbols read per stripe and runs in the shared fast-path frame
+of ``progressive``; its route rule ``by_matrix`` is β > k·d and at most
+3·(k·d + B) nonzero coefficients in the (k·d)×B decoding matrix D (45
+at [6,3,4]; a measured crossover: Y·D gathers once per coefficient, the
+algebra on the data spends about three passes over each stripe's k·d
+inputs and B outputs in reshapes and read_u).  When the checksum test
+rejects, more columns are read on the shared schedule of ``progressive``,
+topped up to k, the dimension of the [n, k] code, and both phases
+error-decode with block decoders.  Regeneration works exactly as in the
+MSR family except the decoded vector g_i·U, transposed via U's symmetry,
+*is* the lost column.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import progressive
-from .errors import InvalidParams, LengthMismatch
+from .errors import InvalidParams
 from .progressive import ProductMatrixParams, build_u, read_u, symmetric_fill
 from .rscode import ProgressiveDecoder, RsParams, invert_submatrix, vandermonde_inverse
 
@@ -59,6 +61,9 @@ class MbrParams(ProductMatrixParams):
         self.ghat_k_inv = invert_submatrix(self.G[:k], range(k), field)
         self.fill1 = symmetric_fill(k)  # A1, k×k
         self.fill2 = np.arange(k * (k + 1) // 2, self.B).reshape(d - k, k)  # A2, row-major
+        # D's coefficients: k inputs for each entry of A2, k(d-k+1) for each of A1
+        nonzeros = k * k * (d - k) + k * k * (k + 1) * (d - k + 1) // 2
+        self.by_matrix = beta > k * d and nonzeros <= 3 * (k * d + self.B)
 
 
 def assemble_u(a1, a2, params: MbrParams) -> np.ndarray:
@@ -78,36 +83,9 @@ def encode(stripes, params: MbrParams) -> np.ndarray:
 
 
 def reconstruct_fast(columns: dict[int, np.ndarray], params: MbrParams) -> np.ndarray:
-    """Recover all beta message stripes from exactly k columns, by the
-    two-phase algebra in closed form; never error-decodes.
-
-    When beta > k·d and D is sparse enough (see the module docstring), the
-    algebra runs on the k·d identity to give the access set's (k·d)×B
-    decoding matrix D and the result is Y·D, Y being the β×(k·d)
-    concatenated columns; otherwise it runs on Y.  A node id outside
-    [0, n) or a symbol outside the field raises InvalidParams, a column
-    that is not β×d LengthMismatch.
-    """
-    field = params.field
-    nodes = list(columns)
-    k, d, beta = params.k, params.d, params.beta
-    if len(nodes) != k:
-        raise LengthMismatch(f"fast path needs exactly k={k} columns")
-    if not all(0 <= i < params.n for i in nodes):
-        raise InvalidParams(f"node ids {nodes} outside [0, {params.n})")
-    cols = [np.asarray(columns[i], dtype=np.int64) for i in nodes]
-    if any(c.shape != (beta, d) for c in cols):
-        raise LengthMismatch(f"columns must be {beta}x{d}, got {[c.shape for c in cols]}")
-    y = np.concatenate(cols, axis=1)  # y[s, t·d + r] = symbol r of node nodes[t]
-    if np.bitwise_or.reduce(y, axis=None) >> field.m:  # a bit at or above m, or the sign
-        raise InvalidParams(f"symbol {y[(y < 0) | (y >= field.q)][0]} outside field of size {field.q}")
-    # D's coefficients: k inputs for each entry of A2, k(d-k+1) for each of A1.  Y·D
-    # gathers once per coefficient; the algebra spends about three passes over each
-    # stripe's k·d inputs and B outputs in reshapes and read_u (measured crossover)
-    nonzeros = k * k * (d - k) + k * k * (k + 1) * (d - k + 1) // 2
-    if beta > k * d and nonzeros <= 3 * (k * d + params.B):  # unit stripe s reads 1 at s
-        return field.matmul(y, _two_phase(np.eye(k * d, dtype=np.int64), nodes, params))
-    return _two_phase(y, nodes, params)
+    """Recover all beta message stripes from exactly k columns by the
+    two-phase algebra, in the shared frame of ``progressive.reconstruct_fast``."""
+    return progressive.reconstruct_fast(columns, params, _two_phase)
 
 
 def _two_phase(y: np.ndarray, nodes: list[int], params: MbrParams) -> np.ndarray:
@@ -137,15 +115,15 @@ def reconstruct(collector, params: MbrParams, verify) -> tuple[np.ndarray, int]:
     def attempt(rounds, received, decode):
         if rounds == 1 and len(received) == k:
             return reconstruct_fast(received, params)
+        # checked before the XOR below, so an out-of-field symbol is named as received
+        y = progressive.checked_columns(received, params).reshape(beta, -1, d)
         a2 = field.matmul(decode().reshape(-1, k), params.ghat_k_inv).reshape(beta, d - k, k)
         # strip the A2ᵀ contribution; the top rows become A1·G_k
         e_full = field.matmul(a2.transpose(0, 2, 1).reshape(beta * k, d - k), params.bottom)
         e_full = e_full.reshape(beta, k, n)
         dec = ProgressiveDecoder(params.code_k, beta * k)  # row s*k + r: stripe s, row r
-        dec.absorb({
-            p: (np.asarray(col)[:, :k] ^ e_full[:, :, p]).reshape(-1)
-            for p, col in received.items()
-        })
+        dec.absorb({p: (y[:, t, :k] ^ e_full[:, :, p]).reshape(-1)
+                    for t, p in enumerate(received)})
         a1 = field.matmul(dec.attempt().codeword[:, :k], params.ghat_k_inv).reshape(beta, k, k)
         return read_u(a1, a2, params)
 

@@ -14,13 +14,12 @@ differ only in their A2 terms (the A1 terms cancel by symmetry), so
 (λ_i + λ_j) divides out g_j·A2·g_i, and α such bilinear values pin down
 A2·g_i through an invertible Vandermonde system, inverted in closed form
 (``rscode.vandermonde_inverse``); A1 follows the same way.  That algebra
-is linear in the B = k·α symbols read per stripe, so when β > B and
-B² ≤ k²α + 2kα + 4α³ (its field multiplications per stripe; α ≤ 3 here)
-it runs once on the B×B identity, giving the access set's decoding
-matrix D, and the message is one product of the columns with D.  When the
-checksum test rejects that result, the collector falls back to per-row
-error-erasure decoding of the [n, d] row code on the shared schedule of
-``progressive``.
+is linear in the B = k·α symbols read per stripe and runs in the shared
+fast-path frame of ``progressive``; its route rule ``by_matrix`` is
+β > B and B² ≤ k²α + 2kα + 4α³ (the algebra's field multiplications per
+stripe; α ≤ 3 here).  When the checksum test rejects that result, the
+collector falls back to per-row error-erasure decoding of the [n, d] row
+code on the shared schedule of ``progressive``.
 
 Regeneration decodes t = g_i·U from one symbol per stripe from each
 helper and re-derives the lost column as t[:α] + λ_i·t[α:].
@@ -31,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import progressive
-from .errors import InvalidParams, LengthMismatch
+from .errors import InvalidParams
 from .progressive import ProductMatrixParams, build_u, read_u, symmetric_fill
 from .rscode import vandermonde_inverse
 
@@ -62,6 +61,7 @@ class MsrParams(ProductMatrixParams):
             raise InvalidParams("node multipliers lambda_i collide; enlarge the field")
         self.fill1 = symmetric_fill(alpha)
         self.fill2 = symmetric_fill(alpha, alpha * (alpha + 1) // 2)
+        self.by_matrix = beta > self.B and self.B**2 <= (k * k + 2 * k + 4 * alpha * alpha) * alpha
 
 
 def encode(stripes, params: MsrParams) -> np.ndarray:
@@ -70,43 +70,19 @@ def encode(stripes, params: MsrParams) -> np.ndarray:
 
 
 def reconstruct_fast(columns: dict[int, np.ndarray], params: MsrParams) -> np.ndarray:
-    """Recover all beta message stripes from exactly k healthy columns.
-
-    Always produces a candidate message (corrupt inputs yield a corrupt
-    candidate for the checksum test to reject); never error-decodes.
-    When beta > B and B² ≤ k²α + 2kα + 4α³ (see the module docstring), the
-    structured algebra runs on the B×B identity to give the decoding matrix
-    D and the result is Y·D, Y being the β×B concatenated columns; otherwise
-    it runs on Y.  A column that is not β×α raises LengthMismatch, a symbol
-    outside the field InvalidParams.
-    """
-    field = params.field
-    nodes = list(columns)
-    alpha, k, beta, b = params.alpha, params.k, params.beta, params.B
-    if len(nodes) != k:
-        raise LengthMismatch(f"fast path needs exactly k={k} columns")
-    if not all(0 <= i < params.n for i in nodes):
-        raise InvalidParams(f"node ids {nodes} outside [0, {params.n})")
-    cols = [np.asarray(columns[i], dtype=np.int64) for i in nodes]
-    if any(c.shape != (beta, alpha) for c in cols):
-        raise LengthMismatch(f"columns must be {beta}x{alpha}, got {[c.shape for c in cols]}")
-    by_matrix = beta > b and b * b <= (k * k + 2 * k + 4 * alpha * alpha) * alpha
-    # y[s, t·α + a] for the matrix route, y[a, t·β + s] (stripes innermost) otherwise
-    y = np.concatenate(cols if by_matrix else [c.T for c in cols], axis=1)
-    if np.bitwise_or.reduce(y, axis=None) >> field.m:  # a bit at or above m, or the sign
-        raise InvalidParams(f"symbol {y[(y < 0) | (y >= field.q)][0]} outside field of size {field.q}")
-    if by_matrix:  # unit stripe s has y[a, t·B + s] = 1 where t·α + a = s
-        unit = np.eye(b, dtype=np.int64).reshape(b, k, alpha).transpose(2, 1, 0).reshape(alpha, -1)
-        return field.matmul(y, _reconstruct_structured(unit, nodes, params))
-    return _reconstruct_structured(y, nodes, params)
+    """Recover all beta message stripes from exactly k columns by the
+    structured algebra, in the shared frame of ``progressive.reconstruct_fast``."""
+    return progressive.reconstruct_fast(columns, params, _reconstruct_structured)
 
 
 def _reconstruct_structured(y: np.ndarray, nodes: list[int], params: MsrParams) -> np.ndarray:
-    """The message stripes of y[a, t·β + s] = symbol a of node nodes[t] in
+    """The message stripes of y[s, t·α + a] = symbol a of node nodes[t] in
     stripe s, by the symmetric-projection algebra: α+2 field matrix
     products and two elementwise products, each over all β stripes at once."""
     field = params.field
-    alpha, k, beta = params.alpha, params.k, y.shape[1] // params.k
+    alpha, k, beta = params.alpha, params.k, y.shape[0]
+    # y[a, t·β + s]: stripes innermost throughout, so every bulk step runs on long rows
+    y = y.reshape(beta, k, alpha).transpose(2, 1, 0).reshape(alpha, k * beta)
     m_rows = params.G[:alpha, nodes].T  # row t = g_{nodes[t]}
     # others[t] is the access set without t.  W (columns g_i, i < alpha) is the
     # Vandermonde matrix on others[alpha]; V_t (rows g_o) is that on others[t], transposed
@@ -118,7 +94,6 @@ def _reconstruct_structured(y: np.ndarray, nodes: list[int], params: MsrParams) 
     gap = (lam[:, None] ^ lam[None, :]) + np.eye(k, dtype=np.int64)
     gap_inv = field.vdiv(1, gap[:, :alpha])
 
-    # stripes innermost throughout, so every bulk step runs on long rows
     proj = field.matmul(m_rows, y).reshape(k, k, beta)  # proj[j, t, s] = g_j · y_t
     sym = proj[:, :alpha] ^ proj.transpose(1, 0, 2)[:, :alpha]
     q = field.vmul(sym, gap_inv[:, :, None])  # q[o, t, s] = g_o·A2·g_t

@@ -8,8 +8,17 @@ two symmetric α×α blocks side by side; ``mbr``: one symmetric d×d matrix
 with a zero corner), in how a collector reconstructs U, and in how the
 decoded g_f·U becomes the lost column.  This module holds the rest:
 parameter checks and generator matrices, the fill maps and U's packing
-and unpacking, ``encode``, ``repair_response``, and the progressive
-retrieval driver.
+and unpacking, ``encode``, ``repair_response``, the fast-path frame and
+the progressive retrieval driver.
+
+Reconstruction from exactly k honest columns needs no error decoding.
+``reconstruct_fast`` checks the columns once, lays them side by side as
+y[s, t·α + a] (symbol a of node nodes[t] in stripe s) and hands y to the
+family's ``algebra(y, nodes, params)``, which is linear in the k·α
+symbols a stripe reads.  When ``params.by_matrix`` holds (β > k·α, so D
+is amortised, and a β-independent cost test) it runs the algebra once on
+the k·α identity instead, to get the access set's (k·α)×B decoding
+matrix D, and returns y·D.
 
 Reconstruction and regeneration read what a fault-free run needs and
 read more only when the integrity test rejects the decoded result.
@@ -116,6 +125,34 @@ def repair_response(chunk, holder: int, failed: int, params) -> np.ndarray:
         raise SelfRepair(f"node {failed} cannot help regenerate itself")
     g = params.G[: params.alpha, failed : failed + 1]  # alpha × 1
     return params.field.matmul(np.asarray(chunk, dtype=np.int64), g)[:, 0]
+
+
+def checked_columns(columns: dict, params) -> np.ndarray:
+    """The columns side by side, y[s, t·α + a] = symbol a of the t-th node
+    in stripe s.  A node id outside [0, n) or a symbol outside the field
+    raises InvalidParams, a column that is not β×α LengthMismatch."""
+    field, nodes, shape = params.field, list(columns), (params.beta, params.alpha)
+    if not all(0 <= i < params.n for i in nodes):
+        raise InvalidParams(f"node ids {nodes} outside [0, {params.n})")
+    cols = [np.asarray(columns[i], dtype=np.int64) for i in nodes]
+    if any(c.shape != shape for c in cols):
+        raise LengthMismatch(f"columns must be {shape[0]}x{shape[1]}, got {[c.shape for c in cols]}")
+    y = np.concatenate(cols, axis=1)
+    if np.bitwise_or.reduce(y, axis=None) >> field.m:  # a bit at or above m, or the sign
+        raise InvalidParams(f"symbol {y[(y < 0) | (y >= field.q)][0]} outside field of size {field.q}")
+    return y
+
+
+def reconstruct_fast(columns: dict, params, algebra) -> np.ndarray:
+    """All β message stripes from exactly k columns by the family's
+    ``algebra`` (see the module docstring); never error-decodes, so
+    corrupt columns give a corrupt candidate for the integrity test."""
+    if len(columns) != params.k:
+        raise LengthMismatch(f"fast path needs exactly k={params.k} columns")
+    y, nodes = checked_columns(columns, params), list(columns)
+    if params.by_matrix:  # unit stripe s reads 1 at s
+        return params.field.matmul(y, algebra(np.eye(y.shape[1], dtype=np.int64), nodes, params))
+    return algebra(y, nodes, params)
 
 
 def run(source, first: int, code, beta: int, rows: int, take, attempt, accept):

@@ -333,6 +333,19 @@ def test_rebuild_shares_zero_fills_unrecoverable_owner():
         assert rebuilt[owner] == state.nodes[0].shares[owner]
 
 
+@pytest.mark.parametrize("n,k,d,field,scheme", [
+    (13, 5, 8, GF(6), CODED),
+    (6, 3, 4, F16, REPLICATED),
+])
+def test_rebuild_shares_matches_stored_directory(n, k, d, field, scheme):
+    # on an intact cluster every node's rebuilt shares are the ones it holds
+    state, _ = make_state("msr", n, k, d, field=field, r=8, scheme=scheme)
+    for j in range(n):
+        rebuilt, missing = rebuild_shares(state, j)
+        assert rebuilt == state.nodes[j].shares
+        assert missing == []
+
+
 # ---------------------------------------------------------------------------
 # progressive fetch schedule
 

@@ -286,39 +286,6 @@ def test_fast_path_builds_no_decoder(monkeypatch):
             assert np.array_equal(out, msg) and rounds == 1
 
 
-def test_fast_reconstruct_rejects_node_ids_outside_range():
-    p = small_params(2)
-    msg = rand_msg(random.Random(14), p)
-    chunks = mbr.encode(msg, p)
-    for bad in (-1, p.n):
-        with pytest.raises(InvalidParams, match="outside"):
-            mbr.reconstruct_fast({bad: chunks[5], 1: chunks[1], 2: chunks[2]}, p)
-    assert np.array_equal(mbr.reconstruct_fast({5: chunks[5], 1: chunks[1], 2: chunks[2]}, p), msg)
-
-
-def test_fast_reconstruct_rejects_malformed_columns():
-    # through the decoders, a wrong shape escaped as numpy's "inhomogeneous
-    # shape" ValueError and an out-of-field symbol in the top k rows was
-    # named after its XOR with A2ᵀ·bottom
-    for beta in (5, 13):  # data route, matrix route
-        p = mbr.MbrParams(6, 3, 4, beta, GF(8))
-        msg = rand_msg(random.Random(beta), p)
-        chunks = mbr.encode(msg, p)
-        good = {5: chunks[5], 1: chunks[1], 2: chunks[2]}
-        for shape in ((beta - 1, p.d), (beta + 1, p.d), (beta, p.d + 1), (beta, p.k), (beta,)):
-            with pytest.raises(LengthMismatch):
-                mbr.reconstruct_fast({**good, 1: np.zeros(shape, dtype=np.int64)}, p)
-        for row in (0, p.k - 1, p.d - 1):  # top rows and the bottom row
-            for bad in (256, 300, -1):
-                col = chunks[1].copy()
-                col[beta - 1, row] = bad
-                with pytest.raises(InvalidParams, match=f"symbol {bad} outside field of size 256"):
-                    mbr.reconstruct_fast({**good, 1: col}, p)
-        with pytest.raises(LengthMismatch):
-            mbr.reconstruct_fast({5: chunks[5], 1: chunks[1]}, p)
-        assert np.array_equal(mbr.reconstruct_fast(good, p), msg)
-
-
 def test_reconstruct_malformed_column_in_a_later_round():
     # round two feeds the decoder; a short column there raised numpy's
     # ValueError from absorb
@@ -329,6 +296,20 @@ def test_reconstruct_malformed_column_in_a_later_round():
     chunks[0] = chunks[0] ^ 1  # round one rejects
     chunks[4] = chunks[4][:2]
     with pytest.raises(LengthMismatch):
+        mbr.reconstruct(ListCollector(chunks, range(p.n)), p, truth_verify(msg))
+
+
+def test_reconstruct_names_received_symbol_in_a_later_round():
+    # round two XORs the top rows with A2ᵀ·bottom; an out-of-field symbol
+    # there was once named after the XOR (382 here)
+    rng = random.Random(16)
+    p = mbr.MbrParams(6, 3, 4, 2, GF(8))
+    msg = rand_msg(rng, p)
+    chunks = [c for c in mbr.encode(msg, p)]
+    chunks[0] = chunks[0] ^ 1  # round one rejects
+    chunks[4] = chunks[4].copy()
+    chunks[4][0, 0] = 256
+    with pytest.raises(InvalidParams, match="symbol 256 outside field of size 256"):
         mbr.reconstruct(ListCollector(chunks, range(p.n)), p, truth_verify(msg))
 
 

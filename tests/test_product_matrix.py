@@ -1,5 +1,6 @@
 """The product-matrix layer both families share: fill maps against the
-closed forms of the construction, and chunk files pinned byte for byte."""
+closed forms of the construction, the fast-path frame's input checks and
+route rule, and chunk files pinned byte for byte."""
 
 import hashlib
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from regencode.chunkio import header_for_state, pack_chunk
-from regencode.cluster import PARAMS, store
+from regencode.cluster import CODECS, PARAMS, store
+from regencode.errors import InvalidParams, LengthMismatch
 from regencode.galois import GF
 from regencode.integrity import CODED, REPLICATED, CrcParams
 from regencode.mbr import MbrParams
@@ -60,6 +62,54 @@ def test_msr_fill_maps_match_closed_form(alpha):
 @pytest.mark.parametrize("k, d", [(k, d) for k in range(1, 5) for d in range(k, 7)])
 def test_mbr_fill_maps_match_closed_form(k, d):
     assert_fills(MbrParams(d + 1, k, d, 1, F256), mbr_fill_oracle(k, d))
+
+
+@pytest.mark.parametrize("name,m,beta,by_matrix", [
+    ("msr", 4, 5, False),
+    ("msr", 4, 7, True),  # beta > B = 6
+    ("mbr", 8, 5, False),
+    ("mbr", 8, 13, True),  # beta > k·d = 12
+])
+def test_fast_reconstruct_rejects_malformed_input(name, m, beta, by_matrix):
+    # node id -1 once indexed as node n-1 and decoded the true message, and n
+    # escaped as a bare IndexError; a wrong shape escaped as a numpy
+    # ValueError and a symbol past the field as an IndexError; on the matrix
+    # route a negative symbol would index a multiply table from its end.
+    # Through MBR's decoders an out-of-field symbol in the top k rows was
+    # named after its XOR with A2ᵀ·bottom
+    field = GF(m)
+    family, p = CODECS[name], PARAMS[name](6, 3, 4, beta, field)
+    assert p.by_matrix == by_matrix
+    msg = np.random.default_rng(beta).integers(0, field.q, (beta, p.B))
+    chunks = family.encode(msg, p)
+    good = {5: chunks[5], 1: chunks[1], 2: chunks[2]}
+    for bad in (-1, p.n):
+        with pytest.raises(InvalidParams, match="outside"):
+            family.reconstruct_fast({bad: chunks[5], 1: chunks[1], 2: chunks[2]}, p)
+    for shape in ((beta - 1, p.alpha), (beta + 1, p.alpha), (beta, p.alpha + 1), (beta, p.k),
+                  (beta,)):
+        with pytest.raises(LengthMismatch):
+            family.reconstruct_fast({**good, 1: np.zeros(shape, dtype=np.int64)}, p)
+    with pytest.raises(LengthMismatch):
+        family.reconstruct_fast({5: chunks[5], 1: chunks[1]}, p)
+    # the first and last symbol, and MBR's last top row
+    for row in {0, min(p.k, p.alpha) - 1, p.alpha - 1}:
+        for bad in sorted({256, 300, field.q, -1}):
+            col = chunks[1].copy()
+            col[beta - 1, row] = bad
+            with pytest.raises(InvalidParams, match=f"symbol {bad} outside field of size {field.q}"):
+                family.reconstruct_fast({**good, 1: col}, p)
+    assert np.array_equal(family.reconstruct_fast(good, p), msg)
+
+
+@pytest.mark.parametrize("family,n,k,d,m,beta,by_matrix", [
+    ("msr", 6, 3, 4, 8, 10924, True),  # the healthy workload
+    ("msr", 100, 20, 38, 11, 8, False),  # the byzantine workload
+    ("mbr", 6, 3, 4, 8, 7282, True),  # the files workload
+    ("mbr", 10, 4, 7, 8, 4546, False),  # 100 001 bytes; D has 208 nonzeros, over 150
+])
+def test_fast_path_route_per_shape(family, n, k, d, m, beta, by_matrix):
+    assert PARAMS[family](n, k, d, beta, GF(m)).by_matrix == by_matrix
 
 
 # sha256 of every node's chunk file for PAYLOAD, beta = 20, GF(2^8)
