@@ -10,16 +10,27 @@ that knows the table format.
 ``matmul`` picks its kernel from the operand shapes.  When an outer
 dimension L exceeds 2^(m+1), one operand is long data and the other a
 short constant matrix (an encode, a decode projection, a repair inner
-product): each coefficient c of the constant gets a multiply-by-c table
-of 2^m entries, and the product is one gather of a data row per
-coefficient, XOR-accumulated (the product-table method of Plank, Greenan
-& Miller, FAST 2013, without the SIMD); from that length the tables cost
-under half the cube cells they replace.  Otherwise the log/exp cube of
-all p·q·r products is XOR-reduced over q in even blocks of at most
-_BLOCK_CELLS cells, so no temporary outgrows a block or the (p, r) result.
+product), and the product goes through tables built per call.  Tall data
+A (L × q) times a constant B (q × r) packs, for each inner index j, the
+row x·B[j, :] of every symbol x into one word of r lanes (uint8 lanes
+for m <= 8, uint16 above; a word of 1, 2, 4 or 8 bytes, or a few
+uint64): the product is q gathers of whole rows, XOR-accumulated
+already in (L, r) order.  That kernel runs while one table of 2^m packed
+rows fits _ROW_TABLE_BYTES; past it, and for wide data (a constant C
+times data D of L columns), each coefficient c gets a multiply-by-c
+table of 2^m lanes and the product is one gather of a data row per
+coefficient (the product-table method of Plank, Greenan & Miller,
+FAST 2013, without the SIMD).  From that length the tables cost under
+half the cube cells they replace.  Otherwise the log/exp cube of all
+p·q·r products is XOR-reduced over q in even blocks of at most
+_BLOCK_CELLS cells, so no temporary outgrows a block or the (p, r)
+result.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import ixor
 
 import numpy as np
 
@@ -28,6 +39,14 @@ from .errors import InvalidParams, ZeroInverse
 # int64 cells in one block of the matmul log/exp cube: just under glibc's default
 # 128 KiB mmap threshold with malloc's chunk header, so blocks come from the heap.
 _BLOCK_CELLS = (1 << 14) - 16
+
+# Bytes of one table of the packed-row kernel (2^m packed rows).  Up to it every
+# measured shape ran at least as fast as on the per-coefficient tables; larger
+# tables leave the first-level cache, and some shapes ran slower (over GF(2^12)
+# with r = 3 and GF(2^13) with r = 2, 32 KiB each).
+_ROW_TABLE_BYTES = 1 << 14
+
+_UINT = {n: np.dtype(f"uint{8 * n}") for n in (1, 2, 4, 8)}
 
 # Primitive polynomials by degree, bit i = coefficient of x^i.
 # Conventional choices; primitivity is re-verified at construction time.
@@ -116,6 +135,7 @@ class GF:
         self._log[0] = 2 * self.order
         self._exp = np.zeros(4 * self.order + 1, dtype=np.int64)
         self._exp[: 2 * self.order] = exp
+        self._lane = _UINT[1 if m <= 8 else 2]  # one symbol in the product tables
 
     def __repr__(self):
         return f"GF(2^{self.m}, poly=0x{self.prim_poly:x}, g={self.generator})"
@@ -209,9 +229,46 @@ class GF:
                 np.add(la[:, j0:j1, None], lb[None, j0:j1, :], out=cube)
                 out ^= np.bitwise_xor.reduce(self._exp.take(cube, out=cube, mode="clip"), axis=1, out=part)
             return out
+        if self.packs_rows(p, r):
+            return self._row_product(A, B)
         if p > r:  # tall data A times constant B, as (Bᵀ·Aᵀ)ᵀ
             return np.ascontiguousarray(self._table_product(B.T, A.T).T, dtype=np.int64)
         return self._table_product(A, B).astype(np.int64)
+
+    def packs_rows(self, p: int, r: int) -> bool:
+        """Whether ``matmul`` of a (p, q) by a (q, r) matrix runs on the packed-row
+        kernel: p past 2^(m+1) and r, and a row of r symbols small enough that
+        its table of 2^m rows fits _ROW_TABLE_BYTES."""
+        word, words, _ = self._row_packing(r)
+        return p > max(r, 2 * self.q) and self.q * word.itemsize * words <= _ROW_TABLE_BYTES
+
+    def _row_packing(self, r: int) -> tuple[np.dtype, int, int]:
+        """(word dtype, words, lanes) that hold a row of r symbols: one word of
+        1, 2, 4 or 8 bytes, or as many uint64 as it takes; lanes pads r."""
+        size = max(r, 1) * self._lane.itemsize
+        word = 8 if size > 8 else 1 << (size - 1).bit_length()
+        words = -(-size // word)
+        return _UINT[word], words, words * word // self._lane.itemsize
+
+    def _row_product(self, A, B) -> np.ndarray:
+        """A·B for long data A (p > 2^(m+1), q) and a short constant B (q, r).
+
+        rows[j, x] packs the row x·B[j, :] into `words` words, so the product
+        is one gather of A's column j per inner index j, XOR-accumulated.
+        """
+        (p, q), r = A.shape, B.shape[1]
+        if not q:
+            return np.zeros((p, r), dtype=np.int64)
+        word, words, lanes = self._row_packing(r)
+        rows = np.zeros((q, self.q, lanes), dtype=self._lane)
+        prods = self._log[B][:, None, :] + self._log[:, None]
+        rows[..., :r] = self._exp.take(prods, out=prods, mode="clip")
+        rows = rows.view(word)
+        if words == 1:  # one table of 2^m words per index: a plain gather
+            gathers = (rows[j, :, 0][A[:, j]] for j in range(q))
+        else:  # 2^m rows of `words` words: take copies whole rows, faster than 2-D indexing
+            gathers = (rows[j].take(A[:, j], axis=0) for j in range(q))
+        return reduce(ixor, gathers).view(self._lane).reshape(p, lanes)[:, :r].astype(np.int64)
 
     def _table_product(self, C, D) -> np.ndarray:
         """C·D for a short constant C (s, q) and long data D (q, L > 2^(m+1)).
@@ -219,9 +276,8 @@ class GF:
         tables[i, j, x] = C[i, j]·x, so output row i is the XOR over j of
         row D[j] looked up in table (i, j).
         """
-        narrow = np.uint8 if self.m <= 8 else np.uint16
-        tables = self._exp[self._log[C][:, :, None] + self._log].astype(narrow)
-        out = np.zeros((C.shape[0], D.shape[1]), dtype=narrow)
+        tables = self._exp[self._log[C][:, :, None] + self._log].astype(self._lane)
+        out = np.zeros((C.shape[0], D.shape[1]), dtype=self._lane)
         for (i, j), c in np.ndenumerate(C):
             if c:
                 out[i] ^= tables[i, j][D[j]]

@@ -20,11 +20,15 @@ plain interpolation, solved in closed form with one Vandermonde inverse
 (``rscode.vandermonde_inverse``) of G_S = G[:k, S]: A2 = Y_bot·G_S⁻¹,
 then A1 = (Y_top + A2ᵀ·G[k:d, S])·G_S⁻¹.  That algebra is linear in
 the k·d symbols read per stripe and runs in the shared fast-path frame
-of ``progressive``; its route rule ``by_matrix`` is β > k·d and at most
-3·(k·d + B) nonzero coefficients in the (k·d)×B decoding matrix D (45
-at [6,3,4]; a measured crossover: Y·D gathers once per coefficient, the
-algebra on the data spends about three passes over each stripe's k·d
-inputs and B outputs in reshapes and read_u).  When the checksum test
+of ``progressive``; its route rule ``by_matrix`` is β > k·d and either
+at most 3·(k·d + B) nonzero coefficients in the (k·d)×B decoding matrix
+D (45 at [6,3,4]; a measured crossover: Y·D gathers once per
+coefficient, the algebra on the data spends about three passes over
+each stripe's k·d inputs and B outputs in reshapes and read_u), or Y·D
+on the packed-row kernel of ``GF.matmul`` with β ≥ 2^m·B, so that its
+k·d·2^m·B table products cost no more than one pass over Y (the
+measured crossover of [10,4,7] over GF(2^8) lies near β = 6 000;
+2^8·22 = 5 632).  When the checksum test
 rejects, more columns are read on the shared schedule of ``progressive``,
 topped up to k, the dimension of the [n, k] code, and both phases
 error-decode with block decoders.  Regeneration works exactly as in the
@@ -63,7 +67,9 @@ class MbrParams(ProductMatrixParams):
         self.fill2 = np.arange(k * (k + 1) // 2, self.B).reshape(d - k, k)  # A2, row-major
         # D's coefficients: k inputs for each entry of A2, k(d-k+1) for each of A1
         nonzeros = k * k * (d - k) + k * k * (k + 1) * (d - k + 1) // 2
-        self.by_matrix = beta > k * d and nonzeros <= 3 * (k * d + self.B)
+        # or Y·D on packed rows once β ≥ 2^m·B amortises their k·d·2^m·B table products
+        packed = field.packs_rows(beta, self.B) and beta >= field.q * self.B
+        self.by_matrix = beta > k * d and (nonzeros <= 3 * (k * d + self.B) or packed)
 
 
 def assemble_u(a1, a2, params: MbrParams) -> np.ndarray:

@@ -16,10 +16,12 @@ A2·g_i through an invertible Vandermonde system, inverted in closed form
 (``rscode.vandermonde_inverse``); A1 follows the same way.  That algebra
 is linear in the B = k·α symbols read per stripe and runs in the shared
 fast-path frame of ``progressive``; its route rule ``by_matrix`` is
-β > B and B² ≤ k²α + 2kα + 4α³ (the algebra's field multiplications per
-stripe; α ≤ 3 here).  When the checksum test rejects that result, the
-collector falls back to per-row error-erasure decoding of the [n, d] row
-code on the shared schedule of ``progressive``.
+β > B and either B² ≤ k²α + 2kα + 4α³ (Y·D's products per stripe
+against the algebra's; α ≤ 3) or Y·D runs on the packed-row kernel of
+``GF.matmul`` (β past 2^(m+1) and B symbols to a row, so one gather per
+input symbol: α ≤ 7 over GF(2^8)).  When the checksum test rejects that
+result, the collector falls back to per-row error-erasure decoding of
+the [n, d] row code on the shared schedule of ``progressive``.
 
 Regeneration decodes t = g_i·U from one symbol per stripe from each
 helper and re-derives the lost column as t[:α] + λ_i·t[α:].
@@ -61,7 +63,9 @@ class MsrParams(ProductMatrixParams):
             raise InvalidParams("node multipliers lambda_i collide; enlarge the field")
         self.fill1 = symmetric_fill(alpha)
         self.fill2 = symmetric_fill(alpha, alpha * (alpha + 1) // 2)
-        self.by_matrix = beta > self.B and self.B**2 <= (k * k + 2 * k + 4 * alpha * alpha) * alpha
+        # Y·D: B² cube products per stripe, or one packed row per input symbol
+        self.by_matrix = beta > self.B and (
+            self.B**2 <= (k * k + 2 * k + 4 * alpha * alpha) * alpha or field.packs_rows(beta, self.B))
 
 
 def encode(stripes, params: MsrParams) -> np.ndarray:

@@ -16,7 +16,7 @@ Reconstruction from exactly k honest columns needs no error decoding.
 y[s, t·α + a] (symbol a of node nodes[t] in stripe s) and hands y to the
 family's ``algebra(y, nodes, params)``, which is linear in the k·α
 symbols a stripe reads.  When ``params.by_matrix`` holds (β > k·α, so D
-is amortised, and a β-independent cost test) it runs the algebra once on
+is amortised, and the family's cost test) it runs the algebra once on
 the k·α identity instead, to get the access set's (k·α)×B decoding
 matrix D, and returns y·D.
 

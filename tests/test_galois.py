@@ -238,7 +238,10 @@ def test_matmul_long_operand_matches_scalar(m, extra, tall, q, r):
         assert got[i, j] == scalar_entry(gf, A, B, i, j)
 
 
-@pytest.mark.parametrize("shape", [(0, 3, 300), (300, 3, 0), (300, 0, 2), (2, 0, 300)])
+@pytest.mark.parametrize("shape", [
+    (0, 3, 300), (300, 3, 0), (300, 0, 2), (2, 0, 300),  # the cube
+    (513, 0, 2), (513, 3, 0), (513, 0, 0), (2, 0, 513), (0, 3, 513), (513, 0, 17),  # past 2^9
+])
 def test_matmul_empty_operands(shape):
     gf = GF(8)
     p, q, r = shape
@@ -319,6 +322,70 @@ def test_matmul_switch_matches_scalar(m, long):
     A = rng.integers(0, gf.q, size=(2 * gf.q + long, q))
     B = rng.integers(0, gf.q, size=(q, 3))
     assert gf.matmul(A, B).tolist() == scalar_matmul(gf, A, B)
+
+
+# (m, r): every packing of the packed-row kernel; over GF(2^8) words of 1, 2,
+# 4 and 8 bytes (r = 1, 2, 3-4, 5-8) and of 2 and 3 uint64 (r = 9-16, 17),
+# then uint16 lanes
+ROW_PACKINGS = [(8, r) for r in (1, 2, 3, 4, 5, 8, 9, 16, 17)] + [
+    (9, 1), (9, 3), (9, 5), (11, 2), (11, 4), (11, 9), (16, 1), (16, 6)]
+
+
+@pytest.mark.parametrize("m, r", ROW_PACKINGS)
+@pytest.mark.parametrize("q", [1, 5])
+def test_row_kernel_matches_scalar(m, r, q):
+    # the kernel itself, on short data, so every field and packing is cheap to
+    # check; operands as the callers pass them: C-ordered, transposed, strided
+    # and column-picked views of a bigger word, and a transposed constant
+    gf = GF(m)
+    rng = np.random.default_rng(1000 * m + 10 * r + q)
+    word = rng.integers(0, gf.q, size=(61, 3 * q + 2))
+    word[0] = 0
+    word[-1] = gf.q - 1
+    word[5:9, 1] = 0
+    B = rng.integers(0, gf.q, size=(r, q)).T  # (q, r), not C-contiguous
+    B[0, 0] = 0
+    if q > 1:
+        B[1] = 0  # a zero row
+    if r > 1:
+        B[:, -1] = 0  # a zero column
+    views = {
+        "c_order": np.ascontiguousarray(word[:, :q]),
+        "transposed": np.ascontiguousarray(word[:, :q].T).T,
+        "sliced": word[::2, 1 : 3 * q + 1 : 3],
+        "picked": word[:, list(range(q, 0, -1))] if q > 1 else word[:, [2]],
+        "base": word[:, 2 : 2 + q],
+    }
+    for name, A in views.items():
+        got = gf._row_product(A, B)
+        assert got.dtype == np.int64 and got.flags.c_contiguous, name
+        assert got.tolist() == scalar_matmul(gf, A, B), name
+
+
+@pytest.mark.parametrize("m, q, r", [(8, 1, 1), (8, 6, 6), (8, 12, 9), (8, 4, 17), (11, 4, 4), (11, 1, 2)])
+def test_matmul_row_kernel_past_switch(m, q, r):
+    # one row past 2^(m+1), where matmul takes the packed-row kernel
+    gf = GF(m)
+    p = 2 * gf.q + 1
+    assert gf.packs_rows(p, r) and not gf.packs_rows(p - 1, r)
+    rng = np.random.default_rng(m + q + r)
+    A = rng.integers(0, gf.q, size=(p, q))
+    B = rng.integers(0, gf.q, size=(q, r))
+    A[1] = 0
+    A[-1] = gf.q - 1
+    got = gf.matmul(A, B)
+    assert got.dtype == np.int64 and got.flags.c_contiguous and got.shape == (p, r)
+    assert got.tolist() == scalar_matmul(gf, A, B)
+
+
+def test_row_kernel_only_for_small_tables():
+    # a 2^m-row table of packed rows stays within 16 KiB; larger ones keep the
+    # per-coefficient product tables, and the wide orientation never packs rows
+    assert GF(8).packs_rows(513, 64) and not GF(8).packs_rows(513, 65)
+    assert GF(11).packs_rows(4097, 4) and not GF(11).packs_rows(4097, 5)
+    assert GF(12).packs_rows(8193, 2) and not GF(12).packs_rows(8193, 3)
+    assert not GF(16).packs_rows(1 << 18, 1)
+    assert not GF(8).packs_rows(3, 32772)
 
 
 def test_vector_ops_broadcast_in_one_buffer():

@@ -106,7 +106,12 @@ def test_fast_reconstruct_rejects_malformed_input(name, m, beta, by_matrix):
     ("msr", 6, 3, 4, 8, 10924, True),  # the healthy workload
     ("msr", 100, 20, 38, 11, 8, False),  # the byzantine workload
     ("mbr", 6, 3, 4, 8, 7282, True),  # the files workload
-    ("mbr", 10, 4, 7, 8, 4546, False),  # 100 001 bytes; D has 208 nonzeros, over 150
+    ("mbr", 10, 4, 7, 8, 4546, False),  # 100 001 bytes; D has 208 nonzeros, over 150,
+    ("mbr", 10, 4, 7, 8, 2979, False),  # and β < 2^8·B = 5 632: 64 KiB
+    ("mbr", 10, 4, 7, 8, 47663, True),  # 1 MiB: D's packed rows pay off
+    ("msr", 14, 5, 8, 8, 3277, True),  # 64 KiB, α = 4: B² = 400 > 396, but D's rows pack
+    ("msr", 14, 5, 8, 8, 52429, True),  # 1 MiB
+    ("msr", 14, 5, 8, 8, 500, False),  # β ≤ 2^9: Y·D would run on the cube
 ])
 def test_fast_path_route_per_shape(family, n, k, d, m, beta, by_matrix):
     assert PARAMS[family](n, k, d, beta, GF(m)).by_matrix == by_matrix
