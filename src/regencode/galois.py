@@ -10,19 +10,20 @@ that knows the table format.
 ``matmul`` picks its kernel from the operand shapes.  When an outer
 dimension L exceeds 2^(m+1), one operand is long data and the other a
 short constant matrix (an encode, a decode projection, a repair inner
-product), and the product goes through tables built per call.  Tall data
-A (L × q) times a constant B (q × r) packs, for each inner index j, the
-row x·B[j, :] of every symbol x into one word of r lanes (uint8 lanes
-for m <= 8, uint16 above; a word of 1, 2, 4 or 8 bytes, or a few
-uint64): the product is q gathers of whole rows, XOR-accumulated
-already in (L, r) order.  That kernel runs while one table of 2^m packed
-rows fits _ROW_TABLE_BYTES; past it, and for wide data (a constant C
-times data D of L columns), each coefficient c gets a multiply-by-c
-table of 2^m lanes and the product is one gather of a data row per
-coefficient (the product-table method of Plank, Greenan & Miller,
-FAST 2013, without the SIMD).  From that length the tables cost under
-half the cube cells they replace.  Otherwise the log/exp cube of all
-p·q·r products is XOR-reduced over q in even blocks of at most
+product), and the product goes through tables built per call: the
+product-table method of Plank, Greenan & Miller (FAST 2013), without the
+SIMD.  Tall data A (L × q) times a constant B (q × r) packs, for each
+inner index j, the row x·B[j, :] of every symbol x into one word of r
+lanes (uint8 lanes for m <= 8, uint16 above; a word of 1, 2, 4 or 8
+bytes, or a few uint64): the product is q gathers of whole rows,
+XOR-accumulated already in (L, r) order, and an index whose
+coefficients are all zero is skipped.  A table of 2^m packed rows stays
+within _ROW_TABLE_BYTES, so B's columns go in groups of as many lanes as
+fit, at least one; a one-lane group is a multiply-by-c table per
+coefficient.  Wide data (a constant C times data D of L columns) is the
+same kernel on the transposes, (Dᵀ·Cᵀ)ᵀ.  From that length the tables
+cost under half the cube cells they replace.  Otherwise the log/exp cube
+of all p·q·r products is XOR-reduced over q in even blocks of at most
 _BLOCK_CELLS cells, so no temporary outgrows a block or the (p, r)
 result.
 """
@@ -40,10 +41,9 @@ from .errors import InvalidParams, ZeroInverse
 # 128 KiB mmap threshold with malloc's chunk header, so blocks come from the heap.
 _BLOCK_CELLS = (1 << 14) - 16
 
-# Bytes of one table of the packed-row kernel (2^m packed rows).  Up to it every
-# measured shape ran at least as fast as on the per-coefficient tables; larger
-# tables leave the first-level cache, and some shapes ran slower (over GF(2^12)
-# with r = 3 and GF(2^13) with r = 2, 32 KiB each).
+# Bytes of one table of the packed-row kernel (2^m packed rows of one lane group).
+# Larger tables leave the first-level cache, and some shapes ran slower on them than
+# on one-lane tables (over GF(2^12) with r = 3 and GF(2^13) with r = 2, 32 KiB each).
 _ROW_TABLE_BYTES = 1 << 14
 
 _UINT = {n: np.dtype(f"uint{8 * n}") for n in (1, 2, 4, 8)}
@@ -136,6 +136,7 @@ class GF:
         self._exp = np.zeros(4 * self.order + 1, dtype=np.int64)
         self._exp[: 2 * self.order] = exp
         self._lane = _UINT[1 if m <= 8 else 2]  # one symbol in the product tables
+        self._group = max(1, _ROW_TABLE_BYTES // (q * self._lane.itemsize))  # lanes a table fits
 
     def __repr__(self):
         return f"GF(2^{self.m}, poly=0x{self.prim_poly:x}, g={self.generator})"
@@ -229,56 +230,50 @@ class GF:
                 np.add(la[:, j0:j1, None], lb[None, j0:j1, :], out=cube)
                 out ^= np.bitwise_xor.reduce(self._exp.take(cube, out=cube, mode="clip"), axis=1, out=part)
             return out
-        if self.packs_rows(p, r):
+        if p > r:  # tall data A times a short constant B
             return self._row_product(A, B)
-        if p > r:  # tall data A times constant B, as (Bᵀ·Aᵀ)ᵀ
-            return np.ascontiguousarray(self._table_product(B.T, A.T).T, dtype=np.int64)
-        return self._table_product(A, B).astype(np.int64)
+        return self._row_product(B.T, A.T).T  # a short constant A times wide data B
 
     def packs_rows(self, p: int, r: int) -> bool:
-        """Whether ``matmul`` of a (p, q) by a (q, r) matrix runs on the packed-row
-        kernel: p past 2^(m+1) and r, and a row of r symbols small enough that
-        its table of 2^m rows fits _ROW_TABLE_BYTES."""
-        word, words, _ = self._row_packing(r)
-        return p > max(r, 2 * self.q) and self.q * word.itemsize * words <= _ROW_TABLE_BYTES
-
-    def _row_packing(self, r: int) -> tuple[np.dtype, int, int]:
-        """(word dtype, words, lanes) that hold a row of r symbols: one word of
-        1, 2, 4 or 8 bytes, or as many uint64 as it takes; lanes pads r."""
-        size = max(r, 1) * self._lane.itemsize
-        word = 8 if size > 8 else 1 << (size - 1).bit_length()
-        words = -(-size // word)
-        return _UINT[word], words, words * word // self._lane.itemsize
+        """Whether ``matmul`` of a (p, q) by a (q, r) matrix gathers whole rows of
+        the constant: p past 2^(m+1) and r, and a row of r symbols small enough
+        that its table of 2^m rows fits _ROW_TABLE_BYTES (one lane group)."""
+        return p > max(r, 2 * self.q) and r * self.q * self._lane.itemsize <= _ROW_TABLE_BYTES
 
     def _row_product(self, A, B) -> np.ndarray:
         """A·B for long data A (p > 2^(m+1), q) and a short constant B (q, r).
 
-        rows[j, x] packs the row x·B[j, :] into `words` words, so the product
-        is one gather of A's column j per inner index j, XOR-accumulated.
+        B's columns go in groups of as many lanes as one table of 2^m packed
+        rows fits in _ROW_TABLE_BYTES, at least one.  In a group C, rows[j, x]
+        packs the row x·C[j, :] into one word of 1, 2, 4 or 8 bytes, or as
+        many uint64 as it takes, so the group's product is one gather of A's
+        column j per inner index j, XOR-accumulated already in (p, lanes)
+        order; an index whose coefficients in C are all zero is skipped.  The
+        groups' lanes go to int64 in one pass.
         """
         (p, q), r = A.shape, B.shape[1]
-        if not q:
-            return np.zeros((p, r), dtype=np.int64)
-        word, words, lanes = self._row_packing(r)
-        rows = np.zeros((q, self.q, lanes), dtype=self._lane)
-        prods = self._log[B][:, None, :] + self._log[:, None]
-        rows[..., :r] = self._exp.take(prods, out=prods, mode="clip")
-        rows = rows.view(word)
-        if words == 1:  # one table of 2^m words per index: a plain gather
-            gathers = (rows[j, :, 0][A[:, j]] for j in range(q))
-        else:  # 2^m rows of `words` words: take copies whole rows, faster than 2-D indexing
-            gathers = (rows[j].take(A[:, j], axis=0) for j in range(q))
-        return reduce(ixor, gathers).view(self._lane).reshape(p, lanes)[:, :r].astype(np.int64)
-
-    def _table_product(self, C, D) -> np.ndarray:
-        """C·D for a short constant C (s, q) and long data D (q, L > 2^(m+1)).
-
-        tables[i, j, x] = C[i, j]·x, so output row i is the XOR over j of
-        row D[j] looked up in table (i, j).
-        """
-        tables = self._exp[self._log[C][:, :, None] + self._log].astype(self._lane)
-        out = np.zeros((C.shape[0], D.shape[1]), dtype=self._lane)
-        for (i, j), c in np.ndenumerate(C):
-            if c:
-                out[i] ^= tables[i, j][D[j]]
-        return out
+        group, parts = self._group, []
+        for g in range(0, r, group):
+            C, js = B[:, g : g + group], range(q)
+            if np.count_nonzero(C) < C.size:  # some zeros: keep the indices with a nonzero
+                js = np.flatnonzero(C.any(axis=1))
+                C, js = C[js], js.tolist()
+            w = C.shape[1]
+            size = w * self._lane.itemsize
+            word = _UINT[8 if size > 8 else 1 << (size - 1).bit_length()]
+            words = -(-size // word.itemsize)
+            lanes = words * word.itemsize // self._lane.itemsize  # w padded to whole words
+            rows = np.zeros((len(js), self.q, lanes), dtype=self._lane)
+            prods = self._log[C][:, None, :] + self._log[:, None]
+            rows[..., :w] = self._exp.take(prods, out=prods, mode="clip")
+            rows = rows.view(word)
+            if words == 1:  # one table of 2^m words per index: a plain gather
+                gathers = (rows[i, :, 0][A[:, j]] for i, j in enumerate(js))
+            else:  # 2^m rows of `words` words: take copies whole rows, faster than 2-D indexing
+                gathers = (rows[i].take(A[:, j], axis=0) for i, j in enumerate(js))
+            acc = reduce(ixor, gathers) if len(js) else np.zeros((p, words), dtype=word)
+            part = acc.view(self._lane).reshape(p, lanes)[:, :w]
+            if r <= group:  # while the tables are held: freeing them first ran slower
+                return part.astype(np.int64)
+            parts.append(part)
+        return np.concatenate(parts or [np.zeros((p, 0), dtype=np.int64)], axis=1, dtype=np.int64)

@@ -45,7 +45,7 @@ from .rscode import (
     RsParams,
     decode_error_erasure,
     encode_eval,
-    invert_submatrix,
+    gf_inverse,
     vandermonde,
 )
 
@@ -230,7 +230,7 @@ class CodedLayout:
         self.k_prime = k_prime
         self.field = GF(m_prime)
         self.code = RsParams(n - 1, k_prime, self.field)
-        self.ghat_inv = invert_submatrix(vandermonde(self.code), range(k_prime), self.field)
+        self.ghat_inv = gf_inverse(self.field, vandermonde(self.code)[:, :k_prime])
 
     def checksum_to_message(self, checksum):
         """The zero-padded r bits as k' m'-bit symbols; one row per checksum of an array."""

@@ -20,15 +20,14 @@ plain interpolation, solved in closed form with one Vandermonde inverse
 (``rscode.vandermonde_inverse``) of G_S = G[:k, S]: A2 = Y_bot·G_S⁻¹,
 then A1 = (Y_top + A2ᵀ·G[k:d, S])·G_S⁻¹.  That algebra is linear in
 the k·d symbols read per stripe and runs in the shared fast-path frame
-of ``progressive``; its route rule ``by_matrix`` is β > k·d and either
-at most 3·(k·d + B) nonzero coefficients in the (k·d)×B decoding matrix
-D (45 at [6,3,4]; a measured crossover: Y·D gathers once per
-coefficient, the algebra on the data spends about three passes over
-each stripe's k·d inputs and B outputs in reshapes and read_u), or Y·D
-on the packed-row kernel of ``GF.matmul`` with β ≥ 2^m·B, so that its
-k·d·2^m·B table products cost no more than one pass over Y (the
-measured crossover of [10,4,7] over GF(2^8) lies near β = 6 000;
-2^8·22 = 5 632).  When the checksum test
+of ``progressive``; its route rule ``by_matrix`` is β ≥ 2^m·B.  Past
+2^(m+1) stripes, Y times the (k·d)×B decoding matrix D runs on the
+product tables of ``GF.matmul``, and at β ≥ 2^m·B their k·d·2^m·B
+products cost no more than one pass over Y.  Timed per call against the
+algebra on the data, the rule picks the faster route, or one within
+about 5 % of it, for [6,3,4] over GF(2^8), GF(2^11) and GF(2^16) and for
+[10,4,7] over GF(2^8), whose crossover lies near β = 6 000 (2^8·22 =
+5 632).  When the checksum test
 rejects, more columns are read on the shared schedule of ``progressive``,
 topped up to k, the dimension of the [n, k] code, and both phases
 error-decode with block decoders.  Regeneration works exactly as in the
@@ -43,7 +42,7 @@ import numpy as np
 from . import progressive
 from .errors import InvalidParams
 from .progressive import ProductMatrixParams, build_u, read_u, symmetric_fill
-from .rscode import ProgressiveDecoder, RsParams, invert_submatrix, vandermonde_inverse
+from .rscode import ProgressiveDecoder, RsParams, gf_inverse, vandermonde_inverse
 
 
 class MbrParams(ProductMatrixParams):
@@ -62,14 +61,11 @@ class MbrParams(ProductMatrixParams):
         self.B = k * d - k * (k - 1) // 2
         self.code_k = RsParams(n, k, field)
         self.bottom = self.G[k:d, :]  # rows multiplying A2ᵀ
-        self.ghat_k_inv = invert_submatrix(self.G[:k], range(k), field)
+        self.ghat_k_inv = gf_inverse(field, self.G[:k, :k])
         self.fill1 = symmetric_fill(k)  # A1, k×k
         self.fill2 = np.arange(k * (k + 1) // 2, self.B).reshape(d - k, k)  # A2, row-major
-        # D's coefficients: k inputs for each entry of A2, k(d-k+1) for each of A1
-        nonzeros = k * k * (d - k) + k * k * (k + 1) * (d - k + 1) // 2
-        # or Y·D on packed rows once β ≥ 2^m·B amortises their k·d·2^m·B table products
-        packed = field.packs_rows(beta, self.B) and beta >= field.q * self.B
-        self.by_matrix = beta > k * d and (nonzeros <= 3 * (k * d + self.B) or packed)
+        # Y·D once β ≥ 2^m·B amortises its tables of 2^m·B products per input
+        self.by_matrix = beta >= field.q * self.B
 
 
 def assemble_u(a1, a2, params: MbrParams) -> np.ndarray:

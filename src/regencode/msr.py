@@ -17,9 +17,9 @@ A2·g_i through an invertible Vandermonde system, inverted in closed form
 is linear in the B = k·α symbols read per stripe and runs in the shared
 fast-path frame of ``progressive``; its route rule ``by_matrix`` is
 β > B and either B² ≤ k²α + 2kα + 4α³ (Y·D's products per stripe
-against the algebra's; α ≤ 3) or Y·D runs on the packed-row kernel of
-``GF.matmul`` (β past 2^(m+1) and B symbols to a row, so one gather per
-input symbol: α ≤ 7 over GF(2^8)).  When the checksum test rejects that
+against the algebra's; α ≤ 3) or Y·D runs on one lane group of the
+product tables of ``GF.matmul`` (β past 2^(m+1) and B symbols to a row,
+so one gather per input symbol: α ≤ 7 over GF(2^8)).  When the checksum test rejects that
 result, the collector falls back to per-row error-erasure decoding of
 the [n, d] row code on the shared schedule of ``progressive``.
 

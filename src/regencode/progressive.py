@@ -15,9 +15,9 @@ Reconstruction from exactly k honest columns needs no error decoding.
 ``reconstruct_fast`` checks the columns once, lays them side by side as
 y[s, t·α + a] (symbol a of node nodes[t] in stripe s) and hands y to the
 family's ``algebra(y, nodes, params)``, which is linear in the k·α
-symbols a stripe reads.  When ``params.by_matrix`` holds (β > k·α, so D
-is amortised, and the family's cost test) it runs the algebra once on
-the k·α identity instead, to get the access set's (k·α)×B decoding
+symbols a stripe reads.  When ``params.by_matrix`` holds (the family's
+cost rule, which implies β > k·α, so D is amortised) it runs the algebra
+once on the k·α identity instead, to get the access set's (k·α)×B decoding
 matrix D, and returns y·D.
 
 Reconstruction and regeneration read what a fault-free run needs and
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import (ChecksumUnrecoverable, ClusterExhausted, DecodeFailure, InvalidParams,
                      LengthMismatch, SelfRepair)
 from .galois import GF
-from .rscode import ProgressiveDecoder, RsParams, invert_submatrix, vandermonde
+from .rscode import ProgressiveDecoder, RsParams, gf_inverse, vandermonde
 
 
 class ProductMatrixParams:
@@ -60,7 +60,7 @@ class ProductMatrixParams:
         self.alpha = self.alpha_for(k, d)
         self.code = RsParams(n, d, field)
         self.G = vandermonde(self.code)  # d×n; column i is g_i
-        self.ghat_inv = invert_submatrix(self.G, range(d), field)
+        self.ghat_inv = gf_inverse(field, self.G[:, :d])
 
     @cached_property
     def reads(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -33,7 +33,7 @@ generator polynomial has those roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,10 +82,9 @@ class RsParams:
 
 @dataclass
 class ReceivedWord:
-    """Symbols observed at known positions plus declared erasures."""
+    """Symbols observed at known positions; every other position is an erasure."""
 
     symbols: dict[int, int]
-    erasures: set[int] = dfield(default_factory=set)
 
 
 @dataclass
@@ -163,19 +162,6 @@ def vandermonde_inverse(field: GF, x) -> np.ndarray:
     for d in range(1, n):
         q[d] = h[d, ..., None] ^ field.vmul(x, q[d - 1])
     return field.vdiv(np.moveaxis(q[::-1], 0, -1), den[..., None])
-
-
-def invert_submatrix(G, cols, field: GF) -> np.ndarray:
-    """Invert the square submatrix formed by the given columns of G."""
-    G = np.asarray(G, dtype=np.int64)
-    cols = list(cols)
-    if len(set(cols)) != len(cols):
-        raise InvalidParams(f"duplicate columns in {cols}")
-    if len(cols) != G.shape[0]:
-        raise InvalidParams(
-            f"need {G.shape[0]} columns for a square submatrix, got {len(cols)}"
-        )
-    return gf_inverse(field, G[:, cols])
 
 
 class ProgressiveDecoder:
@@ -469,13 +455,6 @@ def _at_inverse_points(params: RsParams, polys, positions) -> np.ndarray:
 
 def decode_error_erasure(word: ReceivedWord, params: RsParams) -> DecodeOutcome:
     """One-shot decode of a received word (batch variant of the decoder)."""
-    if word.erasures & set(word.symbols):
-        raise InvalidParams("erasure set overlaps received symbols")
-    if len(word.symbols) + len(word.erasures) > params.n:
-        raise InvalidParams("more symbols and erasures than code positions")
-    for p in word.erasures:
-        if not 0 <= p < params.n:
-            raise InvalidParams(f"erasure position {p} outside [0, {params.n})")
     state = ProgressiveDecoder(params)
     state.absorb(word.symbols)
     return state.attempt()

@@ -324,11 +324,16 @@ def test_matmul_switch_matches_scalar(m, long):
     assert gf.matmul(A, B).tolist() == scalar_matmul(gf, A, B)
 
 
+# (m, r): constants of one lane group and more, split into groups of 64
+# (GF(2^8)), 16 (GF(2^9)), 4 (GF(2^11)), 2 (GF(2^12)) and 1 lane (GF(2^13) up)
+LANE_SPLITS = [(8, 65), (9, 17), (11, 5), (11, 9), (12, 3), (13, 2), (16, 3)]
+
 # (m, r): every packing of the packed-row kernel; over GF(2^8) words of 1, 2,
 # 4 and 8 bytes (r = 1, 2, 3-4, 5-8) and of 2 and 3 uint64 (r = 9-16, 17),
-# then uint16 lanes
+# then uint16 lanes, then the lane group splits
 ROW_PACKINGS = [(8, r) for r in (1, 2, 3, 4, 5, 8, 9, 16, 17)] + [
     (9, 1), (9, 3), (9, 5), (11, 2), (11, 4), (11, 9), (16, 1), (16, 6)]
+ROW_PACKINGS += [split for split in LANE_SPLITS if split not in ROW_PACKINGS]
 
 
 @pytest.mark.parametrize("m, r", ROW_PACKINGS)
@@ -349,6 +354,8 @@ def test_row_kernel_matches_scalar(m, r, q):
         B[1] = 0  # a zero row
     if r > 1:
         B[:, -1] = 0  # a zero column
+    if r > gf._group:
+        B[-1, : gf._group] = 0  # zero inside the first group only (all of index 0 if q = 1)
     views = {
         "c_order": np.ascontiguousarray(word[:, :q]),
         "transposed": np.ascontiguousarray(word[:, :q].T).T,
@@ -376,6 +383,33 @@ def test_matmul_row_kernel_past_switch(m, q, r):
     got = gf.matmul(A, B)
     assert got.dtype == np.int64 and got.flags.c_contiguous and got.shape == (p, r)
     assert got.tolist() == scalar_matmul(gf, A, B)
+
+
+@pytest.mark.parametrize("m, r", LANE_SPLITS)
+@pytest.mark.parametrize("tall", [True, False], ids=["tall_a", "wide_b"])
+def test_matmul_lane_groups_match_scalar(m, r, tall):
+    # one past 2^(m+1) against a constant of r columns (tall data) or rows
+    # (wide data) in more than one lane group; a sample of the long side is
+    # checked
+    gf = GF(m)
+    group = gf._group
+    assert group < r <= 2 * gf.q
+    rng = np.random.default_rng(100 * m + r + tall)
+    data = rng.integers(0, gf.q, size=(2 * gf.q + 1, 5))
+    const = rng.integers(0, gf.q, size=(5, r))
+    data[0] = 0
+    data[-1] = gf.q - 1
+    const[1] = 0  # zero in every group
+    const[-1, :group] = 0  # zero inside the first group only
+    const[:, -1] = 0  # a zero column
+    A, B = (data, const) if tall else (const.T, data.T)
+    got = gf.matmul(A, B)
+    assert got.dtype == np.int64 and got.shape == (A.shape[0], B.shape[1])
+    picks = [0, 1, len(data) - 1] + rng.integers(len(data), size=40).tolist()
+    if tall:
+        assert got[picks].tolist() == scalar_matmul(gf, A[picks], B)
+    else:
+        assert got[:, picks].tolist() == scalar_matmul(gf, A, B[:, picks])
 
 
 def test_row_kernel_only_for_small_tables():

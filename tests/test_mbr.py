@@ -206,20 +206,23 @@ def stripes_through_algebra(monkeypatch):
     return seen
 
 
+# by_matrix: the route under test at beta > k·d, set on the params whatever
+# the route rule picks (it picks the data route at these small betas)
 @pytest.mark.parametrize("n,k,d,field,betas,subsets,by_matrix", [
     (6, 3, 4, GF(8), (1, 12, 13, 40), None, True),  # the files workload's code
     (6, 3, 4, F16, (1, 13), None, True),
     (6, 3, 3, GF(8), (1, 9, 10, 40), None, True),  # d = k: A2 is empty
     (6, 3, 4, GF(16), (12, 13), None, True),
     (8, 2, 5, GF(8), (11,), 6, True),
-    (10, 4, 7, GF(8), (29, 40), 6, False),  # D too dense: data route at beta > k·d
+    (10, 4, 7, GF(8), (29, 40), 6, False),
     (20, 10, 11, GF(8), (111,), 2, False),
 ])
 def test_fast_path_matches_two_decoder_path(monkeypatch, n, k, d, field, betas, subsets,
                                             by_matrix):
     # clean columns give the message; with random columns corrupted the
     # candidate equals the decoders' bit for bit, so the checksum verdict
-    # and every count after it are those of the decoder path
+    # and every count after it are those of the decoder path; a beta up to
+    # k·d takes the data route
     rng = np.random.default_rng(n * d * field.m)
     if subsets is None:
         access = list(itertools.combinations(range(n), k))
@@ -228,6 +231,8 @@ def test_fast_path_matches_two_decoder_path(monkeypatch, n, k, d, field, betas, 
     seen = stripes_through_algebra(monkeypatch)
     for beta in betas:
         p = mbr.MbrParams(n, k, d, beta, field)
+        assert not p.by_matrix
+        p.by_matrix = by_matrix and beta > k * d
         msg = rng.integers(0, field.q, (beta, p.B))
         chunks = mbr.encode(msg, p)
         for subset in access:

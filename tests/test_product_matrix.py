@@ -68,7 +68,7 @@ def test_mbr_fill_maps_match_closed_form(k, d):
     ("msr", 4, 5, False),
     ("msr", 4, 7, True),  # beta > B = 6
     ("mbr", 8, 5, False),
-    ("mbr", 8, 13, True),  # beta > k·d = 12
+    ("mbr", 4, 144, True),  # beta >= 2^4·B = 144
 ])
 def test_fast_reconstruct_rejects_malformed_input(name, m, beta, by_matrix):
     # node id -1 once indexed as node n-1 and decoded the true message, and n
