@@ -151,6 +151,13 @@ def test_random_column_subsets_invertible(rs15_4, gf16):
                 for t in range(4):
                     acc ^= gf16.mul(int(sub[i, t]), int(inv[t, j]))
                 assert acc == (1 if i == j else 0)
+
+
+def test_invert_submatrix_validation(rs15_4, gf16):
+    G = vandermonde(rs15_4)
+    # too few columns leave the submatrix non-square
+    with pytest.raises(InvalidParams):
+        gf_inverse(gf16, G[:, [0, 1, 2]])
     # a repeated column leaves the submatrix singular
     with pytest.raises(SingularMatrix):
         gf_inverse(gf16, G[:, [0, 1, 2, 2]])
