@@ -271,37 +271,52 @@ def _parse_config(path) -> dict[str, str]:
     return cfg
 
 
-def _resolve_fault_set(expr: str, rng: random.Random, n: int,
+def _number(key: str, text, kind=int):
+    """A config value as an int (or float); a malformed one raises
+    InvalidParams naming its key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidParams(f"{key}={text!r} is not a valid {kind.__name__}") from None
+
+
+def _resolve_fault_set(cfg: dict, key: str, rng: random.Random, n: int,
                        taken: set) -> set:
+    expr = cfg.get(key, "")
     if not expr:
         return set()
     if expr.startswith("random:"):
-        count = int(expr.split(":", 1)[1])
+        count = _number(key, expr.split(":", 1)[1])
         pool = [i for i in range(n) if i not in taken]
-        if count > len(pool):
-            raise InvalidParams(f"cannot pick {count} nodes from {len(pool)}")
+        if not 0 <= count <= len(pool):
+            raise InvalidParams(f"{key}: cannot pick {count} nodes from {len(pool)}")
         return set(rng.sample(pool, count))
-    return {int(tok) for tok in expr.split(",") if tok}
+    return {_number(key, tok) for tok in expr.split(",") if tok}
 
 
 def cmd_simulate(args) -> int:
     cfg = _parse_config(args.config)
+    num = lambda key, default, kind=int: _number(key, cfg.get(key, default), kind)
     family = cfg.get("family", "msr")
-    n = int(cfg.get("n", 6))
-    k = int(cfg.get("k", 3))
-    d = int(cfg.get("d", 4))
-    beta = int(cfg.get("beta", 1))
-    m = int(cfg.get("m", 8))
-    r = int(cfg.get("r", 32))
+    n = num("n", 6)
+    k = num("k", 3)
+    d = num("d", 4)
+    beta = num("beta", 1)
+    m = num("m", 8)
+    r = num("r", 32)
     scheme = cfg.get("scheme", REPLICATED)
-    seed = int(cfg.get("seed", 0))
-    trials = int(cfg.get("trials", 1))
+    seed = num("seed", 0)
+    trials = num("trials", 1)
     operation = cfg.get("operation", "reconstruct")
     policy_name = cfg.get("policy", "seeded_random")
     strategy_name = cfg.get("strategy", "random_corruption")
-    rate = float(cfg.get("rate", 1.0))
+    rate = num("rate", 1.0, float)
+    if not 0 <= rate <= 1:  # NaN fails both comparisons
+        raise InvalidParams(f"rate={rate} outside [0, 1]")
     if trials < 1:
         raise InvalidParams(f"trial count must be >= 1, got {trials}")
+    if seed < 0:
+        raise InvalidParams(f"seed={seed} is negative")
     if operation not in ("reconstruct", "regenerate"):
         raise InvalidParams(f"unknown operation {operation!r}")
     if policy_name not in ("seeded_random", "adversarial"):
@@ -319,7 +334,9 @@ def cmd_simulate(args) -> int:
         truth = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
     else:
         default_bits = params.beta * params.B * params.field.m - r
-        size = int(cfg.get("payload_bits", default_bits))
+        size = num("payload_bits", default_bits)
+        if size < 0:  # the default is negative when the frame is shorter than r
+            raise InvalidParams(f"payload_bits={size} is negative")
         truth = np.random.default_rng(seed).integers(
             0, 2, size=size, dtype=np.uint8
         )
@@ -330,10 +347,8 @@ def cmd_simulate(args) -> int:
     successes = wrong = 0
     for trial in range(trials):
         rng = random.Random(f"{seed}|trial|{trial}")
-        crashes = _resolve_fault_set(cfg.get("crashes", ""), rng, n, set())
-        byzantine = _resolve_fault_set(
-            cfg.get("byzantine", ""), rng, n, crashes
-        )
+        crashes = _resolve_fault_set(cfg, "crashes", rng, n, set())
+        byzantine = _resolve_fault_set(cfg, "byzantine", rng, n, crashes)
         if strategy_name == "zero_crc_forgery":
             strategy = build_msr_zero_crc_forgery(base, byzantine)
         else:
@@ -351,7 +366,7 @@ def cmd_simulate(args) -> int:
             failed_expr = cfg.get("failed", "random")
             failed = (
                 rng.randrange(n) if failed_expr == "random"
-                else int(failed_expr)
+                else _number("failed", failed_expr)
             )
             out, metrics = run_regeneration(state, failed, policy)
             correct = metrics.outcome == SUCCESS and np.array_equal(

@@ -493,9 +493,8 @@ def build_msr_zero_crc_forgery(state: ClusterState, colluders) -> ConsistentForg
 
     def message_delta(gamma: np.ndarray) -> np.ndarray:
         # decoded message delta when row r of stripe s shifts by gamma[s,r]*u;
-        # read_u takes each symbol from its upper-triangle entry (r, j >= r)
-        prod = field.vmul(gamma[..., None], np.array(u_vec, dtype=np.int64))
-        return read_u(prod[..., :alpha], prod[..., alpha:], params)
+        # read_u takes each symbol from its first row-major entry of U = [A1 | A2]
+        return read_u(field.vmul(gamma[..., None], np.array(u_vec, dtype=np.int64)), params)
 
     def residue(delta: np.ndarray) -> int:
         data = symbols_to_bytes(delta, m)

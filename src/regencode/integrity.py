@@ -40,14 +40,7 @@ import numpy as np
 
 from .errors import InvalidParams, NoMajority, TooShort
 from .galois import GF
-from .rscode import (
-    ReceivedWord,
-    RsParams,
-    decode_error_erasure,
-    encode_eval,
-    gf_inverse,
-    vandermonde,
-)
+from .rscode import ReceivedWord, RsParams, decode_error_erasure, encode_eval
 
 DEFAULT_CRC_POLYS = {
     4: 0x3,  # x^4 + x + 1
@@ -230,7 +223,6 @@ class CodedLayout:
         self.k_prime = k_prime
         self.field = GF(m_prime)
         self.code = RsParams(n - 1, k_prime, self.field)
-        self.ghat_inv = gf_inverse(self.field, vandermonde(self.code)[:, :k_prime])
 
     def checksum_to_message(self, checksum):
         """The zero-padded r bits as k' m'-bit symbols; one row per checksum of an array."""
@@ -311,6 +303,4 @@ def recover_checksum(
         {_peer_position(j, failed): int(v) for j, v in responses.items()}
     )
     outcome = decode_error_erasure(word, layout.code)
-    c = np.array([outcome.codeword[: layout.k_prime]], dtype=np.int64)
-    message = layout.field.matmul(c, layout.ghat_inv)[0].tolist()
-    return layout.message_to_checksum(message)
+    return layout.message_to_checksum(layout.code.messages(outcome.codeword))

@@ -7,9 +7,10 @@ The B = kd - k(k-1)/2 message symbols fill a symmetric d×d matrix
     U = [[A1, A2ᵀ],
          [A2,  0 ]]
 
-with A1 k×k symmetric and A2 (d-k)×k.  Node i stores column i of
-C = U·G under the [n, d] evaluation code; per-node storage is α = d
-symbols per stripe, but repair needs only one symbol per helper.
+with A1 k×k symmetric and A2 (d-k)×k, through one d×d index map.  Node
+i stores column i of C = U·G under the [n, d] evaluation code; per-node
+storage is α = d symbols per stripe, but repair needs only one symbol
+per helper.
 
 Because the right blocks of U's bottom rows are zero, rows k..d-1 of C
 are codewords of the [n, k] code.  Reconstruction therefore runs in two
@@ -30,9 +31,11 @@ about 5 % of it, for [6,3,4] over GF(2^8), GF(2^11) and GF(2^16) and for
 5 632).  When the checksum test
 rejects, more columns are read on the shared schedule of ``progressive``,
 topped up to k, the dimension of the [n, k] code, and both phases
-error-decode with block decoders.  Regeneration works exactly as in the
-MSR family except the decoded vector g_i·U, transposed via U's symmetry,
-*is* the lost column.
+error-decode with block decoders into the messages of that code: the
+rows of A2, then those of A1.  Either way the result is U's top rows
+[A1 | A2ᵀ], which hold every message symbol.  Regeneration works
+exactly as in the MSR family except the decoded vector g_i·U,
+transposed via U's symmetry, *is* the lost column.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ import numpy as np
 
 from . import progressive
 from .errors import InvalidParams
-from .progressive import ProductMatrixParams, build_u, read_u, symmetric_fill
-from .rscode import ProgressiveDecoder, RsParams, gf_inverse, vandermonde_inverse
+from .progressive import ProductMatrixParams, read_u, symmetric_fill
+from .rscode import ProgressiveDecoder, RsParams, vandermonde_inverse
 
 
 class MbrParams(ProductMatrixParams):
@@ -61,27 +64,15 @@ class MbrParams(ProductMatrixParams):
         self.B = k * d - k * (k - 1) // 2
         self.code_k = RsParams(n, k, field)
         self.bottom = self.G[k:d, :]  # rows multiplying A2ᵀ
-        self.ghat_k_inv = gf_inverse(field, self.G[:k, :k])
-        self.fill1 = symmetric_fill(k)  # A1, k×k
-        self.fill2 = np.arange(k * (k + 1) // 2, self.B).reshape(d - k, k)  # A2, row-major
+        a2 = np.arange(k * (k + 1) // 2, self.B).reshape(d - k, k)  # row-major
+        self.fill = np.block([[symmetric_fill(k), a2.T], [a2, np.full((d - k, d - k), self.B)]])
         # Y·D once β ≥ 2^m·B amortises its tables of 2^m·B products per input
         self.by_matrix = beta >= field.q * self.B
 
 
-def assemble_u(a1, a2, params: MbrParams) -> np.ndarray:
-    """The full symmetric d×d information matrix.  Any leading axes index
-    stripes."""
-    a1, a2, k = np.asarray(a1), np.asarray(a2), params.k
-    u = np.zeros(a1.shape[:-2] + (params.d, params.d), dtype=np.int64)
-    u[..., :k, :k] = a1
-    u[..., k:, :k] = a2
-    u[..., :k, k:] = np.swapaxes(a2, -1, -2)
-    return u
-
-
 def encode(stripes, params: MbrParams) -> np.ndarray:
-    """Chunks for all nodes, shape (n, beta, d); U is the d×d assemble_u."""
-    return progressive.encode(stripes, params, assemble_u)
+    """Chunks for all nodes, shape (n, beta, d); U is symmetric, d×d."""
+    return progressive.encode(stripes, params)
 
 
 def reconstruct_fast(columns: dict[int, np.ndarray], params: MbrParams) -> np.ndarray:
@@ -99,9 +90,10 @@ def _two_phase(y: np.ndarray, nodes: list[int], params: MbrParams) -> np.ndarray
     y = y.reshape(beta, k, d).transpose(0, 2, 1)  # y[s, r, t]
     g_inv = vandermonde_inverse(field, field.power(np.asarray(nodes)))
     a2 = field.matmul(y[:, k:].reshape(beta * (d - k), k), g_inv).reshape(beta, d - k, k)
-    e = field.matmul(a2.transpose(0, 2, 1).reshape(beta * k, d - k), params.bottom[:, nodes])
-    a1 = field.matmul(y[:, :k].reshape(beta * k, k) ^ e, g_inv).reshape(beta, k, k)
-    return read_u(a1, a2, params)
+    a2t = a2.transpose(0, 2, 1).reshape(beta * k, d - k)
+    e = field.matmul(a2t, params.bottom[:, nodes])
+    a1 = field.matmul(y[:, :k].reshape(beta * k, k) ^ e, g_inv)
+    return read_u(np.hstack([a1, a2t]).reshape(beta, k, d), params)
 
 
 def reconstruct(collector, params: MbrParams, verify) -> tuple[np.ndarray, int]:
@@ -119,15 +111,14 @@ def reconstruct(collector, params: MbrParams, verify) -> tuple[np.ndarray, int]:
             return reconstruct_fast(received, params)
         # checked before the XOR below, so an out-of-field symbol is named as received
         y = progressive.checked_columns(received, params).reshape(beta, -1, d)
-        a2 = field.matmul(decode().reshape(-1, k), params.ghat_k_inv).reshape(beta, d - k, k)
+        a2t = decode().transpose(0, 2, 1).reshape(beta * k, d - k)  # A2ᵀ
         # strip the A2ᵀ contribution; the top rows become A1·G_k
-        e_full = field.matmul(a2.transpose(0, 2, 1).reshape(beta * k, d - k), params.bottom)
-        e_full = e_full.reshape(beta, k, n)
+        e_full = field.matmul(a2t, params.bottom).reshape(beta, k, n)
         dec = ProgressiveDecoder(params.code_k, beta * k)  # row s*k + r: stripe s, row r
         dec.absorb({p: (y[:, t, :k] ^ e_full[:, :, p]).reshape(-1)
                     for t, p in enumerate(received)})
-        a1 = field.matmul(dec.attempt().codeword[:, :k], params.ghat_k_inv).reshape(beta, k, k)
-        return read_u(a1, a2, params)
+        a1 = params.code_k.messages(dec.attempt().codeword)
+        return read_u(np.hstack([a1, a2t]).reshape(beta, k, d), params)
 
     take = lambda column: np.asarray(column)[:, k:]  # rows k..d-1 carry A2
     return progressive.run(collector, k, params.code_k, beta, d - k, take, attempt, verify)

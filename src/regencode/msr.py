@@ -1,12 +1,12 @@
 """Minimum-storage regenerating code for d = 2k-2: the U layout, the
 reconstruct procedure and the regenerate column map.  Parameter checks,
-fill maps, ``encode`` and ``repair_response`` are the shared
+U's packing, ``encode`` and ``repair_response`` are the shared
 product-matrix layer of ``progressive``.
 
 The B = α(α+1) message symbols (α = k-1 = d/2) fill two symmetric α×α
-matrices A1, A2, laid out as U = [A1 | A2].  Node i's column of U·G is
-A1·g_i + λ_i·A2·g_i with g_i = (1, b_i, …, b_i^{α-1}), b_i = a^i and
-λ_i = b_i^α.
+matrices A1, A2, laid out as U = [A1 | A2] by one α×d index map.  Node
+i's column of U·G is A1·g_i + λ_i·A2·g_i with g_i = (1, b_i, …,
+b_i^{α-1}), b_i = a^i and λ_i = b_i^α.
 
 Reconstruction from exactly k = α+1 columns needs no error decoding:
 for accessed nodes i ≠ j the cross projections g_j·y_i and g_i·y_j
@@ -21,7 +21,8 @@ against the algebra's; α ≤ 3) or Y·D runs on one lane group of the
 product tables of ``GF.matmul`` (β past 2^(m+1) and B symbols to a row,
 so one gather per input symbol: α ≤ 7 over GF(2^8)).  When the checksum test rejects that
 result, the collector falls back to per-row error-erasure decoding of
-the [n, d] row code on the shared schedule of ``progressive``.
+the [n, d] row code on the shared schedule of ``progressive``, whose
+decoder hands back U's rows as messages.
 
 Regeneration decodes t = g_i·U from one symbol per stripe from each
 helper and re-derives the lost column as t[:α] + λ_i·t[α:].
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import progressive
 from .errors import InvalidParams
-from .progressive import ProductMatrixParams, build_u, read_u, symmetric_fill
+from .progressive import ProductMatrixParams, read_u, symmetric_fill
 from .rscode import vandermonde_inverse
 
 
@@ -61,8 +62,7 @@ class MsrParams(ProductMatrixParams):
         self.lam = field.power(np.arange(n, dtype=np.int64) * alpha)
         if len(set(self.lam.tolist())) != n:
             raise InvalidParams("node multipliers lambda_i collide; enlarge the field")
-        self.fill1 = symmetric_fill(alpha)
-        self.fill2 = symmetric_fill(alpha, alpha * (alpha + 1) // 2)
+        self.fill = np.hstack([symmetric_fill(alpha), symmetric_fill(alpha, alpha * (alpha + 1) // 2)])
         # Y·D: B² cube products per stripe, or one packed row per input symbol
         self.by_matrix = beta > self.B and (
             self.B**2 <= (k * k + 2 * k + 4 * alpha * alpha) * alpha or field.packs_rows(beta, self.B))
@@ -70,7 +70,7 @@ class MsrParams(ProductMatrixParams):
 
 def encode(stripes, params: MsrParams) -> np.ndarray:
     """Chunks for all nodes, shape (n, beta, alpha); U is [A1 | A2], α×d."""
-    return progressive.encode(stripes, params, lambda a1, a2, _: np.concatenate([a1, a2], axis=-1))
+    return progressive.encode(stripes, params)
 
 
 def reconstruct_fast(columns: dict[int, np.ndarray], params: MsrParams) -> np.ndarray:
@@ -102,13 +102,12 @@ def _reconstruct_structured(y: np.ndarray, nodes: list[int], params: MsrParams) 
     sym = proj[:, :alpha] ^ proj.transpose(1, 0, 2)[:, :alpha]
     q = field.vmul(sym, gap_inv[:, :, None])  # q[o, t, s] = g_o·A2·g_t
     r = proj[:, :alpha] ^ field.vmul(q, lam[:alpha, None])  # r[o, t, s] = g_o·A1·g_t
-    qr = np.concatenate([q, r], axis=2)
-    # column t of Z (of W) solves V_t·z = q[others, t] (= r[...]) per stripe
-    zw = np.stack([field.matmul(v_invs[t], qr[o, t]) for t, o in enumerate(others[:alpha])])
-    # zw[t, i, (z|w, s)] is the row (i, z|w, s) of the left operand, column t
-    a = field.matmul(zw.reshape(alpha, -1).T, w_inv).reshape(alpha, 2, beta, alpha)
-    a = a.transpose(1, 2, 0, 3)  # [z|w, s, i, column]
-    return read_u(a[1], a[0], params)
+    rq = np.concatenate([r, q], axis=2)
+    # column t of A1·W (of A2·W) solves V_t·x = r[others, t] (= q[...]) per stripe
+    aw = np.stack([field.matmul(v_invs[t], rq[o, t]) for t, o in enumerate(others[:alpha])])
+    # aw[t, i, (1|2, s)] is the row (i, 1|2, s) of the left operand, column t
+    a = field.matmul(aw.reshape(alpha, -1).T, w_inv).reshape(alpha, 2, beta, alpha)
+    return read_u(a.transpose(2, 0, 1, 3).reshape(beta, alpha, -1), params)  # [s, i, A1 | A2]
 
 
 def reconstruct(collector, params: MsrParams, verify) -> tuple[np.ndarray, int]:
@@ -121,9 +120,7 @@ def reconstruct(collector, params: MsrParams, verify) -> tuple[np.ndarray, int]:
     def attempt(rounds, received, decode):
         if rounds == 1:
             return reconstruct_fast(received, params) if len(received) == params.k else None
-        u = params.field.matmul(decode().reshape(-1, params.d), params.ghat_inv)
-        u = u.reshape(params.beta, params.alpha, params.d)
-        return read_u(u[..., : params.alpha], u[..., params.alpha :], params)
+        return read_u(decode(), params)
 
     return progressive.run(collector, params.k, params.code, params.beta, params.alpha,
                            lambda column: column, attempt, verify)

@@ -3,13 +3,14 @@
 Each stripe's B message symbols fill a symmetric message matrix U, whose
 rows are encoded with the [n, d] evaluation code; node i stores column i
 of U·G, and a helper answers a repair of node f with its chunk times
-g_f = G[:α, f].  The families differ only in how U is laid out (``msr``:
-two symmetric α×α blocks side by side; ``mbr``: one symmetric d×d matrix
-with a zero corner), in how a collector reconstructs U, and in how the
-decoded g_f·U becomes the lost column.  This module holds the rest:
-parameter checks and generator matrices, the fill maps and U's packing
-and unpacking, ``encode``, ``repair_response``, the fast-path frame and
-the progressive retrieval driver.
+g_f = G[:α, f].  The families differ only in U's index map ``fill``
+(``msr``: two symmetric α×α blocks side by side; ``mbr``: one symmetric
+d×d matrix with a zero corner), in how a collector reconstructs U, and
+in how the decoded g_f·U becomes the lost column.  This module holds the
+rest: parameter checks and generator matrices, U's packing (``build_u``)
+and unpacking (``read_u``, which reads each message symbol once),
+``encode``, ``repair_response``, the fast-path frame and the progressive
+retrieval driver, whose decoder hands back every row's message.
 
 Reconstruction from exactly k honest columns needs no error decoding.
 ``reconstruct_fast`` checks the columns once, lays them side by side as
@@ -40,13 +41,13 @@ import numpy as np
 from .errors import (ChecksumUnrecoverable, ClusterExhausted, DecodeFailure, InvalidParams,
                      LengthMismatch, SelfRepair)
 from .galois import GF
-from .rscode import ProgressiveDecoder, RsParams, gf_inverse, vandermonde
+from .rscode import ProgressiveDecoder, RsParams, vandermonde
 
 
 class ProductMatrixParams:
     """Geometry and generator matrices for one deployment.  Each family
-    subclass sets ``family``, ``alpha_for``, ``B`` and the fill maps
-    ``fill1``/``fill2`` (message index of every entry of A1 and A2)."""
+    subclass sets ``family``, ``alpha_for``, ``B`` and ``fill``, the
+    message index of every entry of U (α×d; B marks MBR's zero corner)."""
 
     def __init__(self, n: int, k: int, d: int, beta: int, field: GF):
         if not k <= d <= n - 1:
@@ -60,17 +61,12 @@ class ProductMatrixParams:
         self.alpha = self.alpha_for(k, d)
         self.code = RsParams(n, d, field)
         self.G = vandermonde(self.code)  # d×n; column i is g_i
-        self.ghat_inv = gf_inverse(field, self.G[:, :d])
 
     @cached_property
-    def reads(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(rows, cols, symbols) of A1 and A2: each message symbol's first
-        row-major entry."""
-        out = []
-        for fill in (self.fill1, self.fill2):
-            symbols, first = np.unique(fill, return_index=True)
-            out.append((*np.divmod(first, fill.shape[1]), symbols))
-        return out
+    def reads(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of each message symbol's first row-major entry of U."""
+        _, first = np.unique(self.fill, return_index=True)
+        return np.divmod(first[: self.B], self.d)
 
     def __repr__(self):
         return (
@@ -88,33 +84,31 @@ def symmetric_fill(size: int, start: int = 0) -> np.ndarray:
     return fill
 
 
-def build_u(message, params) -> tuple[np.ndarray, np.ndarray]:
-    """Arrange B message symbols into (A1, A2).  Any leading axes index
-    stripes."""
+def build_u(message, params) -> np.ndarray:
+    """Arrange B message symbols into U.  Any leading axes index stripes."""
     msg = np.asarray(message, dtype=np.int64)
     if msg.shape[-1:] != (params.B,):
         raise LengthMismatch(f"expected {params.B} message symbols, got {msg.shape}")
-    return msg[..., params.fill1], msg[..., params.fill2]
+    u = msg.take(params.fill, axis=-1, mode="clip")  # MBR's corner reads symbol B-1,
+    u[..., params.fill == params.B] = 0  # then is cleared
+    return u
 
 
-def read_u(a1, a2, params) -> np.ndarray:
-    """Inverse of build_u.  Any leading axes index stripes."""
-    a1, a2 = np.asarray(a1), np.asarray(a2)
-    out = np.zeros(a1.shape[:-2] + (params.B,), dtype=np.int64)
-    for a, (rows, cols, symbols) in zip((a1, a2), params.reads):
-        out[..., symbols] = a[..., rows, cols]
-    return out
+def read_u(u, params) -> np.ndarray:
+    """Inverse of build_u.  Every first entry lies in U's top k rows, so
+    those alone do for MBR ([A1 | A2ᵀ]).  Any leading axes index stripes."""
+    rows, cols = params.reads
+    return np.asarray(u)[..., rows, cols]
 
 
-def encode(stripes, params, layout) -> np.ndarray:
-    """Chunks for all nodes, shape (n, beta, alpha); stripes is beta×B.
-    ``layout(a1, a2, params)`` lays each stripe's U out as α rows of d."""
+def encode(stripes, params) -> np.ndarray:
+    """Chunks for all nodes, shape (n, beta, alpha); stripes is beta×B."""
     stripes = np.asarray(stripes, dtype=np.int64)
     if stripes.shape != (params.beta, params.B):
         raise LengthMismatch(
             f"expected {params.beta}x{params.B} message stripes, got {stripes.shape}"
         )
-    u_all = layout(*build_u(stripes, params), params).reshape(-1, params.d)
+    u_all = build_u(stripes, params).reshape(-1, params.d)
     c_all = params.field.matmul(u_all, params.G)  # (beta*alpha) × n
     return c_all.reshape(params.beta, params.alpha, params.n).transpose(2, 0, 1)
 
@@ -162,11 +156,10 @@ def run(source, first: int, code, beta: int, rows: int, take, attempt, accept):
     fed the (beta, rows) symbols that ``take(data)`` picks from each
     fetched item.  ``attempt(rounds, received, decode)`` builds a
     candidate from the {node: data} received so far; ``decode()`` returns
-    the first ``code.dim`` codeword symbols of every row, shape
-    (beta, rows, dim).  The decoder is built at the first ``decode()`` and
-    fed at each call, so an accepted fast path needs none.  A
-    DecodeFailure counts as no candidate.  Raises ClusterExhausted once
-    the source runs out.
+    every row's message (``RsParams.messages``), shape (beta, rows, dim).
+    The decoder is built at the first ``decode()`` and fed at each call,
+    so an accepted fast path needs none.  A DecodeFailure counts as no
+    candidate.  Raises ClusterExhausted once the source runs out.
     """
     received: dict = {}
     pending: list = []
@@ -178,7 +171,7 @@ def run(source, first: int, code, beta: int, rows: int, take, attempt, accept):
             decoder = ProgressiveDecoder(code, beta * rows)
         decoder.absorb({j: np.asarray(take(data)).reshape(-1) for j, data in pending})
         pending.clear()
-        return decoder.attempt().codeword[:, : code.dim].reshape(beta, rows, code.dim)
+        return code.messages(decoder.attempt().codeword).reshape(beta, rows, code.dim)
 
     count = rounds = 0
     want = first
@@ -217,7 +210,7 @@ def regenerate(source, failed: int, params, recover, chunk_crc, column):
         helpers[:] = received
         if checksum is None:
             checksum = recover(helpers)
-        return column(params.field.matmul(decode()[:, 0], params.ghat_inv))
+        return column(decode()[:, 0])
 
     def accept(chunk):
         return checksum is not None and chunk_crc(chunk) == checksum

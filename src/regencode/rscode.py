@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,16 @@ class RsParams:
         self.synd = field.vmul(self.w[:, None], field.power(p * np.arange(self.two_t)))
         # a^{-p·j}, used to evaluate locators at every inverse point
         self.chien = field.power(-p * np.arange(self.two_t + 1))
+
+    @cached_property
+    def _message_inverse(self) -> np.ndarray:
+        return gf_inverse(self.field, vandermonde(self)[:, : self.dim])
+
+    def messages(self, codewords) -> np.ndarray:
+        """The message of each codeword (last axis): its first dim symbols
+        times (G[:, :dim])⁻¹, which is inverted at the first call."""
+        c = np.asarray(codewords, dtype=np.int64)[..., : self.dim]
+        return self.field.matmul(c.reshape(-1, self.dim), self._message_inverse).reshape(c.shape)
 
     def __repr__(self):
         return f"RsParams(n={self.n}, dim={self.dim}, field={self.field!r})"
@@ -118,7 +129,7 @@ def gf_inverse(field: GF, M) -> np.ndarray:
     Each pivot is one numpy step on the augmented matrices [M | I]: scale
     the pivot rows, then clear their column from every other row at once.
     Raises SingularMatrix if any matrix of the stack is singular.  Serves
-    the set-up inverses; the MSR and MBR fast paths use vandermonde_inverse.
+    ``RsParams.messages``; the MSR and MBR fast paths use vandermonde_inverse.
     """
     M = np.asarray(M, dtype=np.int64)
     if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
@@ -190,7 +201,8 @@ class ProgressiveDecoder:
         self.round = 0
         self._base: list[int] = []  # the first dim positions absorbed
         self._points: list[int] = []  # every later one, in absorb order
-        self._reenc = None  # set once B is complete, see _reencode
+        self._bary = None  # _barycentric on B, once B is complete; see _z
+        self._t: dict[int, np.ndarray] = {}  # W·y_B per row, see _z
         self._basis = _start_basis()  # row 0's
 
     @property
@@ -232,7 +244,7 @@ class ProgressiveDecoder:
             room = params.dim - len(self._base)
             self._base += pos[:room]
             if 0 < room <= len(pos):
-                self._reencode()
+                self._bary = _barycentric(params, self._base)
             new = pos[room:]
             if new:
                 self._points += new
@@ -241,24 +253,19 @@ class ProgressiveDecoder:
         self.round += 1
         return self
 
-    def _reencode(self) -> None:
-        """The map z = R·y that re-encodes a row against the complete base B.
+    def _z(self, r: int, points: list[int]) -> list[int]:
+        """Row r re-encoded against the complete base B at the points.
 
         z_p = (y_p - T(a^p))/V_B(a^p), with T the interpolant of degree
         < dim through the row on B and V_B = prod_{q in B}(x + a^q), is
-        y_p/V_B(a^p) + sum_q y_q·w^B_q/(a^p + a^q) in barycentric form,
-        with w^B_q = 1/prod_{r in B, r != q}(a^q + a^r).  Row p of R holds
-        these coefficients (its rows for B are never read).
+        v_p·y_p + t_p, where t = W·y_B in the barycentric form (W, v) of
+        ``_barycentric``.  The base symbols never change once B is
+        complete, so each row's t is computed once, at every position.
         """
-        weighted, v = _barycentric(self.params, self._base)
-        self._reenc = np.zeros((len(v), len(v)), dtype=np.int64)
-        self._reenc[:, self._base] = weighted
-        np.fill_diagonal(self._reenc, v)
-
-    def _z(self, r: int, points: list[int]) -> list[int]:
-        """Row r re-encoded at the points."""
-        terms = self.params.field.vmul(self._reenc[points], self.word[r])
-        return np.bitwise_xor.reduce(terms, axis=1).tolist()
+        field, (weighted, v), y = self.params.field, self._bary, self.word[r]
+        if r not in self._t:
+            self._t[r] = np.bitwise_xor.reduce(field.vmul(weighted, y[self._base]), axis=1)
+        return (self._t[r][points] ^ field.vmul(v[points], y[points])).tolist()
 
     def _locate(self, r: int) -> list[int]:
         """Error positions of row r, or DecodeFailure past its radius.

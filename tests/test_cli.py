@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -392,6 +393,29 @@ def test_simulate_config_validation(capsys, tmp_path):
     cfg = write_config(tmp_path, operation="defragment")
     code, _, err = run(capsys, "simulate", "--config", cfg)
     assert code == 1 and "unknown operation" in err
+
+
+@pytest.mark.parametrize("key,value,extra", [
+    ("n", "abc", {}),
+    ("rate", "x", {}),
+    ("crashes", "1,x", {}),
+    ("byzantine", "random:-1", {}),
+    ("rate", "nan", {"byzantine": "random:1"}),  # injected nothing, yet marked a node Byzantine
+    ("rate", "1.5", {"byzantine": "random:1"}),
+    ("failed", "two", {"operation": "regenerate"}),
+    ("seed", "-1", {}),
+    ("payload_bits", "-5", {}),
+    ("payload_bits", None, {"r": 64}),  # unset: the default, 48 frame bits - r
+])
+def test_simulate_rejects_malformed_numbers(capsys, tmp_path, key, value, extra):
+    # each once escaped as a ValueError traceback or ran its trials
+    kv = {"family": "msr", "n": 6, "k": 3, "d": 4, **extra, **({} if value is None else {key: value})}
+    cfg = write_config(tmp_path, **kv)
+    code, out, err = run(capsys, "simulate", "--config", cfg)
+    assert code == 1 and not out
+    assert err.count("error=InvalidParams") == 1
+    assert re.search(rf"detail=.{key}[=:]", err)  # the detail names the key
+    assert "Traceback" not in err
 
 
 def test_simulate_payload_file(capsys, tmp_path):

@@ -16,7 +16,7 @@ from regencode.errors import (
 )
 from regencode.galois import GF
 from regencode.integrity import CrcParams, chunk_checksum
-from regencode.rscode import ProgressiveDecoder, encode_eval
+from regencode.rscode import ProgressiveDecoder, encode_eval, gf_inverse
 
 F16 = GF(4)
 CRC32 = CrcParams()
@@ -70,9 +70,8 @@ def test_params_validation():
 
 
 def test_fill_maps_frozen_k3_d4():
-    p = small_params()
-    assert p.fill1.tolist() == [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
-    assert p.fill2.tolist() == [[6, 7, 8]]
+    # [[A1, A2ᵀ], [A2, 0]], the zero corner marked B = 9
+    assert small_params().fill.tolist() == [[0, 1, 2, 6], [1, 3, 4, 7], [2, 4, 5, 8], [6, 7, 8, 9]]
 
 
 def test_build_read_round_trip_and_symmetry():
@@ -80,13 +79,13 @@ def test_build_read_round_trip_and_symmetry():
     for n, k, d in [(6, 3, 4), (8, 3, 4), (9, 4, 7), (6, 3, 3)]:
         p = mbr.MbrParams(n, k, d, 1, GF(4))
         msg = rand_msg(rng, p)[0]
-        a1, a2 = mbr.build_u(msg, p)
-        u = mbr.assemble_u(a1, a2, p)
+        u = progressive.build_u(msg, p)
         assert np.array_equal(u, u.T)
         assert not u[k:, k:].any()  # zero corner
-        assert np.array_equal(mbr.read_u(a1, a2, p), msg)
+        assert np.array_equal(progressive.read_u(u, p), msg)
+        assert np.array_equal(progressive.read_u(u[:k], p), msg)  # [A1 | A2ᵀ] alone
     with pytest.raises(LengthMismatch):
-        mbr.build_u([0], small_params())
+        progressive.build_u([0], small_params())
 
 
 def test_encode_zero_and_rs_oracle():
@@ -97,8 +96,7 @@ def test_encode_zero_and_rs_oracle():
     chunks = mbr.encode(msg, p)
     assert chunks.shape == (p.n, p.beta, p.d)
     for s in range(p.beta):
-        a1, a2 = mbr.build_u(msg[s], p)
-        u = mbr.assemble_u(a1, a2, p)
+        u = progressive.build_u(msg[s], p)
         for r in range(p.d):
             cw = encode_eval(u[r].tolist(), p.code)
             for i in range(p.n):
@@ -117,7 +115,8 @@ def test_phase_two_input_is_a1_code():
     p = small_params()
     msg = rand_msg(rng, p)
     chunks = mbr.encode(msg, p)
-    a1, a2 = mbr.build_u(msg[0], p)
+    u = progressive.build_u(msg[0], p)
+    a1, a2 = u[: p.k, : p.k], u[p.k :, : p.k]
     e_full = p.field.matmul(a2.T, p.bottom)
     a1_cw = p.field.matmul(a1, p.G[: p.k])
     for i in range(p.n):
@@ -187,15 +186,17 @@ def two_decoder_reconstruct(columns, params):
     """Oracle: the round-two candidate, two block decoders over the [n, k]
     code, on the columns given (k of them here, so no error is located)."""
     field, k, d, beta = params.field, params.k, params.d, params.beta
+    ghat_inv = gf_inverse(field, params.G[:k, :k])
     dec = ProgressiveDecoder(params.code_k, beta * (d - k))
     dec.absorb({i: np.asarray(c)[:, k:].reshape(-1) for i, c in columns.items()})
-    a2 = field.matmul(dec.attempt().codeword[:, :k], params.ghat_k_inv).reshape(beta, d - k, k)
+    a2 = field.matmul(dec.attempt().codeword[:, :k], ghat_inv).reshape(beta, d - k, k)
     e = field.matmul(a2.transpose(0, 2, 1).reshape(beta * k, d - k), params.bottom)
     e = e.reshape(beta, k, params.n)
     dec = ProgressiveDecoder(params.code_k, beta * k)
     dec.absorb({i: (np.asarray(c)[:, :k] ^ e[:, :, i]).reshape(-1) for i, c in columns.items()})
-    a1 = field.matmul(dec.attempt().codeword[:, :k], params.ghat_k_inv).reshape(beta, k, k)
-    return mbr.read_u(a1, a2, params)
+    a1 = field.matmul(dec.attempt().codeword[:, :k], ghat_inv).reshape(beta, k, k)
+    rows, cols = np.triu_indices(k)  # A1's upper triangle row by row, then A2 row-major
+    return np.concatenate([a1[:, rows, cols], a2.reshape(beta, -1)], axis=1)
 
 
 def stripes_through_algebra(monkeypatch):
@@ -331,8 +332,7 @@ def test_repair_response_properties():
     )
     for failed in range(p.n):
         for s in range(p.beta):
-            a1, a2 = mbr.build_u(msg[s], p)
-            u = mbr.assemble_u(a1, a2, p)
+            u = progressive.build_u(msg[s], p)
             g = p.G[:, failed : failed + 1].T
             t = p.field.matmul(g, u)[0]
             cw = encode_eval(t.tolist(), p.code)

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from regencode import msr
+from regencode import msr, progressive
 from regencode.errors import (
     ChecksumUnrecoverable,
     ClusterExhausted,
@@ -86,9 +86,7 @@ def test_params_validation():
 
 
 def test_fill_maps_frozen_alpha2():
-    p = small_params()
-    assert p.fill1.tolist() == [[0, 1], [1, 2]]
-    assert p.fill2.tolist() == [[3, 4], [4, 5]]
+    assert small_params().fill.tolist() == [[0, 1, 3, 4], [1, 2, 4, 5]]  # [A1 | A2]
 
 
 def test_build_read_round_trip():
@@ -96,11 +94,12 @@ def test_build_read_round_trip():
     for n, k, d, field in [(6, 3, 4, F16), (8, 4, 6, F64), (11, 5, 8, F64)]:
         p = msr.MsrParams(n, k, d, 1, field)
         msg = rand_msg(rng, p)[0]
-        a1, a2 = msr.build_u(msg, p)
+        u = progressive.build_u(msg, p)
+        a1, a2 = u[:, : p.alpha], u[:, p.alpha :]
         assert np.array_equal(a1, a1.T) and np.array_equal(a2, a2.T)
-        assert np.array_equal(msr.read_u(a1, a2, p), msg)
+        assert np.array_equal(progressive.read_u(u, p), msg)
     with pytest.raises(LengthMismatch):
-        msr.build_u([1, 2, 3], small_params())
+        progressive.build_u([1, 2, 3], small_params())
 
 
 # -- encoding ---------------------------------------------------------------
@@ -114,9 +113,9 @@ def test_encode_zero_and_first_node():
     msg = rand_msg(rng, p)
     chunks = msr.encode(msg, p)
     assert chunks.shape == (p.n, p.beta, p.alpha)
-    a1, a2 = msr.build_u(msg[0], p)
+    u = progressive.build_u(msg[0], p)
     # node 0 evaluates at a^0 = 1: g is all-ones and lambda = 1
-    expect = np.bitwise_xor.reduce(a1 ^ a2, axis=1)
+    expect = np.bitwise_xor.reduce(u, axis=1)
     assert np.array_equal(chunks[0][0], expect)
 
 
@@ -126,8 +125,7 @@ def test_encode_matches_rs_oracle():
     msg = rand_msg(rng, p)
     chunks = msr.encode(msg, p)
     for s in range(p.beta):
-        a1, a2 = msr.build_u(msg[s], p)
-        u = np.concatenate([a1, a2], axis=1)
+        u = progressive.build_u(msg[s], p)
         for r in range(p.alpha):
             cw = encode_eval(u[r].tolist(), p.code)
             for i in range(p.n):
@@ -139,7 +137,7 @@ def test_chunk_identity_per_node():
     p = small_params()
     msg = rand_msg(rng, p)
     chunks = msr.encode(msg, p)
-    a1, a2 = msr.build_u(msg[0], p)
+    a1, a2 = np.hsplit(progressive.build_u(msg[0], p), 2)
     f = p.field
     for i in range(p.n):
         g = p.G[: p.alpha, i]
@@ -204,7 +202,7 @@ def per_stripe_reconstruct_fast(columns, params):
             wcols.append(field.matmul(v_inv, np.array([r]).T)[:, 0])
         a2 = field.matmul(np.stack(zcols, axis=1), w_inv)
         a1 = field.matmul(np.stack(wcols, axis=1), w_inv)
-        out[s] = msr.read_u(a1, a2, params)
+        out[s] = progressive.read_u(np.hstack([a1, a2]), params)
     return out
 
 
@@ -407,8 +405,7 @@ def test_repair_response_properties():
     # responses across helpers trace out the codeword of g_i·U
     for failed in range(p.n):
         for s in range(p.beta):
-            a1, a2 = msr.build_u(msg[s], p)
-            u = np.concatenate([a1, a2], axis=1)
+            u = progressive.build_u(msg[s], p)
             g = p.G[: p.alpha, failed : failed + 1].T  # 1 × alpha
             t = p.field.matmul(g, u)[0]
             cw = encode_eval(t.tolist(), p.code)

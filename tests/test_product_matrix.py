@@ -1,6 +1,7 @@
-"""The product-matrix layer both families share: fill maps against the
-closed forms of the construction, the fast-path frame's input checks and
-route rule, and chunk files pinned byte for byte."""
+"""The product-matrix layer both families share: U's index maps against
+the closed forms of the construction (and build_u/read_u round trips on
+them), the fast-path frame's input checks and route rule, and chunk
+files pinned byte for byte."""
 
 import hashlib
 
@@ -14,6 +15,7 @@ from regencode.galois import GF
 from regencode.integrity import CODED, REPLICATED, CrcParams
 from regencode.mbr import MbrParams
 from regencode.msr import MsrParams
+from regencode.progressive import build_u, read_u
 
 F256 = GF(8)
 
@@ -46,22 +48,31 @@ def mbr_fill_oracle(k, d):
     return f1, f2
 
 
-def assert_fills(p, oracle):
-    f1, f2 = oracle
-    assert np.array_equal(p.fill1, f1) and np.array_equal(p.fill2, f2)
-    # the two maps partition the B message symbols
-    assert sorted(set(f1.ravel()) | set(f2.ravel())) == list(range(p.B))
+def assert_fill(p, u_map, corner=0):
+    assert np.array_equal(p.fill, u_map)
+    # the map covers exactly the B message symbols, and B marks the corner×corner zero block
+    assert set(u_map.ravel()) - {p.B} == set(range(p.B))
+    assert np.count_nonzero(u_map == p.B) == corner**2
+    # read_u inverts build_u over any leading axes, from U's top k rows alone
+    # (MBR's [A1 | A2ᵀ]; all of MSR's α = k-1)
+    msg = np.random.default_rng(p.B).integers(0, p.field.q, (2, 3, p.B))
+    u = build_u(msg, p)
+    assert u.shape == (2, 3) + u_map.shape and not u[..., u_map == p.B].any()
+    assert np.array_equal(read_u(u, p), msg) and np.array_equal(read_u(u[..., : p.k, :], p), msg)
 
 
 @pytest.mark.parametrize("alpha", range(1, 7))
 def test_msr_fill_maps_match_closed_form(alpha):
     d = 2 * alpha
-    assert_fills(MsrParams(d + 1, alpha + 1, d, 1, F256), msr_fill_oracle(alpha))
+    f1, f2 = msr_fill_oracle(alpha)
+    assert_fill(MsrParams(d + 1, alpha + 1, d, 1, F256), np.hstack([f1, f2]))  # [A1 | A2]
 
 
 @pytest.mark.parametrize("k, d", [(k, d) for k in range(1, 5) for d in range(k, 7)])
 def test_mbr_fill_maps_match_closed_form(k, d):
-    assert_fills(MbrParams(d + 1, k, d, 1, F256), mbr_fill_oracle(k, d))
+    p = MbrParams(d + 1, k, d, 1, F256)
+    f1, f2 = mbr_fill_oracle(k, d)
+    assert_fill(p, np.block([[f1, f2.T], [f2, np.full((d - k, d - k), p.B)]]), d - k)
 
 
 @pytest.mark.parametrize("name,m,beta,by_matrix", [

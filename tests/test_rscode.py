@@ -9,7 +9,8 @@ import random
 import numpy as np
 import pytest
 
-from regencode import GF, DecodeFailure, DuplicatePosition, InvalidParams, LengthMismatch, SingularMatrix
+from regencode import GF, DecodeFailure, DuplicatePosition, InvalidParams, LengthMismatch, SingularMatrix, rscode
+from regencode.integrity import coded_layout
 from regencode.rscode import (
     DecodeOutcome,
     ProgressiveDecoder,
@@ -545,6 +546,34 @@ def test_vandermonde_inverse_byzantine_stack_and_repeats():
             vandermonde_inverse(GF(4), x)
         with pytest.raises(SingularMatrix):
             gf_inverse(GF(4), vandermonde_on(GF(4), np.array(x)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RsParams(6, 4, GF(8)),  # the healthy workload's row code
+    lambda: RsParams(6, 3, GF(8)),
+    lambda: RsParams(100, 38, GF(11)),  # the byzantine workload's row code
+    lambda: coded_layout(6, 8).code,
+    lambda: coded_layout(100, 32).code,
+], ids=["6-4", "6-3", "100-38", "coded-r8", "coded-r32"])
+def test_messages_invert_encode_eval(make):
+    code = make()
+    field, dim = code.field, code.dim
+    msg = np.random.default_rng(code.n * dim).integers(0, field.q, (2, 3, dim))
+    assert np.array_equal(code.messages(encode_eval(msg.reshape(-1, dim), code).reshape(2, 3, -1)), msg)
+    assert code.messages(encode_eval(msg[0, 0].tolist(), code)).tolist() == msg[0, 0].tolist()
+    # the unit codeword prefixes give (G[:, :dim])⁻¹ itself, against the closed form
+    want = vandermonde_inverse(field, field.power(np.arange(dim)))
+    assert np.array_equal(code.messages(np.eye(dim, code.n, dtype=np.int64)), want)
+
+
+def test_messages_invert_once_at_first_use(monkeypatch):
+    calls, inner = [], rscode.gf_inverse
+    monkeypatch.setattr(rscode, "gf_inverse", lambda *a: calls.append(a) or inner(*a))
+    code = RsParams(6, 4, GF(8))
+    assert not calls
+    for _ in range(3):
+        code.messages(np.zeros((2, 6), dtype=np.int64))
+    assert len(calls) == 1
 
 
 def test_scalar_oracle_agrees_with_batch_decode(rs15_4, gf16):
