@@ -16,6 +16,11 @@ Body: ``beta * alpha`` symbols in stripe-major order, each in ceil(m/8)
 bytes most-significant-bit-first; then n-1 checksum shares in ascending
 owner order, each in ceil(r/8) bytes (replicated scheme) or ceil(m'/8)
 bytes (coded scheme).
+
+In memory the shares are the node's row of the checksum directory: n
+entries indexed by owner, with a zero at the node's own index.  The file
+holds that row without its own entry, so ``pack_chunk`` deletes the entry
+and ``unpack_chunk`` inserts it back.
 """
 
 from __future__ import annotations
@@ -105,7 +110,7 @@ def params_from_header(h: ChunkHeader):
     return PARAMS[h.family](h.n, h.k, h.d, h.beta, field), CrcParams(h.r, h.crc_poly)
 
 
-def pack_chunk(header: ChunkHeader, chunk, shares: dict[int, int]) -> bytes:
+def pack_chunk(header: ChunkHeader, chunk, shares) -> bytes:
     head = _HEADER.pack(
         MAGIC, VERSION, _FAMILY_CODES[header.family], header.m, header.generator,
         header.prim_poly, header.n, header.k, header.d, header.beta, header.r, header.crc_poly,
@@ -117,18 +122,18 @@ def pack_chunk(header: ChunkHeader, chunk, shares: dict[int, int]) -> bytes:
             f"chunk shape {chunk.shape} does not match "
             f"(beta, alpha) = ({header.beta}, {header.alpha})"
         )
-    owners = [i for i in range(header.n) if i != header.node_index]
-    if sorted(shares) != owners:
+    shares = np.asarray(shares)
+    if shares.shape != (header.n,) or shares[header.node_index] != 0:
         raise MalformedChunk(
-            f"shares must cover exactly the other {header.n - 1} nodes"
+            f"shares must be a row of {header.n} with a zero at node {header.node_index}"
         )
-    # a negative symbol wraps to a huge unsigned one and fails the width check
+    # a negative value wraps to a huge unsigned one and fails the width check
     body = _be_bytes(chunk.reshape(-1).astype(np.uint64), header.symbol_bytes)
-    body += _be_bytes(np.array([shares[i] for i in owners], dtype=np.uint64), header.share_bytes)
+    body += _be_bytes(np.delete(shares, header.node_index).astype(np.uint64), header.share_bytes)
     return head + body
 
 
-def unpack_chunk(data: bytes) -> tuple[ChunkHeader, np.ndarray, dict[int, int]]:
+def unpack_chunk(data: bytes) -> tuple[ChunkHeader, np.ndarray, np.ndarray]:
     if len(data) < _HEADER.size:
         raise MalformedChunk(f"file too short for header ({len(data)} bytes)")
     (magic, version, family_code, m, generator, prim_poly, n, k, d, beta, r,
@@ -161,8 +166,7 @@ def unpack_chunk(data: bytes) -> tuple[ChunkHeader, np.ndarray, dict[int, int]]:
     if (flat >> np.uint64(m)).any():
         raise MalformedChunk(f"symbol exceeds {m} bits")
     chunk = flat.astype(np.int64).reshape(header.beta, header.alpha)
-    owners = [i for i in range(n) if i != node_index]
-    shares = dict(zip(owners, _be_values(body[off:], header.share_bytes).tolist()))
+    shares = np.insert(_be_values(body[off:], header.share_bytes), node_index, 0)
     return header, chunk, shares
 
 
@@ -180,7 +184,7 @@ def _be_values(raw: bytes, width: int) -> np.ndarray:
     return padded.view(">u8")[:, 0].astype(np.uint64)
 
 
-def read_chunk_file(path) -> tuple[ChunkHeader, np.ndarray, dict[int, int]]:
+def read_chunk_file(path) -> tuple[ChunkHeader, np.ndarray, np.ndarray]:
     with open(path, "rb") as fh:
         return unpack_chunk(fh.read())
 

@@ -16,6 +16,7 @@ import argparse
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -87,31 +88,38 @@ def _assemble_state(paths, seed: int) -> ClusterState:
 
     A file that cannot be read or does not parse (cut short, bad header,
     body that does not fit its header) is a crashed node and gets one
-    warning record.  The chunk set is the header key that a strict
-    majority of the parsed files share; a file with another key (a forged
-    header, a file from another set) is a crashed node too, and so is
-    every file of a node index that two files claim.  Without a strict
-    majority the error is fatal.
+    warning record.  Files with identical content (a path given twice, a
+    byte-identical copy) count once; the format is canonical, so equal
+    parsed contents mean equal bytes.  The chunk set is the header, less
+    its node index, that a strict majority of the distinct files share; a
+    file with another header (a forged header, a file from another set)
+    is a crashed node too, and so is every file of a node index that two
+    files of different content claim.  Without a strict majority the
+    error is fatal.
     """
-    entries = []
+    entries, seen = [], {}  # seen: header -> (chunk, shares) of each distinct file
     for p in paths:
         try:
-            entries.append((p, *read_chunk_file(p)))
+            h, chunk, shares = read_chunk_file(p)
         except (MalformedChunk, OSError) as exc:
             print(_record(warning="chunk_unreadable", path=p, detail=repr(str(exc))))
+            continue
+        same = seen.setdefault(h, [])
+        if not any(np.array_equal(chunk, c) and np.array_equal(shares, s) for c, s in same):
+            same.append((chunk, shares))
+            entries.append((p, h, chunk, shares))
     if not entries:
         raise MalformedChunk(f"none of the {len(paths)} chunk files is readable")
-    key = lambda h: (h.family, h.m, h.generator, h.prim_poly, h.n, h.k, h.d,
-                     h.beta, h.r, h.crc_poly, h.scheme, h.payload_bit_len)
-    (major, votes), = Counter(key(h) for _, h, _, _ in entries).most_common(1)
+    keys = [replace(h, node_index=0) for _, h, _, _ in entries]
+    (major, votes), = Counter(keys).most_common(1)
     if 2 * votes <= len(entries):
         raise MalformedChunk(
-            f"no chunk set holds a strict majority of the {len(entries)} parsed files"
+            f"no chunk set holds a strict majority of the {len(entries)} distinct files"
         )
-    for p, h, _, _ in entries:
-        if key(h) != major:
+    for (p, _, _, _), key in zip(entries, keys):
+        if key != major:
             print(_record(warning="chunk_foreign", path=p))
-    entries = [e for e in entries if key(e[1]) == major]
+    entries = [e for e, key in zip(entries, keys) if key == major]
     base = entries[0][1]
     claims = Counter(h.node_index for _, h, _, _ in entries)
     for p, h, _, _ in entries:
@@ -120,9 +128,8 @@ def _assemble_state(paths, seed: int) -> ClusterState:
     entries = [e for e in entries if claims[e[1].node_index] == 1]
     params, crc = params_from_header(base)
     nodes = [
-        NodeSlot(
-            np.zeros((params.beta, params.alpha), dtype=np.int64), {}, CRASHED
-        )
+        NodeSlot(np.zeros((params.beta, params.alpha), dtype=np.int64),
+                 np.zeros(params.n, dtype=np.uint64), CRASHED)
         for _ in range(params.n)
     ]
     for _, h, chunk, shares in entries:
@@ -405,7 +412,7 @@ def cmd_simulate(args) -> int:
 # argument parsing
 
 
-def _add_code_flags(sp, with_scheme=True):
+def _add_code_flags(sp):
     sp.add_argument("--family", required=True, choices=PARAMS)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
@@ -415,8 +422,7 @@ def _add_code_flags(sp, with_scheme=True):
     sp.add_argument("--m", type=int, default=8, help="field degree (default 8)")
     sp.add_argument("--r", type=int, default=32,
                     help="checksum width in bits (default 32)")
-    if with_scheme:
-        sp.add_argument("--scheme", choices=SCHEMES, default=REPLICATED)
+    sp.add_argument("--scheme", choices=SCHEMES, default=REPLICATED)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,8 +5,9 @@ CRC and zero-padded to ``beta * B * m`` bits, packed into bytes once (the
 frame format of ``integrity``), cut into ``beta`` stripes of B field
 symbols, and encoded with the configured regenerating code.  A collector
 tests each candidate's packed frame against its CRC and unpacks bits only
-for the accepted one.  Every node stores its chunk plus a directory of
-checksum shares vouching for the *other* nodes' chunks.
+for the accepted one.  Every node stores its chunk plus its row of the
+checksum directory (``integrity.build_directory``): its shares of the
+*other* nodes' checksums, indexed by owner, with a zero at its own index.
 
 Fault injection is storage-level: a Byzantine node keeps answering the
 protocol faithfully, but what it stores has been rewritten.  RandomCorruption
@@ -74,7 +75,7 @@ FAIL = "FAIL"
 @dataclass
 class NodeSlot:
     chunk: np.ndarray  # beta × alpha symbols
-    shares: dict[int, int]  # owner -> this node's share of owner's checksum
+    shares: np.ndarray  # length n: shares[i] is this node's share of node i's checksum
     status: str = HEALTHY
 
 
@@ -89,7 +90,7 @@ class ClusterState:
 
     def clone(self) -> "ClusterState":
         return replace(self, nodes=[
-            NodeSlot(s.chunk.copy(), dict(s.shares), s.status) for s in self.nodes
+            NodeSlot(s.chunk.copy(), s.shares.copy(), s.status) for s in self.nodes
         ])
 
 
@@ -196,9 +197,9 @@ def _corrupt_node(state: ClusterState, idx: int, rate: float) -> None:
         space = 1 << state.crc.r
     else:
         space = 1 << coded_layout(state.params.n, state.crc.r).m_prime
-    for owner in sorted(slot.shares):
-        if rng.random() < rate:
-            slot.shares[owner] = _flip_symbol(rng, slot.shares[owner], space)
+    for owner in range(state.params.n):
+        if owner != idx and rng.random() < rate:
+            slot.shares[owner] = _flip_symbol(rng, int(slot.shares[owner]), space)
 
 
 def _apply_forgery(state: ClusterState, idx: int, forgery: ConsistentForgery) -> None:
@@ -342,25 +343,16 @@ def run_reconstruction(state: ClusterState, policy=None) -> tuple:
         return crc_verify(framed, state.payload_bit_len + state.crc.r, state.crc)
 
     try:
-        _, rounds = CODECS[params.family].reconstruct(collector, params, verify)
+        CODECS[params.family].reconstruct(collector, params, verify)
     except ClusterExhausted:
         metrics.outcome = FAIL
         return None, metrics
-    metrics.decode_rounds = rounds
     metrics.outcome = SUCCESS
     return np.unpackbits(np.frombuffer(framed, np.uint8), count=state.payload_bit_len), metrics
 
 
-def run_regeneration(
-    state: ClusterState, failed: int, policy=None, *, install: bool = False
-) -> tuple:
-    """Full helper protocol; returns (chunk or None, metrics).
-
-    With ``install=True`` a successful run writes the regenerated chunk back
-    into ``state`` and rebuilds the newcomer's checksum-share directory from
-    the surviving nodes (zero-filling any share whose owner checksum cannot
-    be recovered).
-    """
+def run_regeneration(state: ClusterState, failed: int, policy=None) -> tuple:
+    """Full helper protocol; returns (chunk or None, metrics)."""
     params = state.params
     if not 0 <= failed < params.n:
         raise InvalidParams(f"node index {failed} out of range for n={params.n}")
@@ -385,27 +377,19 @@ def run_regeneration(
         return chunk_checksum(chunk, params.field.m, state.crc)
 
     try:
-        chunk, rounds = codec.regenerate(source, failed, params, recover, chunk_crc)
+        chunk, _ = codec.regenerate(source, failed, params, recover, chunk_crc)
     except (ClusterExhausted, ChecksumUnrecoverable):
         metrics.outcome = FAIL
         return None, metrics
-    metrics.decode_rounds = rounds
     metrics.outcome = SUCCESS
-    if install:
-        slot = state.nodes[failed]
-        slot.chunk = chunk.copy()
-        slot.shares = rebuild_shares(state, failed)[0]
-        slot.status = HEALTHY
     return chunk, metrics
 
 
-def rebuild_shares(
-    state: ClusterState, newcomer: int
-) -> tuple[dict[int, int], list[int]]:
+def rebuild_shares(state: ClusterState, newcomer: int) -> tuple[np.ndarray, list[int]]:
     """Re-derive the newcomer's checksum shares from the surviving nodes.
 
-    Returns the share directory plus the owners whose checksums could not
-    be recovered (those shares are zero-filled).
+    Returns the newcomer's directory row plus the owners whose checksums
+    could not be recovered (those shares are zero-filled).
     """
     n, crc = state.params.n, state.crc
     checksums = [0] * n  # a zero checksum has zero shares under both schemes

@@ -27,6 +27,9 @@ n-1 nodes in one of two ways:
   GF(2^m'); peer t stores coordinate t.  Recovery is error-erasure
   decoding and tolerates floor((d-k')/2) forged shares out of d, at a
   per-node cost of (n-1)*m' bits instead of (n-1)*r.
+
+``build_directory`` returns all shares as one n×n array: row j, indexed
+by owner, is what node j holds, with a zero at j itself.
 """
 
 from __future__ import annotations
@@ -253,26 +256,24 @@ def _peer_position(holder, owner):
     return holder - (holder > owner)
 
 
-@functools.cache
-def _directory_index(n: int) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
-    """Row j: the owners i != j ascending, as lists and array, and j's peer positions."""
-    holder, owner = (a.reshape(n, n - 1) for a in np.nonzero(~np.eye(n, dtype=bool)))
-    return owner.tolist(), owner, _peer_position(holder, owner)
-
-
-def build_directory(checksums, scheme: str, crc: CrcParams) -> list[dict[int, int]]:
-    """Shares held by each node: shares[j][i] is j's share of node i's checksum."""
+def build_directory(checksums, scheme: str, crc: CrcParams) -> np.ndarray:
+    """The n×n uint64 share directory: shares[j, i] is holder j's share of
+    node i's checksum, and the diagonal is zero (no node vouches for
+    itself).  Row j, indexed by owner, is what node j stores.  uint64
+    holds every checksum width up to r = 64."""
     if scheme not in SCHEMES:
         raise InvalidParams(f"unknown checksum scheme {scheme!r}")
     n = len(checksums)
-    owner_lists, owners, positions = _directory_index(n)
     cs = np.array([int(c) for c in checksums], dtype=np.uint64)
+    holder, owner = np.nonzero(~np.eye(n, dtype=bool))
+    shares = np.zeros((n, n), dtype=np.uint64)
     if scheme == REPLICATED:
-        held = cs[owners]
-    else:  # one codeword per owner, then holder j takes coordinate positions[j]
+        shares[holder, owner] = cs[owner]
+    else:  # one codeword per owner; holder j takes its peer position's coordinate
         layout = coded_layout(n, crc.r)
-        held = encode_eval(layout.checksum_to_message(cs), layout.code)[owners, positions]
-    return [dict(zip(own, vals)) for own, vals in zip(owner_lists, held.tolist())]
+        words = encode_eval(layout.checksum_to_message(cs), layout.code)
+        shares[holder, owner] = words[owner, _peer_position(holder, owner)]
+    return shares
 
 
 def recover_checksum(

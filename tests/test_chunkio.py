@@ -29,21 +29,24 @@ def make_header(m, r, scheme, node_index=2, n=7, k=3, d=4, beta=5):
 
 
 def oracle_body(header, chunk, shares):
-    """Oracle: the body one integer at a time with int.to_bytes."""
+    """Oracle: the body one integer at a time with int.to_bytes; shares is
+    the node's row, indexed by owner."""
     owners = [i for i in range(header.n) if i != header.node_index]
     body = b"".join(int(x).to_bytes(header.symbol_bytes, "big") for x in np.ravel(chunk))
     return body + b"".join(int(shares[i]).to_bytes(header.share_bytes, "big") for i in owners)
 
 
 def oracle_unpack_body(header, body):
-    """Oracle: symbols and shares one integer at a time with int.from_bytes."""
+    """Oracle: symbols and shares one integer at a time with int.from_bytes;
+    the shares come back as the node's row, zero at its own index."""
     sw, bw = header.symbol_bytes, header.share_bytes
     count = header.beta * header.alpha
     flat = [int.from_bytes(body[i * sw : (i + 1) * sw], "big") for i in range(count)]
     owners = [i for i in range(header.n) if i != header.node_index]
     off = count * sw
-    shares = {o: int.from_bytes(body[off + j * bw : off + (j + 1) * bw], "big")
-              for j, o in enumerate(owners)}
+    shares = [0] * header.n
+    for j, o in enumerate(owners):
+        shares[o] = int.from_bytes(body[off + j * bw : off + (j + 1) * bw], "big")
     return flat, shares
 
 
@@ -67,7 +70,8 @@ def test_pack_and_unpack_match_byte_loops(m, r, scheme):
     for _ in range(5):
         chunk = rng.integers(0, 1 << m, (header.beta, header.alpha))
         top = rng.integers(0, 1 << 8 * header.share_bytes, len(owners), dtype=np.uint64)
-        shares = dict(zip(owners, top.tolist()))
+        shares = np.zeros(header.n, dtype=np.uint64)
+        shares[owners] = top
         data = pack_chunk(header, chunk, shares)
         assert data[HEADER_LEN:] == oracle_body(header, chunk, shares)
         got_header, got_chunk, got_shares = unpack_chunk(data)
@@ -75,13 +79,14 @@ def test_pack_and_unpack_match_byte_loops(m, r, scheme):
         assert got_header == header
         assert got_chunk.dtype == np.int64
         assert got_chunk.reshape(-1).tolist() == want_flat == chunk.reshape(-1).tolist()
-        assert got_shares == want_shares == shares
+        assert got_shares.shape == (header.n,)
+        assert got_shares.tolist() == want_shares == shares.tolist()
 
 
 def test_unpack_keeps_its_checks():
     header = make_header(11, 32, REPLICATED)
     chunk = np.zeros((header.beta, header.alpha), dtype=np.int64)
-    shares = {i: 0 for i in range(header.n) if i != header.node_index}
+    shares = np.zeros(header.n, dtype=np.uint64)
     data = bytearray(pack_chunk(header, chunk, shares))
     data[HEADER_LEN] = 0x08  # first symbol becomes 0x0800, twelve bits
     with pytest.raises(MalformedChunk, match="exceeds 11 bits"):
@@ -92,24 +97,43 @@ def test_unpack_keeps_its_checks():
         pack_chunk(header, chunk + (1 << 16), shares)
     with pytest.raises(MalformedChunk):
         pack_chunk(header, chunk - 1, shares)
+    too_wide = shares.copy()
+    too_wide[0] = 1 << 32
     with pytest.raises(MalformedChunk):
-        pack_chunk(header, chunk, {**shares, 0: 1 << 32})
+        pack_chunk(header, chunk, too_wide)
+
+
+def test_pack_rejects_malformed_share_rows():
+    header = make_header(8, 32, REPLICATED)  # n = 7, node 2
+    chunk = np.zeros((header.beta, header.alpha), dtype=np.int64)
+    row = np.arange(header.n, dtype=np.uint64)
+    row[header.node_index] = 0
+    pack_chunk(header, chunk, row)
+    for bad in (row[:-1], np.append(row, 0), np.delete(row, header.node_index),
+                row.reshape(1, -1), np.zeros(0, dtype=np.uint64)):
+        with pytest.raises(MalformedChunk, match="row of 7"):
+            pack_chunk(header, chunk, bad)
+    own = row.copy()
+    own[header.node_index] = 9  # no node holds a share of its own checksum
+    with pytest.raises(MalformedChunk, match="zero at node 2"):
+        pack_chunk(header, chunk, own)
 
 
 def test_write_is_atomic(tmp_path):
     header = make_header(8, 32, REPLICATED)
     chunk = np.arange(header.beta * header.alpha).reshape(header.beta, header.alpha)
-    shares = {i: i for i in range(header.n) if i != header.node_index}
+    shares = np.arange(header.n, dtype=np.uint64)
+    shares[header.node_index] = 0
     path = tmp_path / "node002.rgen"
     write_chunk_file(path, header, chunk, shares)
     before = path.read_bytes()
     _, got, got_shares = read_chunk_file(path)
-    assert np.array_equal(got, chunk) and got_shares == shares
+    assert np.array_equal(got, chunk) and np.array_equal(got_shares, shares)
     # a chunk that cannot be packed leaves the old file as it was
     with pytest.raises(MalformedChunk):
         write_chunk_file(path, header, chunk[:-1], shares)
     with pytest.raises(MalformedChunk):
-        write_chunk_file(path, header, chunk, {1: 5})
+        write_chunk_file(path, header, chunk, shares[:-1])
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["node002.rgen"]
     # a good write replaces it, again with no temporary file left
@@ -121,7 +145,7 @@ def test_write_is_atomic(tmp_path):
 def fuzz_file(r, scheme):
     header = make_header(8, r, scheme, node_index=0, beta=2)
     chunk = np.arange(header.beta * header.alpha).reshape(header.beta, header.alpha)
-    return pack_chunk(header, chunk, {i: 3 * i for i in range(1, header.n)})
+    return pack_chunk(header, chunk, 3 * np.arange(header.n))
 
 
 FUZZ_FILES = [fuzz_file(32, REPLICATED), fuzz_file(8, CODED)]
@@ -150,4 +174,4 @@ def test_unpack_parses_or_rejects_any_bytes(which, edits, cut):
     except MalformedChunk:
         return
     assert chunk.shape == (header.beta, header.alpha)
-    assert sorted(shares) == [i for i in range(header.n) if i != header.node_index]
+    assert shares.shape == (header.n,) and shares[header.node_index] == 0

@@ -185,9 +185,12 @@ def test_forged_header_is_a_crashed_node(capsys, tmp_path, victim):
 
 
 def test_duplicate_node_index_crashes_both_files(capsys, tmp_path):
+    # a second file claims node 2 with other content (one body byte differs)
     src, chunks = encode_dir(capsys, tmp_path)
     copy = chunks / "node006.rgen"
-    copy.write_bytes((chunks / "node002.rgen").read_bytes())
+    raw = bytearray((chunks / "node002.rgen").read_bytes())
+    raw[HEADER_LEN] ^= 0x55
+    copy.write_bytes(bytes(raw))
     dst = tmp_path / "o"
     code, out, _ = run(capsys, "reconstruct", chunks, "--out", dst)
     assert code == 0
@@ -196,6 +199,32 @@ def test_duplicate_node_index_crashes_both_files(capsys, tmp_path):
         f"warning=chunk_duplicate path={chunks / name} node_index=2"
         for name in ("node002.rgen", "node006.rgen")
     ]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "regenerate"])
+@pytest.mark.parametrize("repeat", ["path", "copy"])
+def test_identical_files_count_once(capsys, tmp_path, command, repeat):
+    # exactly k (reconstruct) or d (regenerate) distinct files, one of them
+    # given twice: as a repeated path, or as a byte-identical copy
+    src, chunks = encode_dir(capsys, tmp_path)
+    lost = (chunks / "node005.rgen").read_bytes()
+    keep = 3 if command == "reconstruct" else 4
+    for i in range(keep, 6):
+        (chunks / f"node{i:03d}.rgen").unlink()
+    args = [chunks]
+    if repeat == "path":
+        args.append(chunks / "node001.rgen")
+    else:
+        (chunks / "backup.rgen").write_bytes((chunks / "node000.rgen").read_bytes())
+    dst = tmp_path / "o"
+    if command == "reconstruct":
+        code, out, _ = run(capsys, "reconstruct", *args, "--out", dst)
+    else:
+        code, out, _ = run(capsys, "regenerate", *args, "--failed", 5, "--out", dst)
+    assert warning_lines(out) == []
+    assert code == 0
+    assert "outcome=SUCCESS" in out
+    assert dst.read_bytes() == (src.read_bytes() if command == "reconstruct" else lost)
 
 
 def test_truncated_chunk_file(capsys, tmp_path):

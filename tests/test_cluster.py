@@ -1,5 +1,6 @@
 """Cluster simulator: store/inject/run drivers, policies, metrics, forgery."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -73,9 +74,10 @@ def test_store_round_trip_fault_free(family):
 def test_store_per_node_symbol_count(family):
     state, _ = make_state(family, beta=2)
     p = state.params
-    for slot in state.nodes:
+    for i, slot in enumerate(state.nodes):
         assert slot.chunk.shape == (p.beta, p.alpha)
-        assert len(slot.shares) == p.n - 1
+        # a row indexed by owner; the n-1 shares sit off the node's own index
+        assert slot.shares.shape == (p.n,) and slot.shares[i] == 0
         assert slot.status == HEALTHY
 
 
@@ -113,7 +115,7 @@ def test_inject_empty_plan_unchanged():
     out = inject(state, FaultPlan())
     for a, b in zip(out.nodes, state.nodes):
         assert np.array_equal(a.chunk, b.chunk)
-        assert a.shares == b.shares
+        assert np.array_equal(a.shares, b.shares)
         assert a.status == HEALTHY
 
 
@@ -146,7 +148,7 @@ def test_inject_corruption_deterministic_per_seed():
     two = inject(state, plan)
     for a, b in zip(one.nodes, two.nodes):
         assert np.array_equal(a.chunk, b.chunk)
-        assert a.shares == b.shares
+        assert np.array_equal(a.shares, b.shares)
     other_seed, _ = make_state(seed=12)
     three = inject(other_seed, plan)
     assert any(
@@ -158,9 +160,28 @@ def test_inject_corruption_deterministic_per_seed():
 def test_inject_corrupts_held_shares():
     state, _ = make_state(scheme=REPLICATED)
     out = inject(state, FaultPlan(byzantine={3}, strategy=RandomCorruption(1.0)))
-    assert out.nodes[3].shares != state.nodes[3].shares
-    honest = [s.shares for i, s in enumerate(out.nodes) if i != 3]
-    assert honest == [s.shares for i, s in enumerate(state.nodes) if i != 3]
+    assert not np.array_equal(out.nodes[3].shares, state.nodes[3].shares)
+    assert out.nodes[3].shares[3] == 0  # its own entry is no share to corrupt
+    for i, (a, b) in enumerate(zip(out.nodes, state.nodes)):
+        if i != 3:
+            assert np.array_equal(a.shares, b.shares)
+
+
+@pytest.mark.parametrize("scheme,digest", [
+    (CODED, "fade4361b997603a6c2a81eced3af01ca9051a073355ece9764b14cd285537b1"),
+    (REPLICATED, "bdd4b45abf8d3c5a5af34525c476257d4e73d62e8dba2cd21b7864daae8e3d2d"),
+])
+def test_inject_corruption_pinned(scheme, digest):
+    # the RNG stream of RandomCorruption is frozen: chunks and held shares
+    # (owners ascending, the node's own entry skipped) hash to a fixed value
+    state, _ = make_state("msr", 13, 5, 8, beta=3, field=GF(6), r=8,
+                          scheme=scheme, seed=5)
+    out = inject(state, FaultPlan(byzantine={0, 4, 12}, strategy=RandomCorruption(0.5)))
+    h = hashlib.sha256()
+    for i, slot in enumerate(out.nodes):
+        h.update(slot.chunk.astype(np.int64).tobytes())
+        h.update(np.array([slot.shares[o] for o in range(13) if o != i], np.int64).tobytes())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +269,14 @@ def test_silent_wrong_rate_beyond_budget_10k_trials():
 # regeneration
 
 
+def install(state, failed, chunk):
+    """Put a regenerated node back, with its shares rebuilt from its peers."""
+    slot = state.nodes[failed]
+    slot.chunk = chunk.copy()
+    slot.shares = rebuild_shares(state, failed)[0]
+    slot.status = HEALTHY
+
+
 @pytest.mark.parametrize("family", ["msr", "mbr"])
 def test_crash_then_regenerate_restores_exact_chunk(family):
     state, _ = make_state(family, beta=2)
@@ -255,8 +284,9 @@ def test_crash_then_regenerate_restores_exact_chunk(family):
     for failed in range(p.n):
         original = state.nodes[failed]
         faulty = inject(state, FaultPlan(crashes={failed}))
-        chunk, metrics = run_regeneration(faulty, failed, install=True)
+        chunk, metrics = run_regeneration(faulty, failed)
         assert metrics.outcome == SUCCESS
+        install(faulty, failed, chunk)
         assert np.array_equal(chunk, original.chunk)
         assert metrics.nodes_contacted == p.d
         assert metrics.symbols_downloaded == p.d * p.beta
@@ -265,14 +295,15 @@ def test_crash_then_regenerate_restores_exact_chunk(family):
         slot = faulty.nodes[failed]
         assert slot.status == HEALTHY
         assert np.array_equal(slot.chunk, original.chunk)
-        assert slot.shares == original.shares
+        assert np.array_equal(slot.shares, original.shares)
 
 
 def test_regenerated_node_serves_reconstruction():
     state, bits = make_state("msr")
     faulty = inject(state, FaultPlan(crashes={2}))
-    _, metrics = run_regeneration(faulty, 2, install=True)
+    chunk, metrics = run_regeneration(faulty, 2)
     assert metrics.outcome == SUCCESS
+    install(faulty, 2, chunk)
     # force the collector to use the regenerated node
     out, metrics = run_reconstruction(faulty, ExplicitOrder([2, 0, 1, 3, 4, 5]))
     assert metrics.outcome == SUCCESS
@@ -342,8 +373,28 @@ def test_rebuild_shares_matches_stored_directory(n, k, d, field, scheme):
     state, _ = make_state("msr", n, k, d, field=field, r=8, scheme=scheme)
     for j in range(n):
         rebuilt, missing = rebuild_shares(state, j)
-        assert rebuilt == state.nodes[j].shares
+        assert np.array_equal(rebuilt, state.nodes[j].shares)
         assert missing == []
+
+
+def test_full_width_checksum_shares():
+    # r = 64: replicated shares at or above 2^63 survive storage, corruption
+    # and recovery as exact values
+    state = store(bytes(range(20)), MsrParams(6, 3, 4, 8, GF(8)),
+                  crc=CrcParams(64, 0x42F0E1EBA9EA3693))
+    held = [int(state.nodes[0].shares[i]) for i in range(1, 6)]
+    assert max(held) >> 63 == 1
+    for failed in range(6):
+        faulty = inject(state, FaultPlan(crashes={failed}))
+        chunk, metrics = run_regeneration(faulty, failed)
+        assert metrics.outcome == SUCCESS
+        assert np.array_equal(chunk, state.nodes[failed].chunk)
+        rebuilt, missing = rebuild_shares(faulty, failed)
+        assert missing == []
+        assert [int(rebuilt[i]) for i in range(6) if i != failed] == [
+            int(state.nodes[failed].shares[i]) for i in range(6) if i != failed]
+    out = inject(state, FaultPlan(byzantine={2}, strategy=RandomCorruption(1.0)))
+    assert all(out.nodes[2].shares[i] != state.nodes[2].shares[i] for i in (0, 1, 3, 4, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +473,10 @@ def test_seeded_random_policy_determinism():
 def test_crashed_nodes_are_never_read():
     state, bits = make_state("msr")
     faulty = inject(state, FaultPlan(crashes={0, 5}))
-    # poison crashed slots: any read would raise (KeyError / invalid symbol)
+    # poison crashed slots: any read would raise (TypeError on None)
     for i in (0, 5):
         faulty.nodes[i].chunk = None
-        faulty.nodes[i].shares = {}
+        faulty.nodes[i].shares = None
     out, metrics = run_reconstruction(faulty, SeededRandom(2))
     assert np.array_equal(out, bits)
     chunk, metrics = run_regeneration(faulty, 0, SeededRandom(2))

@@ -211,12 +211,14 @@ def test_chunk_checksum_equals_bit_serialisation():
 def test_replicated_directory_share_counts_and_values():
     checksums = [0xA0 + i for i in range(3)]
     shares = build_directory(checksums, REPLICATED, CrcParams(8))
+    assert shares.shape == (3, 3) and shares.dtype == np.uint64
     for j in range(3):
-        assert sorted(shares[j]) == [i for i in range(3) if i != j]
-        for i, v in shares[j].items():
-            assert v == checksums[i]
-    # overhead is exactly (n-1) * r bits per node
-    assert all(len(s) * 8 == 2 * 8 for s in shares)
+        assert shares[j, j] == 0  # no node vouches for itself
+        for i in range(3):
+            if i != j:
+                assert shares[j, i] == checksums[i]
+    # overhead is exactly (n-1) * r bits per node: the row less its own entry
+    assert all(np.delete(row, j).size * 8 == 2 * 8 for j, row in enumerate(shares))
 
 
 def test_coded_layout_parameters():
@@ -239,9 +241,10 @@ def test_coded_directory_round_trip_and_overhead():
     checksums = [rng.randrange(1 << 8) for _ in range(12)]
     shares = build_directory(checksums, CODED, crc)
     layout = coded_layout(12, 8)
+    assert shares.shape == (12, 12)
     for j in range(12):
-        assert sorted(shares[j]) == [i for i in range(12) if i != j]
-        for v in shares[j].values():
+        assert shares[j, j] == 0
+        for v in np.delete(shares[j], j):
             assert 0 <= v < (1 << layout.m_prime)
     # fault-free recovery from any d subset of peers
     for i in (0, 5, 11):
@@ -254,9 +257,10 @@ def test_coded_directory_round_trip_and_overhead():
 
 def per_share_directory(checksums, scheme, crc):
     """Oracle: the per-checksum, per-share loop, with each message built
-    bit by bit from the checksum's r bits and zero padding."""
+    bit by bit from the checksum's r bits and zero padding; shares[j][i] is
+    holder j's share of node i's checksum, zero where j == i."""
     n = len(checksums)
-    shares = [{} for _ in range(n)]
+    shares = [[0] * n for _ in range(n)]
     if scheme == REPLICATED:
         for i, cs in enumerate(checksums):
             for j in range(n):
@@ -299,11 +303,9 @@ def test_directory_matches_per_share_oracle(scheme, n, r):
         return
     want = per_share_directory(checksums, scheme, crc)
     got = build_directory(checksums, scheme, crc)
-    assert len(got) == n
-    for j in range(n):
-        assert list(got[j]) == [i for i in range(n) if i != j]  # owners, ascending
-        assert got[j] == want[j]
-        assert all(type(v) is int for v in got[j].values())
+    assert got.shape == (n, n) and got.dtype == np.uint64
+    assert not got.diagonal().any()  # no node holds a share of its own checksum
+    assert got.tolist() == want
 
 
 def test_checksum_to_message_rejects_wide_checksums():
