@@ -300,8 +300,5 @@ def recover_checksum(
             )
         return int(value)
     layout = coded_layout(n, crc.r)
-    word = ReceivedWord(
-        {_peer_position(j, failed): int(v) for j, v in responses.items()}
-    )
-    outcome = decode_error_erasure(word, layout.code)
-    return layout.message_to_checksum(layout.code.messages(outcome.codeword))
+    word = ReceivedWord({_peer_position(j, failed): int(v) for j, v in responses.items()})
+    return layout.message_to_checksum(decode_error_erasure(word, layout.code).messages)

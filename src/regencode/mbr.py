@@ -35,7 +35,7 @@ error-decode with block decoders into the messages of that code: the
 rows of A2, then those of A1.  Either way the result is U's top rows
 [A1 | A2ᵀ], which hold every message symbol.  Regeneration works
 exactly as in the MSR family except the decoded vector g_i·U,
-transposed via U's symmetry, *is* the lost column.
+transposed via U's symmetry, *is* the lost column: no column map.
 """
 
 from __future__ import annotations
@@ -115,9 +115,8 @@ def reconstruct(collector, params: MbrParams, verify) -> tuple[np.ndarray, int]:
         # strip the A2ᵀ contribution; the top rows become A1·G_k
         e_full = field.matmul(a2t, params.bottom).reshape(beta, k, n)
         dec = ProgressiveDecoder(params.code_k, beta * k)  # row s*k + r: stripe s, row r
-        dec.absorb({p: (y[:, t, :k] ^ e_full[:, :, p]).reshape(-1)
-                    for t, p in enumerate(received)})
-        a1 = params.code_k.messages(dec.attempt().codeword)
+        a1 = dec.absorb({p: (y[:, t, :k] ^ e_full[:, :, p]).reshape(-1)
+                         for t, p in enumerate(received)}).attempt().messages
         return read_u(np.hstack([a1, a2t]).reshape(beta, k, d), params)
 
     take = lambda column: np.asarray(column)[:, k:]  # rows k..d-1 carry A2
@@ -132,4 +131,4 @@ def repair_response(chunk, holder: int, failed: int, params: MbrParams) -> np.nd
 def regenerate(source, failed: int, params: MbrParams, recover, chunk_crc) -> tuple[np.ndarray, int]:
     """Rebuild node `failed` exactly; by U's symmetry the decoded g_i·U
     transposes into the stored column itself."""
-    return progressive.regenerate(source, failed, params, recover, chunk_crc, lambda t: t)
+    return progressive.regenerate(source, failed, params, recover, chunk_crc)

@@ -25,7 +25,8 @@ the [n, d] row code on the shared schedule of ``progressive``, whose
 decoder hands back U's rows as messages.
 
 Regeneration decodes t = g_i·U from one symbol per stripe from each
-helper and re-derives the lost column as t[:α] + λ_i·t[α:].
+helper straight into the lost column t[:α] + λ_i·t[α:]: the decoder
+multiplies by the column map [I; λ_i·I] in the same product.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ class MsrParams(ProductMatrixParams):
         super().__init__(n, k, d, beta, field)
         alpha = self.alpha
         if field.m < (n * alpha - 1).bit_length():
-            raise InvalidParams(
-                f"m={field.m} too small for n*alpha={n * alpha}; powers would wrap"
-            )
+            raise InvalidParams(f"m={field.m} too small for n*alpha={n * alpha}; powers would wrap")
         self.B = alpha * (alpha + 1)
         self.lam = field.power(np.arange(n, dtype=np.int64) * alpha)
         if len(set(self.lam.tolist())) != n:
@@ -132,9 +131,8 @@ def repair_response(chunk, holder: int, failed: int, params: MsrParams) -> np.nd
 
 
 def regenerate(source, failed: int, params: MsrParams, recover, chunk_crc) -> tuple[np.ndarray, int]:
-    """Rebuild node `failed` exactly from helper responses; recover and
-    chunk_crc are as for ``progressive.regenerate``.  Returns (chunk,
-    decode_rounds)."""
-    alpha = params.alpha
-    column = lambda t: t[:, :alpha] ^ params.field.vmul(params.lam[failed], t[:, alpha:])
-    return progressive.regenerate(source, failed, params, recover, chunk_crc, column)
+    """Rebuild node `failed` exactly from helper responses, through the
+    column map [I; λ_f·I]; recover and chunk_crc are as for
+    ``progressive.regenerate``.  Returns (chunk, decode_rounds)."""
+    right = np.vstack([c * np.eye(params.alpha, dtype=np.int64) for c in (1, params.lam[failed])])
+    return progressive.regenerate(source, failed, params, recover, chunk_crc, right)

@@ -6,11 +6,12 @@ of U·G, and a helper answers a repair of node f with its chunk times
 g_f = G[:α, f].  The families differ only in U's index map ``fill``
 (``msr``: two symmetric α×α blocks side by side; ``mbr``: one symmetric
 d×d matrix with a zero corner), in how a collector reconstructs U, and
-in how the decoded g_f·U becomes the lost column.  This module holds the
-rest: parameter checks and generator matrices, U's packing (``build_u``)
-and unpacking (``read_u``, which reads each message symbol once),
-``encode``, ``repair_response``, the fast-path frame and the progressive
-retrieval driver, whose decoder hands back every row's message.
+in the column map that turns the decoded g_f·U into the lost column.
+This module holds the rest: parameter checks and generator matrices, U's
+packing (``build_u``) and unpacking (``read_u``, which reads each message
+symbol once), ``encode``, ``repair_response``, the fast-path frame and the
+progressive retrieval driver, whose decoder hands back every row's
+message, times the column map when it regenerates.
 
 Reconstruction from exactly k honest columns needs no error decoding.
 ``reconstruct_fast`` checks the columns once, lays them side by side as
@@ -155,8 +156,8 @@ def run(source, first: int, code, beta: int, rows: int, take, attempt, accept):
     One block decoder over ``code`` holds beta × rows rows (stripe-major),
     fed the (beta, rows) symbols that ``take(data)`` picks from each
     fetched item.  ``attempt(rounds, received, decode)`` builds a
-    candidate from the {node: data} received so far; ``decode()`` returns
-    every row's message (``RsParams.messages``), shape (beta, rows, dim).
+    candidate from the {node: data} received so far; ``decode(right)``
+    returns every row's message times ``right`` (None: the identity).
     The decoder is built at the first ``decode()`` and fed at each call,
     so an accepted fast path needs none.  A DecodeFailure counts as no
     candidate.  Raises ClusterExhausted once the source runs out.
@@ -165,13 +166,13 @@ def run(source, first: int, code, beta: int, rows: int, take, attempt, accept):
     pending: list = []
     decoder = None
 
-    def decode() -> np.ndarray:
+    def decode(right=None) -> np.ndarray:
         nonlocal decoder
         if decoder is None:
             decoder = ProgressiveDecoder(code, beta * rows)
         decoder.absorb({j: np.asarray(take(data)).reshape(-1) for j, data in pending})
         pending.clear()
-        return code.messages(decoder.attempt().codeword).reshape(beta, rows, code.dim)
+        return decoder.attempt(right).messages.reshape(beta, rows, -1)
 
     count = rounds = 0
     want = first
@@ -193,12 +194,13 @@ def run(source, first: int, code, beta: int, rows: int, take, attempt, accept):
         want = max(code.dim - count, 0) + 2
 
 
-def regenerate(source, failed: int, params, recover, chunk_crc, column):
+def regenerate(source, failed: int, params, recover, chunk_crc, right=None):
     """Rebuild node ``failed`` from helper responses; (chunk, rounds).
 
-    ``column`` maps the decoded β×d vectors g_failed·U to the lost chunk.
-    recover(helpers) returns the node's checksum once enough shares are
-    in hand (None before that); chunk_crc(chunk) is the candidate's.
+    ``right`` is the family's d×α column map (None: the identity); each
+    round's decoder returns g_failed·U times it, the lost chunk, in one
+    product.  recover(helpers) returns the node's checksum once enough
+    shares are in hand (None before that); chunk_crc(chunk) is the candidate's.
     """
     helpers: list[int] = []
     checksum = None
@@ -210,7 +212,7 @@ def regenerate(source, failed: int, params, recover, chunk_crc, column):
         helpers[:] = received
         if checksum is None:
             checksum = recover(helpers)
-        return column(decode()[:, 0])
+        return decode(right)[:, 0]
 
     def accept(chunk):
         return checksum is not None and chunk_crc(chunk) == checksum

@@ -16,13 +16,13 @@ locator.  The solutions form a module with a two-element Groebner basis
 that grows by one update per point (Fitzpatrick, "On the key equation",
 IEEE T-IT 1995), so a decoder fed symbols over several rounds pays only
 for the new ones.  The decoded word is the interpolant of degree < dim
-through dim received positions outside the located errors E, evaluated
-at every other position in barycentric form; it is the answer exactly
+through dim received positions outside the located errors E, checked in
+barycentric form at the other received positions; it is the answer exactly
 when it agrees with the received symbols outside E (Gao, "A new algorithm
-for decoding Reed-Solomon codes", 2003, fills the word the same way,
-without syndromes).  Syndromes are only computed on demand, with the
-dual-code column multipliers w_p = 1 / prod_{q!=p}(a^p - a^q), which
-exist for any length n <= 2^m - 1.
+for decoding Reed-Solomon codes", 2003, decodes the same way, without
+syndromes), and its message is read off positions 0..dim-1 alone.  Syndromes
+are only computed on demand, with the dual-code column multipliers
+w_p = 1 / prod_{q!=p}(a^p - a^q), which exist for any length n <= 2^m - 1.
 
 At full length (n == 2^m - 1) the multipliers collapse to w_p = a^p and
 the syndromes become the classical evaluations of the received word at
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -79,13 +79,8 @@ class RsParams:
 
     @cached_property
     def _message_inverse(self) -> np.ndarray:
+        """(G[:, :dim])⁻¹, inverted at a row code's first decode."""
         return gf_inverse(self.field, vandermonde(self)[:, : self.dim])
-
-    def messages(self, codewords) -> np.ndarray:
-        """The message of each codeword (last axis): its first dim symbols
-        times (G[:, :dim])⁻¹, which is inverted at the first call."""
-        c = np.asarray(codewords, dtype=np.int64)[..., : self.dim]
-        return self.field.matmul(c.reshape(-1, self.dim), self._message_inverse).reshape(c.shape)
 
     def __repr__(self):
         return f"RsParams(n={self.n}, dim={self.dim}, field={self.field!r})"
@@ -100,9 +95,16 @@ class ReceivedWord:
 
 @dataclass
 class DecodeOutcome:
-    codeword: list[int] | np.ndarray  # a list for rows=None, else (rows, n)
+    messages: np.ndarray  # (rows, dim), or (dim,) for rows=None; times attempt's right factor
     error_positions: set[int]
     corrected_count: int
+    params: RsParams | None  # None when the messages carry a right factor
+
+    @property
+    def codeword(self) -> list[int] | np.ndarray:  # the messages re-encoded; a list for rows=None
+        if self.params is None:
+            raise InvalidParams("messages times a right factor have no codeword")
+        return encode_eval(self.messages, self.params)
 
 
 def encode_eval(message, params: RsParams) -> list[int] | np.ndarray:
@@ -129,7 +131,8 @@ def gf_inverse(field: GF, M) -> np.ndarray:
     Each pivot is one numpy step on the augmented matrices [M | I]: scale
     the pivot rows, then clear their column from every other row at once.
     Raises SingularMatrix if any matrix of the stack is singular.  Serves
-    ``RsParams.messages``; the MSR and MBR fast paths use vandermonde_inverse.
+    ``RsParams._message_inverse``, behind ``ProgressiveDecoder.attempt``;
+    the MSR and MBR fast paths use vandermonde_inverse.
     """
     M = np.asarray(M, dtype=np.int64)
     if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
@@ -188,8 +191,8 @@ class ProgressiveDecoder:
     (a^p, z_p) of the key equation Lambda(a^p)·z_p = g(a^p), deg g <
     deg Lambda, where z_p re-encodes y_p against B.  Row 0's basis of
     solutions is extended at each absorb, so each retrieval round pays
-    only for its new symbols.  An attempt fills the rows by interpolation
-    through a base outside the located errors (see attempt).
+    only for its new symbols.  An attempt decodes the rows into messages
+    by interpolation through a base outside the located errors (see attempt).
     """
 
     def __init__(self, params: RsParams, rows: int | None = None):
@@ -231,15 +234,11 @@ class ProgressiveDecoder:
                     raise LengthMismatch(f"symbol vectors of unequal lengths {sizes}") from None
                 ys = np.array(flat, dtype=np.int64)
             ys = ys.reshape(len(pos), -1)
-            if ys.shape[1] != self.word.shape[0]:
-                raise LengthMismatch(
-                    f"expected {self.word.shape[0]} symbols per position, got {ys.shape[1]}"
-                )
-            bad = ys[(ys < 0) | (ys >= field.q)]
-            if bad.size:
-                raise InvalidParams(f"symbol {bad[0]} outside field of size {field.q}")
-            ys = ys.T  # (rows, positions)
-            self.word[:, pos] = ys
+            if ys.shape[1] != len(self.word):
+                raise LengthMismatch(f"expected {len(self.word)} symbols per position, got {ys.shape[1]}")
+            if np.bitwise_or.reduce(ys, axis=None) >> field.m:  # a bit at or above m, or the sign
+                raise InvalidParams(f"symbol {ys[ys >> field.m != 0][0]} outside field of size {field.q}")
+            self.word[:, pos] = ys.T  # (rows, positions)
             self.have[pos] = True
             room = params.dim - len(self._base)
             self._base += pos[:room]
@@ -294,20 +293,21 @@ class ProgressiveDecoder:
             raise DecodeFailure(f"locator of degree {deg} has {len(roots)} roots")
         return roots.tolist()
 
-    def attempt(self) -> DecodeOutcome:
-        """Decode every row; errors are the union and the total over rows.
+    def attempt(self, right=None) -> DecodeOutcome:
+        """Every row's message, times ``right`` if given; errors are the
+        union and the total over rows.
 
         The rows share their error positions (a Byzantine node corrupts its
         whole chunk).  Row 0 is located first, from its kept basis, so a
-        round that cannot succeed fails here, before any row is filled.
+        round that cannot succeed fails here, before any row is decoded.
         Its errors seed the located set E.  B' is the first dim received
-        positions outside E, in absorb order, and one product evaluates
-        every row's interpolant through B' at all other positions.  A row
-        whose interpolant agrees with it at the received positions outside
-        E is within its unique-decoding radius of that codeword, since
-        2|E| + s <= n-dim, so it takes the interpolant at erasures and E.
-        The first row still dirty is located alone; its errors join E (or
-        replace it past the budget).
+        positions outside E, in absorb order.  A row whose interpolant
+        through B' agrees with it at the other received positions outside E
+        is within its unique-decoding radius, since 2|E| + s <= n-dim; its
+        message is y_B'·P·(G[:, :dim])⁻¹, P the interpolation from B' to
+        positions 0..dim-1; no other erasure is filled.  The first row still
+        dirty is located alone; its errors join E (or replace it past the
+        budget).
         """
         params = self.params
         field = params.field
@@ -316,48 +316,56 @@ class ProgressiveDecoder:
         if s > params.two_t:
             raise DecodeFailure(f"{s} erasures exceed the {params.two_t} parity symbols")
         located = self._locate(0) if len(self.word) else []
-        erased = (~self.have).nonzero()[0].tolist()
-        codeword = self.word.copy()
-        errors: set[int] = set()
-        count = 0
+        factors = [params._message_inverse] + ([] if right is None else [np.asarray(right)])
+        messages = np.zeros((len(self.word), factors[-1].shape[1]), dtype=np.int64)
+        errors, count = set(), 0
 
-        def fill(rows: np.ndarray) -> np.ndarray:
-            """Fill the rows that are clean under E; return the others."""
+        def solve(rows: np.ndarray) -> np.ndarray:
+            """Decode the rows that are clean under E; return the others."""
             nonlocal count
-            if not rows.size:
-                return rows
             out = set(located)
             kept = [p for p in received if p not in out]
             base, others = kept[: params.dim], kept[params.dim :]
-            fills = erased + located
             weighted, v = _barycentric(params, base)
-            cols = others + fills  # every position outside B'
-            interp = field.vdiv(weighted[cols], v[cols, None])  # T(a^p) from T on B'
             word = self.word if rows.size == len(self.word) else self.word[rows]
-            vals = field.matmul(word[:, base], interp.T)
-            dirty = (vals[:, : len(others)] != word[:, others]).any(axis=1)
-            todo = rows[dirty]
-            if todo.size:
-                rows, word, vals = rows[~dirty], word[~dirty], vals[~dirty]
-            vals = vals[:, len(others) :]
-            hit = vals[:, s:] != word[:, located]
-            errors.update(np.compress(hit.any(axis=0), located).tolist())
-            count += int(hit.sum())
-            codeword[rows[:, None] if rows.size < len(codeword) else slice(None), fills] = vals
+            y = word[:, base]
+            gaps = [p for p in range(params.dim) if not self.have[p]]  # erased, among 0..dim-1
+            # for y·P the gaps join the check product, or P joins the factors if cheaper
+            compose = len(y) * len(gaps) >= params.dim**2
+            cols = others + located + gaps
+            interp = field.vdiv(weighted[cols], v[cols, None]).T  # T(a^p) from T on B'
+            todo, vals, evaluated = rows[:0], y[:, :0], len(cols) - len(gaps) * compose
+            if evaluated:
+                vals = field.matmul(y, interp[:, :evaluated])
+                dirty = (vals[:, : len(others)] != word[:, others]).any(axis=1)
+                if dirty.any():
+                    todo, rows, y, word, vals = rows[dirty], rows[~dirty], y[~dirty], word[~dirty], vals[~dirty]
+                hit = vals[:, len(others) : len(others) + len(located)] != word[:, located]
+                errors.update(np.compress(hit.any(axis=0), located).tolist())
+                count += int(hit.sum())
+            if rows.size:  # positions 0..dim-1 are the dim least of base + cols
+                pick, chain = np.argsort(base + cols)[: params.dim], factors
+                if compose:  # y·P, P: unit columns on B', the interpolant elsewhere
+                    chain = [np.hstack([np.eye(params.dim, dtype=np.int64), interp])[:, pick]] + factors
+                else:  # the symbols received, but the interpolant at E and the gaps
+                    y, at = word[:, : params.dim].copy(), np.flatnonzero(pick >= params.dim + len(others))
+                    y[:, at] = vals[:, pick[at] - params.dim]
+                if len(y) > params.dim:  # the small factors first when y is taller
+                    chain = [reduce(field.matmul, chain)]
+                messages[rows] = reduce(field.matmul, chain, y)
             return todo
 
-        todo = fill(np.arange(len(codeword)))
+        todo = solve(np.arange(len(self.word)))
         while todo.size:
             r = int(todo[0])
             found = self._locate(r)
             union = set(found).union(located)
             located = sorted(union if 2 * len(union) + s <= params.two_t else found)
-            todo = fill(todo)
+            todo = solve(todo)
             if todo.size and todo[0] == r:  # never, for an exact locator
                 raise DecodeFailure(f"row {r} stays dirty under its own errors")
-        if self.rows is None:
-            codeword = codeword[0].tolist()
-        return DecodeOutcome(codeword, errors, count)
+        return DecodeOutcome(messages[0] if self.rows is None else messages, errors, count,
+                             params if right is None else None)
 
 
 def _barycentric(params: RsParams, base) -> tuple[np.ndarray, np.ndarray]:
@@ -462,6 +470,4 @@ def _at_inverse_points(params: RsParams, polys, positions) -> np.ndarray:
 
 def decode_error_erasure(word: ReceivedWord, params: RsParams) -> DecodeOutcome:
     """One-shot decode of a received word (batch variant of the decoder)."""
-    state = ProgressiveDecoder(params)
-    state.absorb(word.symbols)
-    return state.attempt()
+    return ProgressiveDecoder(params).absorb(word.symbols).attempt()

@@ -5,14 +5,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from regencode import GF, DecodeFailure, DuplicatePosition, InvalidParams, LengthMismatch, SingularMatrix, rscode
+from regencode import GF, ClusterExhausted, DecodeFailure, DuplicatePosition, InvalidParams, LengthMismatch, SingularMatrix, rscode
 from regencode.integrity import coded_layout
 from regencode.rscode import (
-    DecodeOutcome,
     ProgressiveDecoder,
     ReceivedWord,
     RsParams,
@@ -200,7 +200,7 @@ def test_decode_within_budget_exhaustive_loads(rs15_4, gf16):
 def test_decode_beyond_budget_never_silently_invalid(rs15_4, gf16):
     rng = random.Random(37)
     wrong_but_valid = 0
-    for _ in range(300):
+    for _ in range(3000):
         s = rng.randrange(0, 8)
         v = (11 - s) // 2 + 1 + rng.randrange(0, 2)
         msg = [rng.randrange(16) for _ in range(4)]
@@ -210,13 +210,19 @@ def test_decode_beyond_budget_never_silently_invalid(rs15_4, gf16):
             out = decode_error_erasure(ReceivedWord(symbols), rs15_4)
         except DecodeFailure:
             continue
-        # If anything is returned it must at least be a codeword; the
+        # If anything is returned it must at least be a codeword that agrees
+        # with the received word outside the reported errors; the
         # caller-level checksum is what rejects a wrong one.
-        assert is_codeword(gf16, out.codeword, 4)
-        if out.codeword != cw:
+        got = out.codeword
+        assert is_codeword(gf16, got, 4)
+        for p, y in symbols.items():
+            assert (got[p] != y) == (p in out.error_positions), p
+        assert out.error_positions <= symbols.keys()
+        assert out.corrected_count == len(out.error_positions)
+        if got != cw:
             wrong_but_valid += 1
     # Some overload cases must actually raise rather than miscorrect.
-    assert wrong_but_valid < 300
+    assert wrong_but_valid < 3000
 
 
 def test_erasure_only_interpolation(rs15_4, gf16):
@@ -322,6 +328,16 @@ def test_duplicate_position_rejected(rs15_4):
         state.absorb({15: 1})
     with pytest.raises(InvalidParams):
         state.absorb({2: 16})
+    # the one range check names the offending symbol: a negative one, and an
+    # out-of-field one inside a multi-row vector; nothing is absorbed
+    with pytest.raises(InvalidParams, match="symbol -1 outside"):
+        state.absorb({2: -1})
+    block = ProgressiveDecoder(rs15_4, 3)
+    with pytest.raises(InvalidParams, match="symbol 17 outside"):
+        block.absorb({3: [1, 2, 3], 4: [0, 17, 5]})
+    with pytest.raises(InvalidParams, match="symbol -8 outside"):
+        block.absorb({3: [1, 2, 3], 4: [0, 15, -8]})
+    assert list(state.have.nonzero()[0]) == [0, 1] and not block.have.any()
     # the one-shot decode takes the same checks: every unread position is an
     # erasure, and a position past n (16 symbols for n = 15 need one) raises
     with pytest.raises(InvalidParams):
@@ -386,6 +402,15 @@ def _poly_add_scaled_shifted(field, a, b, scale, shift):
     for j, bj in enumerate(b):
         out[shift + j] ^= field.mul(scale, bj)
     return out
+
+
+@dataclass
+class ScalarOutcome:
+    """The scalar oracle's decode, as the codeword it corrects to."""
+
+    codeword: list[int]
+    error_positions: set[int]
+    corrected_count: int
 
 
 class ScalarDecoder:
@@ -458,7 +483,7 @@ class ScalarDecoder:
                     raise DecodeFailure("zero magnitude")
                 errors.add(p)
             codeword[p] ^= e
-        return DecodeOutcome(codeword, errors, len(errors))
+        return ScalarOutcome(codeword, errors, len(errors))
 
 
 def test_gf_inverse_matches_scalar_oracle():
@@ -556,14 +581,22 @@ def test_vandermonde_inverse_byzantine_stack_and_repeats():
     lambda: coded_layout(100, 32).code,
 ], ids=["6-4", "6-3", "100-38", "coded-r8", "coded-r32"])
 def test_messages_invert_encode_eval(make):
+    # the decoder's messages are what encode_eval encoded: 6 rows (more
+    # rows than dim, or fewer) and one scalar row
     code = make()
     field, dim = code.field, code.dim
     msg = np.random.default_rng(code.n * dim).integers(0, field.q, (2, 3, dim))
-    assert np.array_equal(code.messages(encode_eval(msg.reshape(-1, dim), code).reshape(2, 3, -1)), msg)
-    assert code.messages(encode_eval(msg[0, 0].tolist(), code)).tolist() == msg[0, 0].tolist()
-    # the unit codeword prefixes give (G[:, :dim])⁻¹ itself, against the closed form
+    words = encode_eval(msg.reshape(-1, dim), code)
+    block = ProgressiveDecoder(code, 6).absorb({p: words[:, p] for p in range(code.n)})
+    assert np.array_equal(block.attempt().messages.reshape(2, 3, -1), msg)
+    word = ReceivedWord(dict(enumerate(encode_eval(msg[0, 0].tolist(), code))))
+    assert decode_error_erasure(word, code).messages.tolist() == msg[0, 0].tolist()
+    # unit symbols at positions 0..dim-1 alone give (G[:, :dim])⁻¹ itself,
+    # against the closed form
     want = vandermonde_inverse(field, field.power(np.arange(dim)))
-    assert np.array_equal(code.messages(np.eye(dim, code.n, dtype=np.int64)), want)
+    unit = np.eye(dim, dtype=np.int64)
+    block = ProgressiveDecoder(code, dim).absorb({p: unit[:, p] for p in range(dim)})
+    assert np.array_equal(block.attempt().messages, want)
 
 
 def test_messages_invert_once_at_first_use(monkeypatch):
@@ -572,7 +605,8 @@ def test_messages_invert_once_at_first_use(monkeypatch):
     code = RsParams(6, 4, GF(8))
     assert not calls
     for _ in range(3):
-        code.messages(np.zeros((2, 6), dtype=np.int64))
+        block = ProgressiveDecoder(code, 2).absorb({p: [0, 0] for p in range(6)})
+        assert not block.attempt().messages.any()
     assert len(calls) == 1
 
 
@@ -912,3 +946,149 @@ def test_block_decoder_rejects_ragged_vectors(rs15_4):
     assert not block.have.any()
     block.absorb({1: [[1], [2], [3]], 2: [4, 5, 6]})
     assert block.word[:, [1, 2]].T.tolist() == [[1, 2, 3], [4, 5, 6]]
+
+
+def oracle_product(field, A, B):
+    """Oracle: a matrix product in scalar field arithmetic."""
+    out = []
+    for row in A:
+        out.append([0] * len(B[0]))
+        for a, b_row in zip(row, B):
+            out[-1] = [x ^ field.mul(int(a), int(b)) for x, b in zip(out[-1], b_row)]
+    return out
+
+
+def oracle_message(field, dim, codeword):
+    """Oracle: the message of a codeword, by elimination on its first dim
+    positions (the Vandermonde rows there)."""
+    A = [[field.pow(field.exp[p], j) for j in range(dim)] for p in range(dim)]
+    return oracle_solve(field, A, [int(c) for c in codeword[:dim]])
+
+
+@pytest.mark.parametrize("rows", [1, 6, 15])
+@pytest.mark.parametrize("right", [False, True])
+def test_messages_match_scalar_oracle_with_erasures_and_errors(rows, right):
+    # the block decoder's message product (one row, dim rows and more rows
+    # than dim, so both association orders run) against the scalar decoder
+    # followed by elimination, which share no code with it: every row's
+    # message times the right factor, the union of errors and their total
+    rng = np.random.default_rng(5000 + 10 * rows + right)
+    field = GF(5)
+    params = RsParams(20, 6, field)
+    R = rng.integers(0, field.q, (6, 3)) if right else None
+    checked = 0
+    for trial in range(12):
+        msgs = rng.integers(0, field.q, (rows, 6))
+        words = encode_eval(msgs, params)
+        s = int(rng.integers(0, params.two_t + 1))
+        erased = rng.permutation(params.n)[:s]
+        kept = np.setdiff1d(np.arange(params.n), erased)
+        # errors within every row's radius: shared columns, plus one private
+        # column in some rows while the budget allows
+        shared = rng.permutation(kept)[: int(rng.integers(0, (params.two_t - s) // 2 + 1))]
+        for r in range(rows):
+            cols = shared[rng.random(shared.size) < 0.7]
+            if 2 * (shared.size + 1) + s <= params.two_t and rng.random() < 0.3:
+                cols = np.append(cols, rng.choice(np.setdiff1d(kept, shared)))
+            words[r, cols] ^= rng.integers(1, field.q, cols.size)
+        order = rng.permutation(kept).tolist()
+        cut = int(rng.integers(1, len(order) + 1))
+        block = ProgressiveDecoder(params, rows)
+        oracles = [ScalarDecoder(params) for _ in range(rows)]
+        for batch in (order[:cut], order[cut:]):
+            block.absorb({p: words[:, p] for p in batch})
+            for r, dec in enumerate(oracles):
+                dec.absorb({p: words[r, p] for p in batch})
+        wants = [dec.attempt() for dec in oracles]
+        got = block.attempt(R)
+        want = [oracle_message(field, 6, w.codeword) for w in wants]
+        assert want == msgs.tolist()
+        if right:
+            want = oracle_product(field, want, R.tolist())
+            with pytest.raises(InvalidParams):
+                got.codeword  # messages times R are no message of the code
+        assert got.messages.tolist() == want, trial
+        assert got.error_positions == set().union(*(w.error_positions for w in wants))
+        assert got.corrected_count == sum(w.corrected_count for w in wants)
+        checked += got.corrected_count > 0
+    assert checked  # some trials corrected errors
+
+
+def _fill_then_invert(params, failed, responses):
+    """The regenerate decode as the codeword-filling decoder did it: each
+    stripe's g_failed·U codeword is interpolated through the first d
+    responses, checked at the rest (DecodeFailure on a mismatch), filled
+    at positions 0..d-1 and multiplied by (G[:, :d])⁻¹, then mapped to
+    the lost column (t[:α] + λ·t[α:] for MSR, t itself for MBR)."""
+    field, d, code = params.field, params.d, params.code
+    nodes = list(responses)
+    A = [[field.pow(field.exp[p], j) for j in range(d)] for p in nodes[:d]]
+    ghat_inv = gf_inverse(field, vandermonde(code)[:, :d])
+    out = []
+    for s in range(params.beta):
+        y = [int(responses[j][s]) for j in nodes]
+        cw = oracle_encode(field, oracle_solve(field, A, y[:d]), params.n)
+        if any(cw[j] != v for j, v in zip(nodes[d:], y[d:])):
+            raise DecodeFailure("a response disagrees with the interpolant")
+        t = field.matmul(np.array([cw[:d]]), ghat_inv)[0]
+        if params.family == "msr":
+            t = t[: params.alpha] ^ field.vmul(params.lam[failed], t[params.alpha :])
+        out.append(t.tolist())
+    return out
+
+
+class _Helpers:
+    """A source that hands out the given responses in order, as many as asked."""
+
+    def __init__(self, responses):
+        self.items = list(responses.items())
+
+    def fetch(self, count):
+        got, self.items = self.items[:count], self.items[count:]
+        return got
+
+
+@pytest.mark.parametrize("family", ["msr", "mbr"])
+@pytest.mark.parametrize("beta", [3, 9])
+def test_regenerate_product_matches_fill_then_invert(family, beta):
+    # MSR and MBR [6,3,4] over GF(2^8): every failed node, every d-subset of
+    # its helpers and all n-1 of them, clean and with one corrupt response.
+    # Each round's candidate (d responses, then all of them) must be the
+    # codeword-filling decode's column, or no candidate where that decode
+    # fails; the chunk test accepts only the true chunk.
+    from regencode import mbr, msr
+    from regencode.progressive import encode, repair_response
+
+    mod, Params = (msr, msr.MsrParams) if family == "msr" else (mbr, mbr.MbrParams)
+    params = Params(6, 3, 4, beta, GF(8))
+    rng = np.random.default_rng(beta)
+    chunks = encode(rng.integers(0, 256, (beta, params.B)), params)
+    for failed in range(params.n):
+        truth = chunks[failed].tolist()
+        helpers = [j for j in range(params.n) if j != failed]
+        for subset in itertools.chain(itertools.combinations(helpers, params.d), [helpers]):
+            for bad in (None, subset[int(rng.integers(len(subset)))]):
+                responses = {j: repair_response(chunks[j], j, failed, params) for j in subset}
+                if bad is not None:
+                    responses[bad] = responses[bad] ^ np.eye(1, beta, int(rng.integers(beta)), dtype=np.int64)[0]
+                want, rounds = [], 0
+                for count in sorted({params.d, len(subset)}):
+                    rounds += 1
+                    try:
+                        want.append(_fill_then_invert(params, failed, dict(list(responses.items())[:count])))
+                    except DecodeFailure:
+                        continue
+                    if want[-1] == truth:
+                        break
+                seen = []
+                crc = lambda chunk: seen.append(chunk.tolist()) or int(chunk.tolist() != truth)
+                run = lambda: mod.regenerate(_Helpers(responses), failed, params, lambda h: 0, crc)
+                if truth in want:
+                    chunk, got_rounds = run()
+                    assert chunk.tolist() == truth and got_rounds == rounds
+                else:
+                    assert bad is not None
+                    with pytest.raises(ClusterExhausted):
+                        run()
+                assert seen == want, (failed, subset, bad)
+                assert (bad in subset[: params.d]) == (want[0] != truth)
