@@ -35,7 +35,7 @@ import numpy as np
 from .cluster import PARAMS
 from .errors import MalformedChunk
 from .galois import GF
-from .integrity import CODED, REPLICATED, CrcParams, checksum_code_size
+from .integrity import CODED, REPLICATED, CrcParams, share_bits
 
 MAGIC = b"RGEN"
 VERSION = 1
@@ -72,10 +72,7 @@ class ChunkHeader:
 
     @property
     def share_bytes(self) -> int:
-        if self.scheme == REPLICATED:
-            return (self.r + 7) // 8
-        m_prime, _ = checksum_code_size(self.n, self.r)
-        return (m_prime + 7) // 8
+        return (share_bits(self.scheme, self.n, self.r) + 7) // 8
 
     def body_size(self) -> int:
         return (

@@ -48,11 +48,11 @@ from .integrity import (
     build_directory,
     bytes_to_symbols,
     chunk_checksum,
-    coded_layout,
     crc_checksum,
     crc_linear,
     crc_verify,
     recover_checksum,
+    share_bits,
     symbols_to_bytes,
 )
 from .mbr import MbrParams
@@ -193,10 +193,7 @@ def _corrupt_node(state: ClusterState, idx: int, rate: float) -> None:
         for r in range(chunk.shape[1]):
             if rng.random() < rate:
                 chunk[s, r] = _flip_symbol(rng, int(chunk[s, r]), q)
-    if state.scheme == REPLICATED:
-        space = 1 << state.crc.r
-    else:
-        space = 1 << coded_layout(state.params.n, state.crc.r).m_prime
+    space = 1 << share_bits(state.scheme, state.params.n, state.crc.r)
     for owner in range(state.params.n):
         if owner != idx and rng.random() < rate:
             slot.shares[owner] = _flip_symbol(rng, int(slot.shares[owner]), space)

@@ -160,13 +160,6 @@ class GF:
             raise ZeroInverse("0 has no multiplicative inverse")
         return self.exp[self.order - self.log[x]]
 
-    def div(self, x: int, y: int) -> int:
-        if y == 0:
-            raise ZeroInverse("division by zero")
-        if x == 0:
-            return 0
-        return self.exp[self.log[x] - self.log[y] + self.order]
-
     def pow(self, x: int, e: int) -> int:
         if x == 0:
             if e > 0:

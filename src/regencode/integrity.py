@@ -210,6 +210,11 @@ def checksum_code_size(n: int, r: int) -> tuple[int, int]:
     return m_prime, math.ceil(r / m_prime)
 
 
+def share_bits(scheme: str, n: int, r: int) -> int:
+    """Width of one checksum share: r bits replicated, m' bits coded."""
+    return r if scheme == REPLICATED else checksum_code_size(n, r)[0]
+
+
 class CodedLayout:
     """Derived parameters of the coded checksum scheme for (n, r)."""
 
@@ -281,9 +286,9 @@ def recover_checksum(
 ) -> int:
     """Recover the failed node's checksum from peers' shares.
 
-    Raises NoMajority (replicated) or DecodeFailure (coded) when the
-    responses cannot determine the checksum; the caller may then gather
-    more shares and retry.
+    Responses wider than a share are dropped.  Raises NoMajority
+    (replicated) or DecodeFailure (coded) when the rest cannot determine
+    the checksum; the caller may then gather more shares and retry.
     """
     if scheme not in SCHEMES:
         raise InvalidParams(f"unknown checksum scheme {scheme!r}")
@@ -291,14 +296,13 @@ def recover_checksum(
         raise InvalidParams(f"node {failed} cannot vouch for its own checksum")
     if not responses:
         raise InvalidParams("no checksum shares supplied")
+    space = 1 << share_bits(scheme, n, crc.r)
+    responses = {j: v for j, v in zip(responses, map(int, responses.values())) if 0 <= v < space}
     if scheme == REPLICATED:
-        counts = Counter(responses.values())
-        value, top = counts.most_common(1)[0]
+        value, top = (Counter(responses.values()).most_common(1) or [(0, 0)])[0]
         if 2 * top <= len(responses):
-            raise NoMajority(
-                f"top candidate holds {top} of {len(responses)} votes"
-            )
-        return int(value)
+            raise NoMajority(f"top candidate holds {top} of {len(responses)} votes")
+        return value
     layout = coded_layout(n, crc.r)
-    word = ReceivedWord({_peer_position(j, failed): int(v) for j, v in responses.items()})
+    word = ReceivedWord({_peer_position(j, failed): v for j, v in responses.items()})
     return layout.message_to_checksum(decode_error_erasure(word, layout.code).messages)

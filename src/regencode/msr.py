@@ -58,7 +58,7 @@ class MsrParams(ProductMatrixParams):
         if field.m < (n * alpha - 1).bit_length():
             raise InvalidParams(f"m={field.m} too small for n*alpha={n * alpha}; powers would wrap")
         self.B = alpha * (alpha + 1)
-        self.lam = field.power(np.arange(n, dtype=np.int64) * alpha)
+        self.lam = self.G[alpha]  # λ_i = (a^i)^α
         if len(set(self.lam.tolist())) != n:
             raise InvalidParams("node multipliers lambda_i collide; enlarge the field")
         self.fill = np.hstack([symmetric_fill(alpha), symmetric_fill(alpha, alpha * (alpha + 1) // 2)])

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import (ChecksumUnrecoverable, ClusterExhausted, DecodeFailure, InvalidParams,
                      LengthMismatch, SelfRepair)
 from .galois import GF
-from .rscode import ProgressiveDecoder, RsParams, vandermonde
+from .rscode import ProgressiveDecoder, RsParams
 
 
 class ProductMatrixParams:
@@ -61,7 +61,7 @@ class ProductMatrixParams:
         self.field = field
         self.alpha = self.alpha_for(k, d)
         self.code = RsParams(n, d, field)
-        self.G = vandermonde(self.code)  # d×n; column i is g_i
+        self.G = self.code.G  # d×n; column i is g_i
 
     @cached_property
     def reads(self) -> tuple[np.ndarray, np.ndarray]:

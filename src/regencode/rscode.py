@@ -3,7 +3,8 @@
 A message (u_0, ..., u_{dim-1}) is encoded as the evaluations of
 u(x) = sum_j u_j x^j at the points a^0, a^1, ..., a^{n-1}, where a is the
 field generator.  Any dim columns of the resulting Vandermonde generator
-matrix are invertible, so the code is MDS with minimum distance n-dim+1.
+matrix G are invertible, so the code is MDS with minimum distance n-dim+1.
+One table of a^{p·j} per code gives G, locators at a^p and syndromes.
 
 Decoding corrects errors and erasures within the budget
 
@@ -63,6 +64,10 @@ class RsParams:
         self.dim = dim
         self.field = field
         self.two_t = n - dim
+        # powers[j, p] = a^{j·p}, j < max(dim, n - dim), in rows so that G (j < dim) is
+        # contiguous for GF.matmul; syndromes read j < n - dim, locators j <= (n - dim) // 2
+        self.powers = field.power(np.arange(max(dim, self.two_t))[:, None] * np.arange(n))
+        self.G = self.powers[:dim]  # generator, (dim, n): entry (r, c) = (a^c)^r
         x = field.power(np.arange(n))
         self.points = x.tolist()  # a^p
         # 1/(a^p + a^q), with 1 on the diagonal, so that the product of a
@@ -71,16 +76,10 @@ class RsParams:
         # Dual-code column multipliers w_p = 1 / prod_{q != p}(a^p - a^q).
         self.w = field.prod(self.inv_diff)
 
-        p = np.arange(n, dtype=np.int64)[:, None]
-        # w_p·a^{p·j}, the contribution of a unit symbol at p to S_j
-        self.synd = field.vmul(self.w[:, None], field.power(p * np.arange(self.two_t)))
-        # a^{-p·j}, used to evaluate locators at every inverse point
-        self.chien = field.power(-p * np.arange(self.two_t + 1))
-
     @cached_property
     def _message_inverse(self) -> np.ndarray:
         """(G[:, :dim])⁻¹, inverted at a row code's first decode."""
-        return gf_inverse(self.field, vandermonde(self)[:, : self.dim])
+        return gf_inverse(self.field, self.G[:, : self.dim])
 
     def __repr__(self):
         return f"RsParams(n={self.n}, dim={self.dim}, field={self.field!r})"
@@ -109,19 +108,13 @@ class DecodeOutcome:
 
 def encode_eval(message, params: RsParams) -> list[int] | np.ndarray:
     """Evaluate the message polynomial at every code point: one product with
-    the Vandermonde generator.  A 2-D message (one message per row) gives
-    an array of codewords."""
+    the generator G.  A 2-D message (one message per row) gives an array of
+    codewords."""
     msg = np.asarray(message, dtype=np.int64)
     if msg.shape[-1:] != (params.dim,):
         raise LengthMismatch(f"message of shape {msg.shape} does not end in dim {params.dim}")
-    cw = params.field.matmul(msg.reshape(-1, params.dim), vandermonde(params))
+    cw = params.field.matmul(msg.reshape(-1, params.dim), params.G)
     return cw[0].tolist() if msg.ndim == 1 else cw
-
-
-def vandermonde(params: RsParams) -> np.ndarray:
-    """Generator matrix, shape (dim, n), entry (r, c) = (a^c)^r."""
-    r = np.arange(params.dim, dtype=np.int64)[:, None]
-    return params.field.power(r * np.arange(params.n))
 
 
 def gf_inverse(field: GF, M) -> np.ndarray:
@@ -201,7 +194,6 @@ class ProgressiveDecoder:
         height = 1 if rows is None else rows
         self.word = np.zeros((height, params.n), dtype=np.int64)  # 0 where unread
         self.have = np.zeros(params.n, dtype=bool)
-        self.round = 0
         self._base: list[int] = []  # the first dim positions absorbed
         self._points: list[int] = []  # every later one, in absorb order
         self._bary = None  # _barycentric on B, once B is complete; see _z
@@ -211,7 +203,9 @@ class ProgressiveDecoder:
     @property
     def syndromes(self) -> np.ndarray:
         """S_j = sum_p w_p·a^{p·j}·y_p over the received symbols, per row."""
-        synd = self.params.field.matmul(self.word, self.params.synd)
+        params = self.params
+        terms = params.field.vmul(params.powers[: params.two_t], params.w)  # w_p·a^{j·p}
+        synd = params.field.matmul(self.word, terms.T)
         return synd[0] if self.rows is None else synd
 
     def absorb(self, new_symbols: dict) -> "ProgressiveDecoder":
@@ -249,7 +243,6 @@ class ProgressiveDecoder:
                 self._points += new
                 if len(self.word):
                     _interpolate(field, self._basis, new, self._z(0, new), params.two_t // 2)
-        self.round += 1
         return self
 
     def _z(self, r: int, points: list[int]) -> list[int]:
@@ -288,7 +281,8 @@ class ProgressiveDecoder:
         if not deg:
             return []
         received = self.have.nonzero()[0]
-        roots = received[_at_inverse_points(self.params, [lam[::-1]], received)[0] == 0]
+        at = self.params.field.matmul([lam], self.params.powers[: deg + 1, received])[0]  # Lambda(a^p)
+        roots = received[at == 0]
         if len(roots) != deg:
             raise DecodeFailure(f"locator of degree {deg} has {len(roots)} roots")
         return roots.tolist()
@@ -460,12 +454,6 @@ def _trim(poly: list[int]) -> list[int]:
     while end and not poly[end - 1]:
         end -= 1
     return poly[:end]
-
-
-def _at_inverse_points(params: RsParams, polys, positions) -> np.ndarray:
-    """Every row of polys (degree at most n - dim) at a^-p, shape (rows, positions)."""
-    polys = np.asarray(polys, dtype=np.int64)
-    return params.field.matmul(polys, params.chien[positions, : polys.shape[1]].T)
 
 
 def decode_error_erasure(word: ReceivedWord, params: RsParams) -> DecodeOutcome:

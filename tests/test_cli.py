@@ -126,6 +126,27 @@ def test_regenerate_reports_download_symbols(capsys, tmp_path):
     assert "symbols_downloaded=8" in out
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_regenerate_drops_out_of_width_shares(capsys, tmp_path, seed):
+    # coded shares at n = 14 are m' = 4 bits in one byte each; node000's
+    # shares of owners 1 and 13 set to 0xFF fit no share and count as
+    # missing: seeds 2 and 3 read node000 among the first d helpers, and
+    # all four seeds rebuild owner 13's share from the other holders
+    payload = random.Random(11).randbytes(100_001)
+    _, chunks = encode_dir(capsys, tmp_path, n=14, k=5, d=8, scheme="coded", payload=payload)
+    lost = chunks / "node001.rgen"
+    original = lost.read_bytes()
+    lost.unlink()
+    helper = chunks / "node000.rgen"
+    raw = bytearray(helper.read_bytes())
+    raw[-1] = raw[-13] = 0xFF
+    helper.write_bytes(raw)
+    code, out, err = run(capsys, "regenerate", chunks, "--failed", 1, "--seed", seed)
+    assert code == 0, err
+    assert "share_unrecovered" not in out
+    assert lost.read_bytes() == original
+
+
 def encode_other(capsys, tmp_path):
     other = tmp_path / "other"
     other.mkdir()

@@ -377,6 +377,16 @@ def test_rebuild_shares_matches_stored_directory(n, k, d, field, scheme):
         assert missing == []
 
 
+def test_rebuild_shares_drops_out_of_width_share():
+    # coded shares at n = 13 are m' = 4 bits; a held share of 0xFF is no
+    # share, so owner 5's checksum decodes from the other holders
+    state, _ = make_state("msr", 13, 5, 8, field=GF(6), r=8, scheme=CODED)
+    state.nodes[2].shares[5] = 0xFF
+    rebuilt, missing = rebuild_shares(state, 0)
+    assert np.array_equal(rebuilt, state.nodes[0].shares)
+    assert missing == []
+
+
 def test_full_width_checksum_shares():
     # r = 64: replicated shares at or above 2^63 survive storage, corruption
     # and recovery as exact values

@@ -399,6 +399,24 @@ def test_coded_recovery_defeated_beyond_threshold():
     assert recover_checksum(responses, i, CODED, n, crc) == forged_cs
 
 
+@pytest.mark.parametrize("scheme, n, r", [(REPLICATED, 6, 4), (CODED, 12, 8)])
+def test_recover_checksum_drops_out_of_width_shares(scheme, n, r):
+    # a share byte holds 8 bits, a share only r = 4 (replicated) or m' = 4
+    # (coded): 0xFF is no share, so it neither votes nor enters the decoder
+    crc = CrcParams(r)
+    checksums = [(5 * i + 3) % (1 << r) for i in range(n)]
+    if scheme == REPLICATED:  # counted as a vote, 0xFF would leave 2 of 4 in agreement
+        responses = {1: 0xFF, 2: checksums[0] ^ 1, 3: checksums[0], 4: checksums[0]}
+    else:
+        shares = build_directory(checksums, scheme, crc)
+        responses = {j: shares[j][0] for j in range(1, 9)}
+        responses[1] = 0xFF
+    assert recover_checksum(responses, 0, scheme, n, crc) == checksums[0]
+    # no share left is a "read more" failure, not an invalid input
+    with pytest.raises(NoMajority if scheme == REPLICATED else DecodeFailure):
+        recover_checksum({j: 0xFF for j in responses}, 0, scheme, n, crc)
+
+
 def test_recover_checksum_input_validation():
     crc = CrcParams(8)
     with pytest.raises(InvalidParams):

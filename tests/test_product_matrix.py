@@ -75,6 +75,17 @@ def test_mbr_fill_maps_match_closed_form(k, d):
     assert_fill(p, np.block([[f1, f2.T], [f2, np.full((d - k, d - k), p.B)]]), d - k)
 
 
+@pytest.mark.parametrize("cls, n, k, d, m", [(MsrParams, 6, 3, 4, 8), (MsrParams, 14, 5, 8, 11),
+                                           (MbrParams, 6, 3, 4, 8), (MbrParams, 10, 4, 7, 5)])
+def test_generator_and_multipliers_match_scalar_powers(cls, n, k, d, m):
+    field = GF(m)
+    p = cls(n, k, d, 1, field)
+    points = [field.pow(field.generator, c) for c in range(n)]
+    assert p.G.tolist() == [[field.pow(x, r) for x in points] for r in range(d)]  # (a^c)^r
+    if cls is MsrParams:
+        assert p.lam.tolist() == [field.pow(x, p.alpha) for x in points]  # λ_i = (a^i)^α
+
+
 @pytest.mark.parametrize("name,m,beta,by_matrix", [
     ("msr", 4, 5, False),
     ("msr", 4, 7, True),  # beta > B = 6
