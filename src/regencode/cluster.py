@@ -10,13 +10,16 @@ checksum directory (``integrity.build_directory``): its shares of the
 *other* nodes' checksums, indexed by owner, with a zero at its own index.
 
 Fault injection is storage-level: a Byzantine node keeps answering the
-protocol faithfully, but what it stores has been rewritten.  RandomCorruption
-flips each stored symbol (chunk symbols and held checksum shares)
-independently to a uniformly random different value.  ConsistentForgery
-rewrites chunk symbols so that colluders jointly present coordinates of a
-valid codeword whose decoded message still passes the CRC test; the shares
-they hold are left untouched, since reconstruction never consults the
-checksum directory.
+protocol faithfully, but what it stores has been rewritten by its plan's
+strategy, which applies itself node by node.  RandomCorruption flips each
+stored symbol (chunk symbols and held checksum shares) independently to a
+uniformly random different value.  ConsistentForgery holds one (beta,
+alpha, d) array of message-row deltas, zero where nothing is forged, and
+XORs each colluder's coordinate of their codewords into its chunk, so the
+colluders jointly present coordinates of a valid codeword whose decoded
+message still passes the CRC test; the shares they hold are left
+untouched, since reconstruction never consults the checksum directory.
+Every policy reads only the reachable nodes: neither crashed nor excluded.
 
 The "network" is a call interface with per-call symbol accounting; runs are
 single-threaded and deterministic for a fixed seed, fault plan and policy.
@@ -111,13 +114,37 @@ class RunMetrics:
 class RandomCorruption:
     symbol_flip_rate: float = 1.0
 
+    def apply(self, state: "ClusterState", idx: int) -> None:
+        """Flip each chunk symbol of node idx, then each held share by owner (its
+        own entry skipped), with probability symbol_flip_rate, to another value."""
+        rng = random.Random(f"{state.rng_seed}|corrupt|{idx}")
+        slot = state.nodes[idx]
+        share_space = 1 << share_bits(state.scheme, state.params.n, state.crc.r)
+        for values, cells, space in (
+            (slot.chunk.flat, range(slot.chunk.size), 1 << state.params.field.m),
+            (slot.shares, [o for o in range(state.params.n) if o != idx], share_space),
+        ):
+            for i in cells:
+                if rng.random() < self.symbol_flip_rate:
+                    new = rng.randrange(space - 1)
+                    values[i] = new + (new >= int(values[i]))
+
 
 @dataclass
 class ConsistentForgery:
-    # (stripe, row) -> length-d message-row delta; every colluder stores its
-    # exact coordinate of the forged codeword, so the forgery is
-    # codeword-consistent across colluders by construction.
-    forged_row_delta: dict[tuple[int, int], np.ndarray]
+    # (beta, alpha, d) message-row deltas, zero rows where nothing is forged;
+    # every colluder stores its exact coordinate of the forged codeword, so
+    # the forgery is codeword-consistent across colluders by construction.
+    forged_row_delta: np.ndarray
+
+    def apply(self, state: "ClusterState", idx: int) -> None:
+        """XOR node idx's column of the forged codewords into its chunk."""
+        params = state.params
+        delta = np.asarray(self.forged_row_delta, dtype=np.int64)
+        if delta.shape != (params.beta, params.alpha, params.d):
+            raise InvalidParams(f"forged row deltas of shape {delta.shape}, not (beta, alpha, d)")
+        cw = encode_eval(delta.reshape(-1, params.d), params.code)
+        state.nodes[idx].chunk ^= cw[:, idx].reshape(params.beta, params.alpha)
 
 
 @dataclass
@@ -179,39 +206,6 @@ def store(payload, params, scheme: str = REPLICATED, *, crc: CrcParams | None = 
 # fault injection
 
 
-def _flip_symbol(rng: random.Random, value: int, space: int) -> int:
-    new = rng.randrange(space - 1)
-    return new if new < value else new + 1
-
-
-def _corrupt_node(state: ClusterState, idx: int, rate: float) -> None:
-    rng = random.Random(f"{state.rng_seed}|corrupt|{idx}")
-    slot = state.nodes[idx]
-    q = 1 << state.params.field.m
-    chunk = slot.chunk
-    for s in range(chunk.shape[0]):
-        for r in range(chunk.shape[1]):
-            if rng.random() < rate:
-                chunk[s, r] = _flip_symbol(rng, int(chunk[s, r]), q)
-    space = 1 << share_bits(state.scheme, state.params.n, state.crc.r)
-    for owner in range(state.params.n):
-        if owner != idx and rng.random() < rate:
-            slot.shares[owner] = _flip_symbol(rng, int(slot.shares[owner]), space)
-
-
-def _apply_forgery(state: ClusterState, idx: int, forgery: ConsistentForgery) -> None:
-    params = state.params
-    chunk = state.nodes[idx].chunk
-    for (s, r), vec in forgery.forged_row_delta.items():
-        if not (0 <= s < params.beta and 0 <= r < params.alpha):
-            raise InvalidParams(f"forged row ({s}, {r}) out of range")
-        vec = np.asarray(vec, dtype=np.int64)
-        if vec.shape != (params.d,):
-            raise InvalidParams("forged row delta must have length d")
-        cw = encode_eval(vec.tolist(), params.code)
-        chunk[s, r] ^= cw[idx]
-
-
 def inject(state: ClusterState, plan: FaultPlan) -> ClusterState:
     """Return a copy of the state with the plan's faults applied."""
     crashes = frozenset(plan.crashes)
@@ -227,22 +221,23 @@ def inject(state: ClusterState, plan: FaultPlan) -> ClusterState:
     out = state.clone()
     for i in crashes:
         out.nodes[i].status = CRASHED
-    strategy = plan.strategy
-    if byzantine and strategy is None:
-        strategy = RandomCorruption()
+    strategy = plan.strategy if plan.strategy is not None else RandomCorruption()
+    if byzantine and not isinstance(strategy, (RandomCorruption, ConsistentForgery)):
+        raise InvalidParams(f"unknown fault strategy {strategy!r}")
     for i in sorted(byzantine):
         out.nodes[i].status = BYZANTINE
-        if isinstance(strategy, RandomCorruption):
-            _corrupt_node(out, i, strategy.symbol_flip_rate)
-        elif isinstance(strategy, ConsistentForgery):
-            _apply_forgery(out, i, strategy)
-        else:
-            raise InvalidParams(f"unknown fault strategy {strategy!r}")
+        strategy.apply(out, i)
     return out
 
 
 # ---------------------------------------------------------------------------
 # access policies
+
+
+def _reachable(state: ClusterState, order, exclude=frozenset()) -> list[int]:
+    """The node ids of ``order``, in that order, neither crashed nor excluded."""
+    nodes = state.nodes
+    return [i for i in order if nodes[i].status != CRASHED and i not in exclude]
 
 
 class SeededRandom:
@@ -252,11 +247,7 @@ class SeededRandom:
         self.seed = seed
 
     def order(self, state: ClusterState, exclude=frozenset()) -> list[int]:
-        avail = [
-            i
-            for i, slot in enumerate(state.nodes)
-            if slot.status != CRASHED and i not in exclude
-        ]
+        avail = _reachable(state, range(len(state.nodes)), exclude)
         random.Random(f"{state.rng_seed}|policy|{self.seed}").shuffle(avail)
         return avail
 
@@ -265,34 +256,23 @@ class Adversarial:
     """Collector unknowingly prefers compromised nodes."""
 
     def order(self, state: ClusterState, exclude=frozenset()) -> list[int]:
-        byz = [
-            i
-            for i, slot in enumerate(state.nodes)
-            if slot.status == BYZANTINE and i not in exclude
-        ]
-        rest = [
-            i
-            for i, slot in enumerate(state.nodes)
-            if slot.status == HEALTHY and i not in exclude
-        ]
-        return byz + rest
+        nodes = state.nodes
+        byzantine_first = sorted(range(len(nodes)), key=lambda i: nodes[i].status != BYZANTINE)
+        return _reachable(state, byzantine_first, exclude)
 
 
 class ExplicitOrder:
-    """Fixed access order (reachable nodes only), for exhaustive sweeps."""
+    """Fixed access order (reachable nodes, each id once), for exhaustive sweeps."""
 
     def __init__(self, order):
-        self._order = [int(i) for i in order]
+        self._order = list(dict.fromkeys(int(i) for i in order))
 
     def order(self, state: ClusterState, exclude=frozenset()) -> list[int]:
         n = state.params.n
-        out = []
         for i in self._order:
             if not 0 <= i < n:
                 raise InvalidParams(f"node index {i} out of range for n={n}")
-            if state.nodes[i].status != CRASHED and i not in exclude:
-                out.append(i)
-        return out
+        return _reachable(state, self._order, exclude)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +376,7 @@ def rebuild_shares(state: ClusterState, newcomer: int) -> tuple[np.ndarray, list
             continue
         responses = {
             j: state.nodes[j].shares[owner]
-            for j in range(n)
-            if j not in (owner, newcomer) and state.nodes[j].status != CRASHED
+            for j in _reachable(state, range(n), (owner, newcomer))
         }
         try:
             checksums[owner] = recover_checksum(responses, owner, state.scheme, n, crc)
@@ -411,7 +390,8 @@ def rebuild_shares(state: ClusterState, newcomer: int) -> tuple[np.ndarray, list
 
 
 def _gf2_kernel(residues) -> int:
-    """Bitmask over ``residues`` whose XOR is zero, or 0 if none found."""
+    """Bitmask over ``residues`` whose XOR is zero, or 0 if none found; the
+    iterable is read only up to the first dependency (at most r+1 r-bit values)."""
     basis: dict[int, tuple[int, int]] = {}
     for idx, value in enumerate(residues):
         mask = 1 << idx
@@ -433,85 +413,57 @@ def build_msr_zero_crc_forgery(state: ClusterState, colluders) -> ConsistentForg
 
     The deltas scale a minimum-weight codeword whose support covers the
     colluders, so honest nodes in the support appear as correctable errors
-    relative to the forged codeword.  The scale factors are solved over
-    GF(2) so the decoded message delta has zero CRC residue; when the
-    payload spans the whole frame the forged payload is guaranteed to
-    differ from the true one.
+    relative to the forged codeword.  The scale factors gamma (one per
+    stripe and row) are solved over GF(2) so the decoded message delta has
+    zero CRC residue; when the payload spans the whole frame the forged
+    payload is guaranteed to differ from the true one.
     """
     params = state.params
     if params.family != "msr":
         raise InvalidParams("forgery construction is defined for MSR clusters")
     colluders = sorted(set(int(c) for c in colluders))
     n, d, alpha, beta = params.n, params.d, params.alpha, params.beta
-    m, crc, L = params.field.m, state.crc, state.payload_bit_len
+    field, m, crc, L = params.field, params.field.m, state.crc, state.payload_bit_len
     if not colluders or any(not 0 <= c < n for c in colluders):
         raise InvalidParams("colluder set must be non-empty node indices")
 
-    support = list(colluders)
+    # support T: the colluders, then the least other nodes, n-d+1 in all
+    support = sorted((colluders + [p for p in range(n) if p not in colluders])[: n - d + 1])
+    # u(x) = prod_{p outside T} (x + a^p): degree d-1, support exactly T
+    u = np.ones(1, dtype=np.int64)
     for p in range(n):
-        if len(support) >= n - d + 1:
-            break
-        if p not in colluders:
-            support.append(p)
-    support = sorted(support[: n - d + 1])
-
-    # u(x) = prod_{p outside support} (x - a^p): degree d-1, support exactly T
-    field = params.field
-    u_vec = [1]
-    for p in range(n):
-        if p in support:
-            continue
-        root = params.code.points[p]
-        nxt = [0] * (len(u_vec) + 1)
-        for i, c in enumerate(u_vec):
-            nxt[i] ^= field.mul(root, c)
-            nxt[i + 1] ^= c
-        u_vec = nxt
-    assert len(u_vec) == d
-    w = encode_eval(u_vec, params.code)
+        if p not in support:
+            u = np.append(field.vmul(u, params.code.points[p]), 0) ^ np.append(0, u)
+    assert len(u) == d
+    w = encode_eval(u, params.code)
     assert all(w[p] == 0 for p in range(n) if p not in support)
     assert all(w[p] != 0 for p in support)
 
-    def message_delta(gamma: np.ndarray) -> np.ndarray:
-        # decoded message delta when row r of stripe s shifts by gamma[s,r]*u;
-        # read_u takes each symbol from its first row-major entry of U = [A1 | A2]
-        return read_u(field.vmul(gamma[..., None], np.array(u_vec, dtype=np.int64)), params)
-
-    def residue(delta: np.ndarray) -> int:
-        data = symbols_to_bytes(delta, m)
+    def residue(rows: np.ndarray) -> int:
+        # CRC residue of the decoded message delta when U's rows shift by
+        # rows; read_u takes each symbol from its first row-major entry of
+        # U = [A1 | A2]
+        data = symbols_to_bytes(read_u(rows, params), m)
         return crc_linear(data, L, crc) ^ bits_at(data, L, crc.r)
 
-    unknowns = []  # (stripe, row, bit)
-    residues = []
-    gamma = np.zeros((beta, alpha), dtype=np.int64)
-    for s in range(beta):
-        for r in range(alpha):
-            for t in range(m):
-                gamma[s, r] = 1 << t
-                residues.append(residue(message_delta(gamma)))
-                gamma[s, r] = 0
-                unknowns.append((s, r, t))
-    mask = _gf2_kernel(residues)
-    if mask == 0:
-        raise InvalidParams(
-            "no zero-residue forgery exists for this payload size"
-        )
-    for idx, (s, r, t) in enumerate(unknowns):
-        if mask >> idx & 1:
-            gamma[s, r] ^= 1 << t
+    def unit_residues():  # gamma[s, r] = 2^t, in (stripe, row, bit) order
+        rows = np.zeros((beta, alpha, d), dtype=np.int64)
+        for s, r, t in np.ndindex(beta, alpha, m):
+            rows[s, r] = field.vmul(1 << t, u)
+            yield residue(rows)
+            rows[s, r] = 0
 
-    delta = message_delta(gamma)
-    assert residue(delta) == 0
-    if not bits_at(symbols_to_bytes(delta, m), 0, L):
+    mask = _gf2_kernel(unit_residues())
+    if mask == 0:
+        raise InvalidParams("no zero-residue forgery exists for this payload size")
+    gamma = np.zeros(beta * alpha, dtype=np.int64)
+    for idx in range(mask.bit_length()):
+        gamma[idx // m] ^= (mask >> idx & 1) << idx % m
+    rows = field.vmul(gamma.reshape(beta, alpha, 1), u)
+    assert residue(rows) == 0
+    if not bits_at(symbols_to_bytes(read_u(rows, params), m), 0, L):
         raise InvalidParams(
             "forgery does not alter the payload; use a payload that fills "
             "the frame"
         )
-    rows = {
-        (s, r): np.array([field.mul(int(gamma[s, r]), c) for c in u_vec],
-                         dtype=np.int64)
-        for s in range(beta)
-        for r in range(alpha)
-        if gamma[s, r]
-    }
     return ConsistentForgery(forged_row_delta=rows)

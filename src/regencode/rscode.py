@@ -327,7 +327,7 @@ class ProgressiveDecoder:
             # for y·P the gaps join the check product, or P joins the factors if cheaper
             compose = len(y) * len(gaps) >= params.dim**2
             cols = others + located + gaps
-            interp = field.vdiv(weighted[cols], v[cols, None]).T  # T(a^p) from T on B'
+            interp = np.ascontiguousarray(field.vdiv(weighted[cols], v[cols, None]).T)  # T(a^p), T on B'
             todo, vals, evaluated = rows[:0], y[:, :0], len(cols) - len(gaps) * compose
             if evaluated:
                 vals = field.matmul(y, interp[:, :evaluated])

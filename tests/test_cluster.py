@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from regencode import cluster
 from regencode.cluster import (
     BYZANTINE,
     CRASHED,
@@ -460,6 +461,21 @@ def test_explicit_order_validates_and_filters():
     assert policy.order(faulty, {3}) == [5, 0, 2, 4]
     with pytest.raises(InvalidParams):
         ExplicitOrder([9]).order(faulty)
+    assert ExplicitOrder([3, 3, 0, 5, 0]).order(faulty) == [3, 0, 5]
+
+
+def test_explicit_order_reads_each_node_once():
+    # a repeated id is read once: nodes 0, 1, 2 are k = 3 healthy nodes, and
+    # 0, 1, 2, 3 are d = 4 healthy helpers
+    state, bits = make_state("msr", beta=4, field=GF(8), r=32)
+    out, metrics = run_reconstruction(state, ExplicitOrder([0, 0, 1, 2]))
+    assert metrics.outcome == SUCCESS
+    assert np.array_equal(out, bits)
+    assert metrics.nodes_contacted == 3
+    chunk, metrics = run_regeneration(state, 5, ExplicitOrder([0, 0, 1, 2, 1, 3, 4]))
+    assert metrics.outcome == SUCCESS
+    assert np.array_equal(chunk, state.nodes[5].chunk)
+    assert metrics.nodes_contacted == 4
 
 
 def test_seeded_random_policy_determinism():
@@ -508,7 +524,7 @@ def test_zero_crc_forgery_wrong_success_with_adversarial_order():
     state, bits = forgery_fixture()
     colluders = {0, 1}  # b = ceil((n-d+2)/2) = 2
     forgery = build_msr_zero_crc_forgery(state, colluders)
-    assert forgery.forged_row_delta  # non-trivial
+    assert forgery.forged_row_delta.any()  # non-trivial
     faulty = inject(state, FaultPlan(byzantine=colluders, strategy=forgery))
     out, metrics = run_reconstruction(faulty, Adversarial())
     assert metrics.outcome == SUCCESS
@@ -537,6 +553,47 @@ def test_forgery_builder_validation():
     mbr_state, _ = make_state("mbr")
     with pytest.raises(InvalidParams):
         build_msr_zero_crc_forgery(mbr_state, {0})
+
+
+def _forgery_digest(forgery) -> str:
+    return hashlib.sha256(np.asarray(forgery.forged_row_delta, np.int64).tobytes()).hexdigest()
+
+
+def _beta200_state():
+    params = MsrParams(6, 3, 4, 200, GF(8))
+    bits = np.random.default_rng(3).integers(0, 2, 200 * params.B * 8 - 32, dtype=np.uint8)
+    return store(bits, params, seed=3)
+
+
+@pytest.mark.parametrize("colluders", [{0, 1}, {0, 1, 2}])
+def test_forgery_pinned(colluders):
+    # both colluder sets have the support {0, 1, 2}, so one forgery
+    state, _ = forgery_fixture()
+    forgery = build_msr_zero_crc_forgery(state, colluders)
+    assert forgery.forged_row_delta.shape == (8, 2, 4)
+    assert _forgery_digest(forgery) == (
+        "20467b2693f7e0a58a55f5ca5c54882dca1535ba7001f260a4830ec9f6b8a432")
+
+
+def test_forgery_pinned_beta200_reads_at_most_r_plus_1_residues(monkeypatch):
+    # the first GF(2) dependency lies among the first r+1 residues, and only
+    # those (plus the final check) are computed
+    state = _beta200_state()
+    calls = []
+    real = cluster.crc_linear
+    monkeypatch.setattr(cluster, "crc_linear", lambda *a: calls.append(a) or real(*a))
+    forgery = build_msr_zero_crc_forgery(state, {2, 5})
+    assert len(calls) <= state.crc.r + 2
+    assert _forgery_digest(forgery) == (
+        "b4fa163c4452ad61035471cdd8b44143d50cad20675dbb257e31b14d5503cc15")
+
+
+def test_forgery_of_wrong_shape_is_rejected_at_inject():
+    state, _ = forgery_fixture()
+    for shape in [(8, 2, 3), (7, 2, 4), (8 * 2, 4)]:
+        bad = ConsistentForgery(forged_row_delta=np.ones(shape, dtype=np.int64))
+        with pytest.raises(InvalidParams):
+            inject(state, FaultPlan(byzantine={0}, strategy=bad))
 
 
 def test_forged_rows_are_codeword_consistent():
