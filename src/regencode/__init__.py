@@ -8,7 +8,6 @@ from .errors import (
     InvalidParams,
     LengthMismatch,
     NoMajority,
-    NonIntegralPoint,
     OverlappingSets,
     PayloadTooLarge,
     RegencodeError,
@@ -44,5 +43,4 @@ __all__ = [
     "ChecksumUnrecoverable",
     "PayloadTooLarge",
     "OverlappingSets",
-    "NonIntegralPoint",
 ]

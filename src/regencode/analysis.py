@@ -1,10 +1,12 @@
-"""Closed-form parameter and capability calculator.
+"""Cut-set bound and one capability report.
 
-Evaluates the storage/repair-bandwidth cut-set bound, the two extreme
-tradeoff points (minimum storage, minimum bandwidth), and the full
-capability table for either code family: erasure and Byzantine fault
-tolerance, security strength under colluding forgery, and redundancy
-ratios of the integrity checksums on storage and bandwidth.
+``capabilities`` evaluates a code point and every cell of the capability
+table for either code family: erasure and Byzantine fault tolerance,
+security strength under colluding forgery, and redundancy ratios of the
+integrity checksums on storage and bandwidth.  The two families differ
+in two numbers only: the chunk height α (their params' ``alpha_for``)
+and the dimension of the row code a data collector decodes.  B is the
+cut-set bound at α.
 
 Conventions: ``alpha`` and ``B`` are per-stripe symbol counts (as for the
 codec parameter objects); ``beta`` multiplies them where a formula depends
@@ -17,59 +19,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParams, NonIntegralPoint
+from .cluster import PARAMS
+from .errors import InvalidParams
 from .integrity import checksum_code_size
-
-MSR = "msr"
-MBR = "mbr"
-FAMILIES = (MSR, MBR)
-
-
-def _validate_nkd(n: int, k: int, d: int) -> None:
-    if not 1 <= k <= d <= n - 1:
-        raise InvalidParams(
-            f"need 1 <= k <= d <= n-1, got n={n}, k={k}, d={d}"
-        )
 
 
 def cut_set_bound(n: int, k: int, d: int, alpha: int, beta: int) -> int:
     """Maximum file size B = sum_{i=0}^{k-1} min{alpha, (d-i)beta}."""
-    _validate_nkd(n, k, d)
+    if not 1 <= k <= d <= n - 1:
+        raise InvalidParams(
+            f"need 1 <= k <= d <= n-1, got n={n}, k={k}, d={d}"
+        )
     if alpha < 1 or beta < 1:
         raise InvalidParams(f"alpha and beta must be positive, got "
                             f"alpha={alpha}, beta={beta}")
     return sum(min(alpha, (d - i) * beta) for i in range(k))
 
 
-def msr_point(B: int, k: int, d: int) -> tuple[int, int]:
-    """Minimum-storage point: alpha = B/k, beta = B/(k(d-k+1))."""
-    if k < 1 or d < k or B < 1:
-        raise InvalidParams(f"need 1 <= k <= d and B >= 1, got "
-                            f"B={B}, k={k}, d={d}")
-    denom = k * (d - k + 1)
-    if B % k or B % denom:
-        raise NonIntegralPoint(
-            f"B={B} is not divisible by k={k} and k(d-k+1)={denom}"
-        )
-    return B // k, B // denom
-
-
-def mbr_point(B: int, k: int, d: int) -> tuple[int, int]:
-    """Minimum-bandwidth point: beta = 2B/(k(2d-k+1)), alpha = d*beta."""
-    if k < 1 or d < k or B < 1:
-        raise InvalidParams(f"need 1 <= k <= d and B >= 1, got "
-                            f"B={B}, k={k}, d={d}")
-    denom = k * (2 * d - k + 1)
-    if (2 * B) % denom:
-        raise NonIntegralPoint(
-            f"2B={2 * B} is not divisible by k(2d-k+1)={denom}"
-        )
-    beta = 2 * B // denom
-    return d * beta, beta
-
-
 @dataclass(frozen=True)
-class CodePoint:
+class Capabilities:
+    """A code point, then its capability cells, in the order ``analyze``
+    prints them."""
+
+    family: str
     n: int
     k: int
     d: int
@@ -80,30 +52,6 @@ class CodePoint:
     r: int
     m_prime: int
     k_prime: int
-
-
-def code_point(n: int, k: int, d: int, family: str, *, beta: int = 1,
-               m: int = 8, r: int = 32) -> CodePoint:
-    """Evaluate one family's extreme point plus its checksum-code sizes."""
-    _validate_nkd(n, k, d)
-    if family not in FAMILIES:
-        raise InvalidParams(f"unknown family {family!r}")
-    if beta < 1 or m < 1 or r < 1:
-        raise InvalidParams("beta, m and r must be positive")
-    if family == MSR:
-        alpha = d - k + 1
-        B = k * alpha
-    else:
-        alpha = d
-        B = k * d - k * (k - 1) // 2
-    m_prime, k_prime = checksum_code_size(n, r)
-    return CodePoint(n=n, k=k, d=d, alpha=alpha, beta=beta, B=B, m=m, r=r,
-                     m_prime=m_prime, k_prime=k_prime)
-
-
-@dataclass(frozen=True)
-class CapabilityReport:
-    family: str
     erasure_reconstruction: int
     erasure_regeneration: int
     byzantine_reconstruction: int
@@ -111,10 +59,10 @@ class CapabilityReport:
     security_reconstruction: int
     security_regeneration: int
     storage_reconstruction: Fraction
-    storage_regeneration_coded: Fraction
     storage_regeneration_replicated: Fraction
-    bandwidth_regeneration_coded: Fraction
+    storage_regeneration_coded: Fraction
     bandwidth_regeneration_replicated: Fraction
+    bandwidth_regeneration_coded: Fraction
 
 
 def percent(ratio: Fraction) -> str:
@@ -122,41 +70,40 @@ def percent(ratio: Fraction) -> str:
     return f"{float(ratio) * 100:.2f}%"
 
 
-def capability_table(point: CodePoint, family: str) -> CapabilityReport:
-    """Evaluate every capability cell for one family at the given point."""
-    if family not in FAMILIES:
+def capabilities(n: int, k: int, d: int, family: str, *, beta: int = 1,
+                 m: int = 8, r: int = 32) -> Capabilities:
+    """Evaluate one family's code point and every capability cell."""
+    cut_set_bound(n, k, d, 1, 1)  # checks (n, k, d) before the family
+    if family not in PARAMS:
         raise InvalidParams(f"unknown family {family!r}")
-    n, k, d, r, m = point.n, point.k, point.d, point.r, point.m
-    alpha, beta = point.alpha, point.beta
-    mp, kp = point.m_prime, point.k_prime
-    if family == MSR:
-        byz_recon = (n - d) // 2
-        sec_recon = min(k, -((n - d + 2) // -2)) - 1
-        info_bits = m * k * alpha - r
-    else:
-        byz_recon = (n - k) // 2
-        sec_recon = min(k, -((n - k + 2) // -2)) - 1
-        info_bits = m * point.B - r
-    if info_bits <= 0:
+    if beta < 1 or m < 1 or r < 1:
+        raise InvalidParams("beta, m and r must be positive")
+    alpha = PARAMS[family].alpha_for(k, d)
+    B = cut_set_bound(n, k, d, alpha, 1)
+    mp, kp = checksum_code_size(n, r)
+    if m * B <= r:
         raise InvalidParams(
-            f"checksum of {r} bits leaves no room for data "
-            f"({m * k * alpha if family == MSR else m * point.B} bits stored)"
+            f"checksum of {r} bits leaves no room for data ({m * B} bits stored)"
         )
-    # an infeasible share code (k' > n-1) cannot vouch for anything
-    byz_regen = max(0, min((n - d) // 2, (d - kp) // 2))
+    # A data collector error-decodes rows of its family's row code: MSR
+    # decodes U's rows in the [n, d] code of U·G; MBR decodes A2's rows, then
+    # A1's, in the [n, k] code, since U's bottom rows are zero past column k.
+    dim = {"msr": d, "mbr": k}[family]
     # regeneration erasure tolerance counts crashes *beyond* the node under
-    # repair (which is itself the (n-d)-th tolerated crash): n=d+1 gives 0.
-    return CapabilityReport(
-        family=family,
+    # repair (which is itself the (n-d)-th tolerated crash): n=d+1 gives 0;
+    # an infeasible share code (k' > n-1) cannot vouch for anything
+    return Capabilities(
+        family=family, n=n, k=k, d=d, alpha=alpha, beta=beta, B=B, m=m, r=r,
+        m_prime=mp, k_prime=kp,
         erasure_reconstruction=n - k,
         erasure_regeneration=n - d - 1,
-        byzantine_reconstruction=byz_recon,
-        byzantine_regeneration=byz_regen,
-        security_reconstruction=sec_recon,
+        byzantine_reconstruction=(n - dim) // 2,
+        byzantine_regeneration=max(0, min((n - d) // 2, (d - kp) // 2)),
+        security_reconstruction=min(k, -((n - dim + 2) // -2)) - 1,
         security_regeneration=min(d, -((n - d + 2) // -2)) - 1,
-        storage_reconstruction=Fraction(r, info_bits),
-        storage_regeneration_coded=Fraction((n - 1) * mp, beta * alpha * m),
+        storage_reconstruction=Fraction(r, m * B - r),
         storage_regeneration_replicated=Fraction(r * (n - 1), beta * alpha * m),
-        bandwidth_regeneration_coded=Fraction(mp, beta * m),
+        storage_regeneration_coded=Fraction((n - 1) * mp, beta * alpha * m),
         bandwidth_regeneration_replicated=Fraction(r, beta * m),
+        bandwidth_regeneration_coded=Fraction(mp, beta * m),
     )

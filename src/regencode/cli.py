@@ -17,11 +17,12 @@ import random
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import capability_table, code_point, cut_set_bound, percent
+from .analysis import capabilities, cut_set_bound, percent
 from .chunkio import (
     header_for_state,
     params_from_header,
@@ -63,6 +64,14 @@ def _metrics_fields(metrics) -> dict:
         "symbols_downloaded": metrics.symbols_downloaded,
         "checksum_symbols_downloaded": metrics.checksum_symbols_downloaded,
         "decode_rounds": metrics.decode_rounds,
+    }
+
+
+def _download_fields(params) -> dict:
+    """Symbols one repair downloads (d·β) and one reconstruction (k·α·β)."""
+    return {
+        "repair_download_symbols": params.d * params.beta,
+        "reconstruct_download_symbols": params.k * params.alpha * params.beta,
     }
 
 
@@ -209,12 +218,9 @@ def cmd_regenerate(args) -> int:
     out = Path(args.out) if args.out else paths[0].parent / f"node{args.failed:03d}.rgen"
     header = header_for_state(state, args.failed)
     write_chunk_file(out, header, chunk, shares)
-    p = state.params
     print(_record(
         command="regenerate", failed=args.failed, **fields,
-        repair_download_symbols=p.d * p.beta,
-        reconstruct_download_symbols=p.k * p.alpha * p.beta,
-        share_warnings=len(missing), out=out,
+        **_download_fields(state.params), share_warnings=len(missing), out=out,
     ))
     for owner in missing:
         print(_record(warning="share_unrecovered", owner=owner))
@@ -222,32 +228,20 @@ def cmd_regenerate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    pt = code_point(
+    report = vars(capabilities(
         args.n, args.k, args.d, args.family,
         beta=args.beta, m=args.m, r=args.r,
-    )
-    rep = capability_table(pt, args.family)
-    print(_record(
-        command="analyze", family=args.family, n=pt.n, k=pt.k, d=pt.d,
-        alpha=pt.alpha, beta=pt.beta, B=pt.B, m=pt.m, r=pt.r,
-        m_prime=pt.m_prime, k_prime=pt.k_prime,
     ))
-    for name in (
-        "erasure_reconstruction", "erasure_regeneration",
-        "byzantine_reconstruction", "byzantine_regeneration",
-        "security_reconstruction", "security_regeneration",
-    ):
-        print(_record(**{name: getattr(rep, name)}))
-    for name in (
-        "storage_reconstruction",
-        "storage_regeneration_replicated", "storage_regeneration_coded",
-        "bandwidth_regeneration_replicated", "bandwidth_regeneration_coded",
-    ):
-        ratio = getattr(rep, name)
-        print(_record(**{
-            name: f"{ratio.numerator}/{ratio.denominator}",
-            name + "_pct": percent(ratio),
-        }))
+    names = list(report)
+    cells = names.index("erasure_reconstruction")  # the code point comes first
+    print(_record(command="analyze", **{name: report[name] for name in names[:cells]}))
+    for name in names[cells:]:
+        value = report[name]
+        if isinstance(value, Fraction):
+            print(_record(**{name: f"{value.numerator}/{value.denominator}",
+                             name + "_pct": percent(value)}))
+        else:
+            print(_record(**{name: value}))
     return 0
 
 
@@ -395,11 +389,7 @@ def cmd_simulate(args) -> int:
     }
     if operation == "regenerate":
         saving = (params.k * params.alpha) / params.d
-        footer.update({
-            "repair_download_symbols": params.d * params.beta,
-            "reconstruct_download_symbols": params.k * params.alpha * params.beta,
-            "bandwidth_saving": f"{saving:.2f}x",
-        })
+        footer.update(_download_fields(params), bandwidth_saving=f"{saving:.2f}x")
     lines.append(_record(**footer))
     report = "\n".join(str(s) for s in lines)
     if "out" in cfg:

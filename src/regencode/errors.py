@@ -61,9 +61,5 @@ class OverlappingSets(RegencodeError, ValueError):
     """Crash and Byzantine sets in a fault plan overlap."""
 
 
-class NonIntegralPoint(RegencodeError, ValueError):
-    """A tradeoff-point formula did not produce integer parameters."""
-
-
 class MalformedChunk(RegencodeError, ValueError):
     """A chunk file's header or body does not match the expected layout."""

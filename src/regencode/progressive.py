@@ -53,8 +53,6 @@ class ProductMatrixParams:
     def __init__(self, n: int, k: int, d: int, beta: int, field: GF):
         if not k <= d <= n - 1:
             raise InvalidParams(f"need k <= d <= n-1, got n={n}, k={k}, d={d}")
-        if n > field.order - 1:
-            raise InvalidParams(f"n={n} exceeds the {field.order - 1} nonzero points")
         if beta < 1:
             raise InvalidParams(f"beta={beta} must be positive")
         self.n, self.k, self.d, self.beta = n, k, d, beta

@@ -1,20 +1,12 @@
-"""Capability calculator: cut-set bound, tradeoff points, table cells."""
+"""Capability calculator: cut-set bound and the capability report."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from regencode.analysis import (
-    CodePoint,
-    capability_table,
-    code_point,
-    cut_set_bound,
-    mbr_point,
-    msr_point,
-    percent,
-)
-from regencode.errors import InvalidParams, NonIntegralPoint
+from regencode.analysis import capabilities, cut_set_bound, percent
+from regencode.errors import InvalidParams
 from regencode.galois import GF
 from regencode.mbr import MbrParams
 from regencode.msr import MsrParams
@@ -67,49 +59,24 @@ def test_cut_set_bound_validation():
         cut_set_bound(6, 3, 4, 0, 1)
 
 
-def test_msr_point_round_trip():
-    for k, d, beta in [(3, 4, 1), (5, 8, 7), (20, 38, 1000)]:
-        B = k * (d - k + 1) * beta
-        assert msr_point(B, k, d) == ((d - k + 1) * beta, beta)
-    with pytest.raises(NonIntegralPoint):
-        msr_point(7, 3, 4)
-    with pytest.raises(InvalidParams):
-        msr_point(6, 4, 3)
-
-
-def test_mbr_point_round_trip():
-    for k, d, beta in [(3, 4, 1), (5, 8, 7), (4, 4, 3)]:
-        B = beta * (k * d - k * (k - 1) // 2)
-        assert mbr_point(B, k, d) == (d * beta, beta)
-    with pytest.raises(NonIntegralPoint):
-        mbr_point(10, 3, 4)  # 2B = 20 not divisible by k(2d-k+1) = 18
-
-
-def test_degenerate_single_node_points():
-    for B in (1, 5, 12):
-        assert msr_point(B, 1, 1) == (B, B)
-        assert mbr_point(B, 1, 1) == (B, B)
-
-
 def test_code_point_fields():
-    pt = code_point(100, 20, 38, "msr", beta=1000, m=11, r=32)
+    pt = capabilities(100, 20, 38, "msr", beta=1000, m=11, r=32)
     assert (pt.alpha, pt.B) == (19, 380)
     assert (pt.m_prime, pt.k_prime) == (7, 5)
-    pt = code_point(6, 3, 4, "mbr", m=4, r=8)
+    pt = capabilities(6, 3, 4, "mbr", m=4, r=8)
     assert (pt.alpha, pt.B) == (4, 9)
     assert pt.m_prime == 3  # ceil(log2 5), and 2^3 - 1 >= 5
-    pt = code_point(9, 3, 4, "mbr", m=4, r=8)
+    pt = capabilities(9, 3, 4, "mbr", m=4, r=8)
     assert pt.m_prime == 4  # bumped: 2^3 - 1 < 8 evaluation points
     assert pt.k_prime == 2
     with pytest.raises(InvalidParams):
-        code_point(6, 3, 4, "raid")
+        capabilities(6, 3, 4, "raid")
     with pytest.raises(InvalidParams):
-        code_point(6, 4, 3, "msr")
+        capabilities(6, 4, 3, "msr")
 
 
 def test_capability_table_large_msr():
-    pt = code_point(100, 20, 38, "msr", beta=1000, m=11, r=32)
-    rep = capability_table(pt, "msr")
+    rep = capabilities(100, 20, 38, "msr", beta=1000, m=11, r=32)
     assert rep.erasure_reconstruction == 80
     assert rep.erasure_regeneration == 61  # failed node is the 62nd crash
     assert rep.byzantine_reconstruction == 31
@@ -130,19 +97,17 @@ def test_capability_table_large_msr():
 
 def test_capability_table_small_msr():
     # m=16 so the 32-bit checksum still fits one stripe's k*alpha symbols
-    pt = code_point(6, 3, 4, "msr", m=16, r=32)
-    rep = capability_table(pt, "msr")
+    rep = capabilities(6, 3, 4, "msr", m=16, r=32)
     assert rep.byzantine_reconstruction == 1
     assert rep.security_reconstruction == min(3, 2) - 1 == 1
     assert rep.security_regeneration == min(4, 2) - 1 == 1
     # k' = ceil(32/3) = 11 > d: the coded scheme cannot vouch at all
-    assert pt.k_prime == 11
+    assert rep.k_prime == 11
     assert rep.byzantine_regeneration == 0
 
 
 def test_capability_table_small_mbr():
-    pt = code_point(6, 3, 4, "mbr", m=4, r=8)
-    rep = capability_table(pt, "mbr")
+    rep = capabilities(6, 3, 4, "mbr", m=4, r=8)
     assert rep.erasure_reconstruction == 3
     assert rep.erasure_regeneration == 1
     assert rep.byzantine_reconstruction == 1  # floor((6-3)/2)
@@ -154,16 +119,14 @@ def test_capability_table_small_mbr():
 
 
 def test_capability_table_boundaries():
-    pt = code_point(5, 3, 4, "msr", m=4, r=8)
-    rep = capability_table(pt, "msr")
+    rep = capabilities(5, 3, 4, "msr", m=4, r=8)
     assert rep.erasure_regeneration == 0  # n = d+1
     assert rep.byzantine_reconstruction == 0
     with pytest.raises(InvalidParams):
-        capability_table(pt, "lrc")
+        capabilities(5, 3, 4, "lrc", m=4, r=8)
     # checksum larger than the stored data
-    huge = code_point(6, 3, 4, "msr", m=2, r=32)
     with pytest.raises(InvalidParams):
-        capability_table(huge, "msr")
+        capabilities(6, 3, 4, "msr", m=2, r=32)
 
 
 def test_percent_rendering():

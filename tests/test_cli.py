@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import re
@@ -336,6 +337,43 @@ def test_analyze_large_deployment_figures(capsys):
     assert "bandwidth_regeneration_replicated_pct=0.29%" in out
     assert "storage_regeneration_coded_pct=0.33%" in out
     assert "bandwidth_regeneration_coded_pct=0.06%" in out
+
+
+def test_analyze_output_pinned(capsys):
+    # the whole report: record order and every field, not substrings
+    code, out, err = run(
+        capsys, "analyze", "--family", "msr", "--n", "100", "--k", "20",
+        "--d", "38", "--beta", "1000",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "command=analyze family=msr n=100 k=20 d=38 alpha=19 beta=1000 B=380 "
+        "m=11 r=32 m_prime=7 k_prime=5\n"
+        "erasure_reconstruction=80\n"
+        "erasure_regeneration=61\n"
+        "byzantine_reconstruction=31\n"
+        "byzantine_regeneration=16\n"
+        "security_reconstruction=19\n"
+        "security_regeneration=31\n"
+        "storage_reconstruction=8/1037 storage_reconstruction_pct=0.77%\n"
+        "storage_regeneration_replicated=36/2375 "
+        "storage_regeneration_replicated_pct=1.52%\n"
+        "storage_regeneration_coded=63/19000 storage_regeneration_coded_pct=0.33%\n"
+        "bandwidth_regeneration_replicated=4/1375 "
+        "bandwidth_regeneration_replicated_pct=0.29%\n"
+        "bandwidth_regeneration_coded=7/11000 bandwidth_regeneration_coded_pct=0.06%\n"
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ec2a0edeb64b6be5af9cc3ff3bba98831e238ccb8c22b5e9d51cdaacdfd31b95"
+    )
+    code, out, _ = run(
+        capsys, "analyze", "--family", "mbr", "--n", "6", "--k", "3",
+        "--d", "4", "--m", "4", "--r", "8",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c083e23eab83c1212ca7b25ea35062736be4f027985e2743c373053e4d60d763"
+    )
 
 
 def test_analyze_rejects_bad_parameters(capsys):

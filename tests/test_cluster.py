@@ -223,6 +223,24 @@ def test_reconstruction_one_byzantine_mbr_all_positions():
             assert np.array_equal(out, bits)
 
 
+@pytest.mark.parametrize("family, k, d, beta", [("mbr", 3, 4, 2), ("msr", 2, 2, 4)])
+def test_full_length_code(family, k, d, beta):
+    # n = 7 = 2^3 - 1: every nonzero point of GF(2^3) is a node
+    state, bits = make_state(family, n=7, k=k, d=d, beta=beta, field=GF(3))
+    p = state.params
+    for byz in range(p.n):
+        faulty = inject(state, FaultPlan(byzantine={byz}))
+        out, metrics = run_reconstruction(faulty, SeededRandom(byz))
+        assert metrics.outcome == SUCCESS
+        assert np.array_equal(out, bits)
+        # the failed node crashed, the next one Byzantine
+        failed = (byz + 1) % p.n
+        faulty = inject(state, FaultPlan(crashes={failed}, byzantine={byz}))
+        chunk, metrics = run_regeneration(faulty, failed, SeededRandom(byz))
+        assert metrics.outcome == SUCCESS
+        assert np.array_equal(chunk, state.nodes[failed].chunk)
+
+
 def test_reconstruction_at_budget_with_partial_corruption():
     # Byzantine nodes that leave half their symbols intact: the rows share
     # only part of the error columns, and the decoder must neither miss nor
