@@ -80,7 +80,9 @@ def capabilities(n: int, k: int, d: int, family: str, *, beta: int = 1,
         raise InvalidParams("beta, m and r must be positive")
     alpha = PARAMS[family].alpha_for(k, d)
     B = cut_set_bound(n, k, d, alpha, 1)
-    mp, kp = checksum_code_size(n, r)
+    # the coded scheme's [n-1, k'] share code needs n >= 3; below that its
+    # cells take the sizes at n = 3 and vouch for nothing, as when k' > n-1
+    mp, kp = checksum_code_size(max(n, 3), r)
     if m * B <= r:
         raise InvalidParams(
             f"checksum of {r} bits leaves no room for data ({m * B} bits stored)"

@@ -7,25 +7,28 @@ locator roots, matrix products) go through ``vmul``, ``vdiv``, ``prod``,
 ``matmul`` and ``power`` on numpy arrays; this module is the only one
 that knows the table format.
 
-``matmul`` picks its kernel from the operand shapes.  When an outer
-dimension L exceeds 2^(m+1), one operand is long data and the other a
-short constant matrix (an encode, a decode projection, a repair inner
-product), and the product goes through tables built per call: the
-product-table method of Plank, Greenan & Miller (FAST 2013), without the
-SIMD.  Tall data A (L × q) times a constant B (q × r) packs, for each
-inner index j, the row x·B[j, :] of every symbol x into one word of r
-lanes (uint8 lanes for m <= 8, uint16 above; a word of 1, 2, 4 or 8
-bytes, or a few uint64): the product is q gathers of whole rows,
-XOR-accumulated already in (L, r) order, and an index whose
-coefficients are all zero is skipped.  A table of 2^m packed rows stays
-within _ROW_TABLE_BYTES, so B's columns go in groups of as many lanes as
-fit, at least one; a one-lane group is a multiply-by-c table per
-coefficient.  Wide data (a constant C times data D of L columns) is the
-same kernel on the transposes, (Dᵀ·Cᵀ)ᵀ.  From that length the tables
-cost under half the cube cells they replace.  Otherwise the log/exp cube
-of all p·q·r products is XOR-reduced over q in even blocks of at most
-_BLOCK_CELLS cells, so no temporary outgrows a block or the (p, r)
-result.
+``matmul`` picks one of two kernels from the operand shapes.  A product
+whose outer sides are both within 2^(m+1) runs on the log/exp cube
+unless ``_splits`` sends it to the tables below: the cube XOR-reduces
+all p·q·r products over q in even blocks of at most _BLOCK_CELLS cells,
+so no temporary outgrows a block or the (p, r) result.  Every other
+product goes through product tables built per call, after the "split"
+multiplication tables of Plank, Greenan & Miller (FAST 2013), without
+the SIMD.  Tall data A (L × q) times a constant B (q × r) packs the rows
+of B into words of r lanes (uint8 lanes for m <= 8, uint16 above; a word
+of 1, 2, 4 or 8 bytes, or a few uint64).  A symbol of A splits into s
+slices of c bits, and for each inner index j and slice i a table maps a
+slice value v to the packed row (v·2^(i·c))·B[j, :]: the product is s
+gathers of whole rows per inner index, XOR-accumulated already in (L, r)
+order, and an index whose coefficients are all zero is skipped.  Data
+longer than 2^(m+1) takes one slice, a table of 2^m rows per index;
+shorter data takes the s >= 2 that minimises s·(2^c + L), the rows built
+plus the rows gathered.  The tables are built by linearity from the rows
+2^b·B[j, :] of one log/exp gather, one XOR step per bit over all of them
+at once.  A table stays within _ROW_TABLE_BYTES, so B's columns go in
+groups of as many lanes as fit, at least one; a one-lane group is a
+multiply-by-c table per coefficient.  Wide data (a constant C times data
+D of L columns) is the same kernel on the transposes, (Dᵀ·Cᵀ)ᵀ.
 """
 
 from __future__ import annotations
@@ -41,10 +44,14 @@ from .errors import InvalidParams, ZeroInverse
 # 128 KiB mmap threshold with malloc's chunk header, so blocks come from the heap.
 _BLOCK_CELLS = (1 << 14) - 16
 
-# Bytes of one table of the packed-row kernel (2^m packed rows of one lane group).
+# Bytes of one table of the packed-row kernel (2^c packed rows of one lane group).
 # Larger tables leave the first-level cache, and some shapes ran slower on them than
 # on one-lane tables (over GF(2^12) with r = 3 and GF(2^13) with r = 2, 32 KiB each).
 _ROW_TABLE_BYTES = 1 << 14
+
+# Table cells of a group gathered from log/exp before XOR steps build the rest: one
+# step costs about what a gather of this many cells does.
+_SEED_CELLS = 2047
 
 _UINT = {n: np.dtype(f"uint{8 * n}") for n in (1, 2, 4, 8)}
 
@@ -80,6 +87,28 @@ def _clmul_mod(a: int, b: int, poly: int, m: int) -> int:
         if a >> m:
             a ^= poly
     return acc
+
+
+def _split_gathers(tables, D, c: int, s: int, rows: int):
+    """Each block's XOR of the rows gathered from split tables for data D (p, n).
+
+    ``tables`` holds row v·s·n + i·n + j for slice value v of slice i (bits
+    i·c upwards) and inner index j.  The indices are built for as many inner
+    indices as fit _BLOCK_CELLS int64 cells, and gathered ``rows`` (j, i)
+    pairs at a time.
+    """
+    p, n = D.shape
+    step = max(1, _BLOCK_CELLS // (s * p))
+    shifts = np.arange(0, s * c, c)[:, None]
+    offsets = np.arange(n)[:, None, None] + n * np.arange(s)[:, None]
+    for j0 in range(0, n, step):
+        idx = np.right_shift(D[:, j0 : j0 + step].T[:, None, :], shifts, order="C")
+        idx &= (1 << c) - 1
+        idx *= s * n
+        idx += offsets[j0 : j0 + step]
+        idx = idx.reshape(-1, p)
+        for k in range(0, len(idx), rows):
+            yield np.bitwise_xor.reduce(tables.take(idx[k : k + rows], axis=0), axis=0)
 
 
 class GF:
@@ -137,6 +166,7 @@ class GF:
         self._exp[: 2 * self.order] = exp
         self._lane = _UINT[1 if m <= 8 else 2]  # one symbol in the product tables
         self._group = max(1, _ROW_TABLE_BYTES // (q * self._lane.itemsize))  # lanes a table fits
+        self._seed_rows = {}  # (c, h) -> the rows ``_seeds`` gathers
 
     def __repr__(self):
         return f"GF(2^{self.m}, poly=0x{self.prim_poly:x}, g={self.generator})"
@@ -209,7 +239,7 @@ class GF:
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
             raise InvalidParams(f"incompatible shapes {A.shape} x {B.shape}")
         (p, q), r = A.shape, B.shape[1]
-        if max(p, r) <= 2 * self.q:
+        if max(p, r) <= 2 * self.q and not self._splits(p, q, r):
             la, lb = self._log[A], self._log[B]
             if p * q * r <= _BLOCK_CELLS:
                 return np.bitwise_xor.reduce(self._exp[la[:, :, None] + lb[None, :, :]], axis=1)
@@ -227,6 +257,16 @@ class GF:
             return self._row_product(A, B)
         return self._row_product(B.T, A.T).T  # a short constant A times wide data B
 
+    @staticmethod
+    def _splits(p: int, q: int, r: int) -> bool:
+        """Whether ``matmul`` sends a (p, q) by (q, r) product whose outer sides
+        are both within 2^(m+1) to split tables rather than the log/exp cube:
+        more cells than one cube block, a long side of at least 64, and a short
+        side of at least 2 if it is r, the cube's innermost axis (short rows make
+        its cells dear), or of at least 16 if it is p.  From a measured grid
+        over GF(2^8), GF(2^11) and GF(2^16), both orientations."""
+        return max(p, r) >= 64 and p * q * r > _BLOCK_CELLS and min(p, r) >= (2 if r < p else 16)
+
     def packs_rows(self, p: int, r: int) -> bool:
         """Whether ``matmul`` of a (p, q) by a (q, r) matrix gathers whole rows of
         the constant: p past 2^(m+1) and r, and a row of r symbols small enough
@@ -234,39 +274,80 @@ class GF:
         return p > max(r, 2 * self.q) and r * self.q * self._lane.itemsize <= _ROW_TABLE_BYTES
 
     def _row_product(self, A, B) -> np.ndarray:
-        """A·B for long data A (p > 2^(m+1), q) and a short constant B (q, r).
+        """A·B for data A (p, q) and a short constant B (q, r).
 
-        B's columns go in groups of as many lanes as one table of 2^m packed
-        rows fits in _ROW_TABLE_BYTES, at least one.  In a group C, rows[j, x]
-        packs the row x·C[j, :] into one word of 1, 2, 4 or 8 bytes, or as
-        many uint64 as it takes, so the group's product is one gather of A's
-        column j per inner index j, XOR-accumulated already in (p, lanes)
-        order; an index whose coefficients in C are all zero is skipped.  The
-        groups' lanes go to int64 in one pass.
+        A symbol splits into s = ceil(m/c) slices of c bits (``_slice_bits``),
+        slice i starting at bit i·c.  B's columns go in groups of as many lanes
+        as one table of 2^c packed rows fits in _ROW_TABLE_BYTES, at least one.
+        In a group C, the table of inner index j and slice i maps v to the row
+        (v·2^(i·c))·C[j, :], packed into one word of 1, 2, 4 or 8 bytes, or as
+        many uint64 as it takes.  The tables are built by linearity: the rows
+        v < 2^h and v = 2^k come from one log/exp gather of the elements v·2^(i·c)
+        (``_seeds``; h seeds small tables whole, where XOR steps cost more than
+        the gather), then t[2^k + v] = t[2^k] ^ t[v] for v < 2^k, one XOR step
+        per bit k >= h over all tables at once.  With one slice, each index's
+        table is read straight by A's column; with more, ``_split_gathers``
+        takes the rows in blocks within _BLOCK_CELLS.  Either way the rows are
+        XOR-accumulated already in (p, lanes) order, and an index whose
+        coefficients in C are all zero is skipped.  The groups' lanes go to
+        int64 in one pass.
         """
         (p, q), r = A.shape, B.shape[1]
-        group, parts = self._group, []
+        m, c = self.m, self._slice_bits(p)
+        s = -(-m // c)
+        group = max(1, _ROW_TABLE_BYTES // ((1 << c) * self._lane.itemsize))
+        parts = []
         for g in range(0, r, group):
-            C, js = B[:, g : g + group], range(q)
+            C, js = np.ascontiguousarray(B[:, g : g + group]), None  # the table layout follows C's
             if np.count_nonzero(C) < C.size:  # some zeros: keep the indices with a nonzero
                 js = np.flatnonzero(C.any(axis=1))
-                C, js = C[js], js.tolist()
-            w = C.shape[1]
+                C = C[js]
+            n, w = C.shape
             size = w * self._lane.itemsize
             word = _UINT[8 if size > 8 else 1 << (size - 1).bit_length()]
             words = -(-size // word.itemsize)
             lanes = words * word.itemsize // self._lane.itemsize  # w padded to whole words
-            rows = np.zeros((len(js), self.q, lanes), dtype=self._lane)
-            prods = self._log[C][:, None, :] + self._log[:, None]
-            rows[..., :w] = self._exp.take(prods, out=prods, mode="clip")
-            rows = rows.view(word)
-            if words == 1:  # one table of 2^m words per index: a plain gather
-                gathers = (rows[i, :, 0][A[:, j]] for i, j in enumerate(js))
-            else:  # 2^m rows of `words` words: take copies whole rows, faster than 2-D indexing
-                gathers = (rows[i].take(A[:, j], axis=0) for i, j in enumerate(js))
-            acc = reduce(ixor, gathers) if len(js) else np.zeros((p, words), dtype=word)
+            # t[v, i, j] = (v·2^(i·c))·C[j, :]: the rows v < 2^h and v = 2^k (h <= k < c) in
+            # one log/exp gather, then one XOR step per bit k >= h over all tables at once
+            h = min(c, (_SEED_CELLS // max(1, n * s * w)).bit_length())
+            seeded, logs = self._seeds(c, h)
+            prods = logs[:, :, None, None] + self._log[C]
+            t = np.zeros((1 << c, s, n, lanes), dtype=self._lane)
+            t[seeded, ..., :w] = self._exp.take(prods, out=prods, mode="clip")
+            t = t.view(word).reshape(1 << c, s * n, words)
+            for k in range(h, c):
+                np.bitwise_xor(t[1 : 1 << k], t[1 << k], out=t[(1 << k) + 1 : 2 << k])
+            if words == 1:
+                t = t[..., 0]
+            if s == 1:  # one table per index, each made contiguous, indexed by A's column as it is
+                t = np.ascontiguousarray(t.swapaxes(0, 1))
+                gathers = (t[i][A[:, j]] if words == 1 else t[i].take(A[:, j], axis=0)
+                           for i, j in enumerate(range(q) if js is None else js))
+            else:
+                rows = max(1, _BLOCK_CELLS // (p * max(1, words * word.itemsize // 8)))
+                gathers = _split_gathers(t.reshape(-1, *t.shape[2:]), A if js is None else A[:, js], c, s, rows)
+            acc = reduce(ixor, gathers) if n else np.zeros((p, words), dtype=word)
             part = acc.view(self._lane).reshape(p, lanes)[:, :w]
             if r <= group:  # while the tables are held: freeing them first ran slower
                 return part.astype(np.int64)
             parts.append(part)
         return np.concatenate(parts or [np.zeros((p, 0), dtype=np.int64)], axis=1, dtype=np.int64)
+
+    def _slice_bits(self, p: int) -> int:
+        """Bits c per slice of ``_row_product`` for p rows of data: m (one slice)
+        past 2^(m+1), else the c < m that minimises s·(2^c + p), s = ceil(m/c)."""
+        m = self.m
+        if p > 2 * self.q:
+            return m
+        return min(range(1, m), key=lambda c: -(-m // c) * ((1 << c) + p))
+
+    def _seeds(self, c: int, h: int):
+        """The table rows v < 2^h and v = 2^k (h <= k < c) of slices of c bits,
+        and the logs of their elements v·2^b_i, one column per slice i; an
+        element past the field only fills a row that no symbol reads."""
+        if (c, h) not in self._seed_rows:
+            rows = np.concatenate([np.arange(1 << h), 1 << np.arange(h, c)])
+            elements = rows[:, None] << np.arange(0, self.m, c)
+            logs = self._log.take(elements, mode="clip")
+            self._seed_rows[c, h] = slice(None) if h == c else rows, logs  # all rows: a slice
+        return self._seed_rows[c, h]

@@ -129,6 +129,27 @@ def test_capability_table_boundaries():
         capabilities(6, 3, 4, "msr", m=2, r=32)
 
 
+def test_two_nodes_report_coded_cells_infeasible():
+    # no [n-1, k'] share code exists below n = 3: the coded cells take the
+    # sizes at n = 3 (m' = 2) and vouch for nothing, as when k' > n-1; the
+    # replicated cells are reported (a 16-bit symbol holds the 8-bit checksum)
+    for family in ("msr", "mbr"):
+        rep = capabilities(2, 1, 1, family, m=16, r=8)
+        assert (rep.alpha, rep.B) == (1, 1)
+        assert (rep.m_prime, rep.k_prime) == (2, 4)
+        assert rep.k_prime > rep.n - 1
+        assert rep.erasure_reconstruction == 1
+        assert rep.erasure_regeneration == 0
+        assert rep.byzantine_regeneration == 0
+        assert rep.storage_reconstruction == Fraction(8, 16 - 8)
+        assert rep.storage_regeneration_replicated == Fraction(8, 16)
+        assert rep.storage_regeneration_coded == Fraction(2, 16)
+    rep = capabilities(2, 1, 1, "msr", m=8, r=2)
+    assert (rep.m_prime, rep.k_prime, rep.byzantine_regeneration) == (2, 1, 0)
+    with pytest.raises(InvalidParams, match="no room for data"):
+        capabilities(2, 1, 1, "mbr", m=11, r=32)  # 11 stored bits, 32 checksum bits
+
+
 def test_percent_rendering():
     assert percent(Fraction(1, 2)) == "50.00%"
     assert percent(Fraction(1, 3)) == "33.33%"

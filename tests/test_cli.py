@@ -376,6 +376,22 @@ def test_analyze_output_pinned(capsys):
     )
 
 
+def test_analyze_two_nodes(capsys):
+    # the replicated scheme works at n = 2, so the report is printed; the
+    # coded cells show k' = 4 > n - 1 shares and no regeneration tolerance
+    code, out, err = run(
+        capsys, "analyze", "--family", "mbr", "--n", "2", "--k", "1", "--d", "1",
+        "--m", "16", "--r", "8",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == (
+        "command=analyze family=mbr n=2 k=1 d=1 alpha=1 beta=1 B=1 "
+        "m=16 r=8 m_prime=2 k_prime=4"
+    )
+    assert "byzantine_regeneration=0\n" in out
+    assert "storage_regeneration_coded=1/8 storage_regeneration_coded_pct=12.50%\n" in out
+
+
 def test_analyze_rejects_bad_parameters(capsys):
     code, _, err = run(
         capsys, "analyze", "--family", "mbr", "--n", "4", "--k", "5",

@@ -271,17 +271,17 @@ def scalar_matmul(gf, A, B):
 # (m, p, q, r) around the cube's block bound and the table switch
 BLOCK_SHAPES = [
     (8, 93, 16, 11),  # exactly _BLOCK_CELLS: one cube
-    (8, 107, 9, 17),  # three cells over: blocks of 4 and 5
+    (8, 107, 9, 17),  # three cells over: split tables
     (11, 8, 38, 62),  # two even blocks of 19 (not 33 + 5)
     (11, 8, 39, 62),  # blocks of 19 and 20
     (11, 40, 37, 20),  # blocks of 18 and 19
-    (11, 152, 38, 100),  # p·r near the bound: one inner index per block
-    (8, 200, 1, 200),  # q = 1: one block, however many cells
+    (11, 152, 38, 100),  # the byzantine store encode: split tables, blocks of two indices
+    (8, 200, 1, 200),  # q = 1: one inner index, however many cells
     (8, 0, 38, 62),  # zero rows
     (8, 62, 38, 0),  # zero columns
     (2, 4, 1100, 4),  # p = r = 2^m, blocks of 550
     (4, 16, 70, 16),
-    (8, 256, 8, 9),  # p = 2^m, blocked
+    (8, 256, 8, 9),  # p = 2^m: split tables
     (8, 9, 8, 256),  # r = 2^m, blocked
     (11, 60, 20, 20),
     (16, 20, 50, 20),
@@ -447,3 +447,137 @@ def test_vector_ops_broadcast_in_one_buffer():
     assert int(gf.vmul(3, 7)) == gf.mul(3, 7) and int(gf.vdiv(3, 7)) == div(gf, 3, 7)
     for before, after in zip(keep, [col, row, full]):  # operands untouched
         assert np.array_equal(before, after)
+
+
+def check_both_orientations(gf, data, const, product):
+    """product(A, B) for tall data A = data times B = const, and for the wide
+    orientation A = const.T times data.T, each against the scalar oracle."""
+    for A, B in ((data, const), (const.T, data.T)):
+        got = product(A, B)
+        assert got.dtype == np.int64 and got.shape == (A.shape[0], B.shape[1])
+        assert got.tolist() == scalar_matmul(gf, A, B)
+
+
+def split_operands(gf, rng, p, q, r):
+    """Data (p, q) and a constant (q, r) with zero rows and corners: inner index
+    1 and, past four indices, the last are all-zero coefficients."""
+    data = rng.integers(0, gf.q, size=(p, q))
+    const = rng.integers(0, gf.q, size=(q, r))
+    data[0] = 0
+    data[-1] = gf.q - 1
+    if q > 1:
+        const[1] = 0
+    if q > 4:
+        const[-1] = 0
+    return data, const
+
+
+def slice_changes(gf):
+    """Every p at which ``_row_product`` changes its slice width, the last one
+    at 2^(m+1) + 1 (one slice); the width only grows with p."""
+    changes, p = [], 1
+    while p <= 2 * gf.q:
+        lo, hi, c = p, 2 * gf.q + 1, gf._slice_bits(p)
+        while hi - lo > 1:  # the first p past lo with another width
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if gf._slice_bits(mid) == c else (lo, mid)
+        changes.append(hi)
+        p = hi
+    return changes
+
+
+@pytest.mark.parametrize("m", [4, 8, 11, 16])
+def test_split_tables_every_slice_change(m):
+    # one row on each side of every change in the slice width s, the last one
+    # the s = 1 boundary at 2^(m+1) + 1, in both orientations
+    gf = GF(m)
+    changes = slice_changes(gf)
+    assert changes[-1] == 2 * gf.q + 1 and gf._slice_bits(changes[-1]) == m
+    assert all(gf._slice_bits(p) < m for p in range(1, min(changes[-1], 300)))
+    rng = np.random.default_rng(70 + m)
+    for p in changes:
+        for rows in (p - 1, p):
+            if rows > 4000:  # GF(2^16) past 2^17 rows: a sample against the oracle
+                data, const = split_operands(gf, rng, rows, 2, 3)
+                pick = [0, 1, rows - 1] + rng.integers(rows, size=30).tolist()
+                assert gf._row_product(data, const)[pick].tolist() == scalar_matmul(gf, data[pick], const)
+                wide = gf._row_product(data, const.T[::-1].T)  # a strided constant
+                assert wide[pick].tolist() == scalar_matmul(gf, data[pick], const[:, ::-1])
+                continue
+            data, const = split_operands(gf, rng, rows, 6, 5)
+            check_both_orientations(gf, data, const, lambda A, B: (
+                gf._row_product(A, B) if A.shape[0] >= B.shape[1] else gf._row_product(B.T, A.T).T))
+
+
+# (m, p, q, r): one step on each side of the cube / split-table switch, each as
+# a tall product and as its transpose
+SWITCH_SHAPES = [
+    (8, 64, 64, 4), (8, 63, 64, 4),  # long side 64 against 63
+    (11, 64, 64, 4), (11, 64, 63, 4),  # 16 384 cells against 16 128
+    (8, 93, 16, 11), (11, 93, 16, 11), (16, 93, 16, 11),  # exactly _BLOCK_CELLS: the cube
+    (11, 512, 40, 2), (11, 512, 40, 1), (16, 300, 60, 2),  # a short r of 2 against 1
+    (11, 16, 30, 64), (11, 15, 30, 64), (8, 16, 30, 300),  # a short p of 16 against 15
+    (8, 512, 8, 8), (8, 513, 8, 8),  # split tables at 2^(m+1), one slice past it
+    (11, 152, 38, 38), (11, 304, 19, 19), (11, 152, 38, 62),  # the byzantine decode
+    (11, 20, 19, 160), (7, 100, 5, 99),  # its MSR algebra and checksum-share encode
+    (11, 38, 38, 38), (16, 20, 50, 20),  # kept on the cube
+]
+
+
+def takes_split_tables(p, q, r):
+    from regencode.galois import _BLOCK_CELLS
+
+    return max(p, r) >= 64 and p * q * r > _BLOCK_CELLS and min(p, r) >= (2 if r < p else 16)
+
+
+@pytest.mark.parametrize("m, p, q, r", SWITCH_SHAPES)
+def test_split_switch_matches_scalar(m, p, q, r):
+    gf = GF(m)
+    assert gf._splits(p, q, r) == takes_split_tables(p, q, r)
+    assert gf._splits(r, q, p) == takes_split_tables(r, q, p)
+    rng = np.random.default_rng(m * p + q * r)
+    data, const = split_operands(gf, rng, p, q, r)
+    check_both_orientations(gf, data, const, gf.matmul)
+
+
+def test_split_switch_routes_named_shapes():
+    # the products of a [100, 20, 38] Byzantine decode and store over GF(2^11)
+    # go to split tables; the small ones stay on the log/exp cube
+    gf = GF(11)
+    for p, q, r in [(152, 38, 38), (304, 19, 19), (152, 38, 53), (152, 38, 62), (152, 38, 100),
+                    (20, 19, 160)]:
+        assert gf._splits(p, q, r) and max(p, r) <= 2 * gf.q
+    for p, q, r in [(8, 38, 19), (8, 38, 38), (19, 19, 16), (38, 38, 38), (20, 50, 20)]:
+        assert not gf._splits(p, q, r)
+
+
+@pytest.mark.parametrize("shape", [(152, 38, 38), (64, 70, 9), (2 * 2048 + 1, 3, 2), (300, 4, 20)])
+def test_split_tables_non_default_generator(shape):
+    # the base rows are the element 2^b times B, not generator^b; over the
+    # default GF(2^11) the two coincide, so the field here has generator 2^7
+    gf = GF(11, generator=GF(11).pow(2, 7))
+    assert gf.exp[1] != 2
+    p, q, r = shape
+    rng = np.random.default_rng(p + q + r)
+    data, const = split_operands(gf, rng, p, q, r)
+    if p > 4000:  # the one-slice kernel: a sample of rows
+        pick = [0, 1, p - 1] + rng.integers(p, size=40).tolist()
+        assert gf.matmul(data, const)[pick].tolist() == scalar_matmul(gf, data[pick], const)
+        return
+    check_both_orientations(gf, data, const, gf.matmul)
+
+
+@pytest.mark.parametrize("m", [8, 11, 16])
+def test_split_tables_zero_coefficients(m):
+    # inner indices whose coefficients are all zero: one inside a block, a
+    # whole block's worth, and every one of them
+    gf = GF(m)
+    rng = np.random.default_rng(90 + m)
+    data = rng.integers(0, gf.q, size=(200, 40))
+    const = rng.integers(0, gf.q, size=(40, 30))
+    const[3] = 0
+    const[10:20] = 0
+    check_both_orientations(gf, data, const, gf.matmul)
+    assert gf._splits(200, 40, 30)
+    const[:] = 0
+    assert not gf.matmul(data, const).any() and not gf.matmul(const.T, data.T).any()
