@@ -1,7 +1,6 @@
 """Exact-regenerating storage codes (MSR/MBR) with CRC integrity checks."""
 
 from .errors import (
-    ChecksumUnrecoverable,
     ClusterExhausted,
     DecodeFailure,
     DuplicatePosition,
@@ -40,7 +39,6 @@ __all__ = [
     "NoMajority",
     "SelfRepair",
     "ClusterExhausted",
-    "ChecksumUnrecoverable",
     "PayloadTooLarge",
     "OverlappingSets",
 ]

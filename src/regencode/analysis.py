@@ -93,6 +93,7 @@ def capabilities(n: int, k: int, d: int, family: str, *, beta: int = 1,
     dim = {"msr": d, "mbr": k}[family]
     # regeneration erasure tolerance counts crashes *beyond* the node under
     # repair (which is itself the (n-d)-th tolerated crash): n=d+1 gives 0;
+    # its n-1 helpers form an [n-1, d] code, so it corrects (n-1-d)/2 errors;
     # an infeasible share code (k' > n-1) cannot vouch for anything
     return Capabilities(
         family=family, n=n, k=k, d=d, alpha=alpha, beta=beta, B=B, m=m, r=r,
@@ -100,7 +101,7 @@ def capabilities(n: int, k: int, d: int, family: str, *, beta: int = 1,
         erasure_reconstruction=n - k,
         erasure_regeneration=n - d - 1,
         byzantine_reconstruction=(n - dim) // 2,
-        byzantine_regeneration=max(0, min((n - d) // 2, (d - kp) // 2)),
+        byzantine_regeneration=max(0, min((n - 1 - d) // 2, (d - kp) // 2)),
         security_reconstruction=min(k, -((n - dim + 2) // -2)) - 1,
         security_regeneration=min(d, -((n - d + 2) // -2)) - 1,
         storage_reconstruction=Fraction(r, m * B - r),

@@ -3,11 +3,15 @@
 A cluster holds one framed message: the payload bits are extended with a
 CRC and zero-padded to ``beta * B * m`` bits, packed into bytes once (the
 frame format of ``integrity``), cut into ``beta`` stripes of B field
-symbols, and encoded with the configured regenerating code.  A collector
-tests each candidate's packed frame against its CRC and unpacks bits only
-for the accepted one.  Every node stores its chunk plus its row of the
-checksum directory (``integrity.build_directory``): its shares of the
-*other* nodes' checksums, indexed by owner, with a zero at its own index.
+symbols, and encoded with the configured regenerating code.  The codecs
+decode; the cluster judges, through the one ``accept`` each procedure
+takes.  A collector tests each candidate's packed frame against its CRC
+and unpacks bits only for the accepted one.  Every node stores its chunk
+plus its row of the checksum directory (``integrity.build_directory``):
+its shares of the *other* nodes' checksums, indexed by owner, with a zero
+at its own index; a newcomer recovers the lost node's checksum once, from
+the shares of the helpers read so far, and accepts the first candidate
+chunk that matches it.
 
 Fault injection is storage-level: a Byzantine node keeps answering the
 protocol faithfully, but what it stores has been rewritten by its plan's
@@ -35,7 +39,6 @@ import numpy as np
 
 from . import mbr, msr
 from .errors import (
-    ChecksumUnrecoverable,
     ClusterExhausted,
     DecodeFailure,
     InvalidParams,
@@ -282,20 +285,22 @@ class ExplicitOrder:
 @dataclass
 class _MeteredSource:
     """Serves ``serve(j)`` for the nodes of ``queue`` (policy order, so no
-    crashed node); each item costs ``symbols`` symbols plus ``shares``
-    checksum symbols."""
+    crashed node), in the order kept in ``read``; each item costs
+    ``symbols`` symbols plus ``shares`` checksum symbols."""
 
     queue: deque
-    metrics: RunMetrics
     serve: object
     symbols: int
     shares: int = 0
+    metrics: RunMetrics = dc_field(default_factory=RunMetrics)
+    read: list = dc_field(default_factory=list)
 
     def fetch(self, count: int):
         out = []
         while self.queue and len(out) < count:
             j = self.queue.popleft()
             out.append((j, self.serve(j)))
+            self.read.append(j)
         if out:
             self.metrics.nodes_contacted += len(out)
             self.metrics.symbols_downloaded += len(out) * self.symbols
@@ -303,29 +308,30 @@ class _MeteredSource:
             self.metrics.decode_rounds += 1
         return out
 
+    def run(self, procedure, *args) -> tuple:
+        """(procedure(self, *args), or None once the source runs out; metrics)."""
+        try:
+            result = procedure(self, *args)
+        except ClusterExhausted:
+            result = None
+        self.metrics.outcome = FAIL if result is None else SUCCESS
+        return result, self.metrics
+
 
 def run_reconstruction(state: ClusterState, policy=None) -> tuple:
     """Full data-collector protocol; returns (payload bits or None, metrics)."""
     policy = policy if policy is not None else SeededRandom()
     params = state.params
-    metrics = RunMetrics()
-    collector = _MeteredSource(deque(policy.order(state)), metrics,
-                               lambda j: state.nodes[j].chunk, params.beta * params.alpha)
+    collector = _MeteredSource(deque(policy.order(state)), lambda j: state.nodes[j].chunk,
+                               params.beta * params.alpha)
 
-    framed = None  # packed frame of the last candidate tested: the accepted one
-
-    def verify(stripes) -> bool:
-        nonlocal framed
+    def accept(stripes):
         framed = symbols_to_bytes(stripes, params.field.m)
-        return crc_verify(framed, state.payload_bit_len + state.crc.r, state.crc)
+        if crc_verify(framed, state.payload_bit_len + state.crc.r, state.crc):
+            return np.unpackbits(np.frombuffer(framed, np.uint8), count=state.payload_bit_len)
+        return None
 
-    try:
-        CODECS[params.family].reconstruct(collector, params, verify)
-    except ClusterExhausted:
-        metrics.outcome = FAIL
-        return None, metrics
-    metrics.outcome = SUCCESS
-    return np.unpackbits(np.frombuffer(framed, np.uint8), count=state.payload_bit_len), metrics
+    return collector.run(CODECS[params.family].reconstruct, params, accept)
 
 
 def run_regeneration(state: ClusterState, failed: int, policy=None) -> tuple:
@@ -334,32 +340,24 @@ def run_regeneration(state: ClusterState, failed: int, policy=None) -> tuple:
     if not 0 <= failed < params.n:
         raise InvalidParams(f"node index {failed} out of range for n={params.n}")
     policy = policy if policy is not None else SeededRandom()
-    metrics = RunMetrics()
     codec = CODECS[params.family]
     source = _MeteredSource(
-        deque(policy.order(state, {failed})), metrics,
+        deque(policy.order(state, {failed})),
         lambda j: codec.repair_response(state.nodes[j].chunk, j, failed, params),
         params.beta, 1)
+    checksum = None  # the failed node's, recovered once from the shares read so far
 
-    def recover(helpers) -> int | None:
-        responses = {j: state.nodes[j].shares[failed] for j in helpers}
-        try:
-            return recover_checksum(
-                responses, failed, state.scheme, params.n, state.crc
-            )
-        except (NoMajority, DecodeFailure):
-            return None
+    def accept(chunk):
+        nonlocal checksum
+        if checksum is None:
+            responses = {j: state.nodes[j].shares[failed] for j in source.read}
+            try:
+                checksum = recover_checksum(responses, failed, state.scheme, params.n, state.crc)
+            except (NoMajority, DecodeFailure):
+                return None
+        return chunk if chunk_checksum(chunk, params.field.m, state.crc) == checksum else None
 
-    def chunk_crc(chunk) -> int:
-        return chunk_checksum(chunk, params.field.m, state.crc)
-
-    try:
-        chunk, _ = codec.regenerate(source, failed, params, recover, chunk_crc)
-    except (ClusterExhausted, ChecksumUnrecoverable):
-        metrics.outcome = FAIL
-        return None, metrics
-    metrics.outcome = SUCCESS
-    return chunk, metrics
+    return source.run(codec.regenerate, failed, params, accept)
 
 
 def rebuild_shares(state: ClusterState, newcomer: int) -> tuple[np.ndarray, list[int]]:

@@ -49,10 +49,6 @@ class ClusterExhausted(RegencodeError):
     """Every reachable node was consumed without a verified result."""
 
 
-class ChecksumUnrecoverable(RegencodeError):
-    """The failed node's checksum could not be recovered from any helper set."""
-
-
 class PayloadTooLarge(RegencodeError, ValueError):
     """Payload does not fit the configured code dimensions."""
 

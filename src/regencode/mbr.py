@@ -28,14 +28,15 @@ products cost no more than one pass over Y.  Timed per call against the
 algebra on the data, the rule picks the faster route, or one within
 about 5 % of it, for [6,3,4] over GF(2^8), GF(2^11) and GF(2^16) and for
 [10,4,7] over GF(2^8), whose crossover lies near β = 6 000 (2^8·22 =
-5 632).  When the checksum test
-rejects, more columns are read on the shared schedule of ``progressive``,
-topped up to k, the dimension of the [n, k] code, and both phases
+5 632).  When the caller's acceptance test rejects, more columns are
+read on the shared schedule of ``progressive``, topped up to k, the
+dimension of the [n, k] code, and both phases
 error-decode with block decoders into the messages of that code: the
 rows of A2, then those of A1.  Either way the result is U's top rows
 [A1 | A2ᵀ], which hold every message symbol.  Regeneration works
 exactly as in the MSR family except the decoded vector g_i·U,
-transposed via U's symmetry, *is* the lost column: no column map.
+transposed via U's symmetry, *is* the lost column: no column map.  Both
+procedures return what their one ``accept`` returns.
 """
 
 from __future__ import annotations
@@ -96,18 +97,19 @@ def _two_phase(y: np.ndarray, nodes: list[int], params: MbrParams) -> np.ndarray
     return read_u(np.hstack([a1, a2t]).reshape(beta, k, d), params)
 
 
-def reconstruct(collector, params: MbrParams, verify) -> tuple[np.ndarray, int]:
-    """Two-phase progressive reconstruction from k columns upward.
+def reconstruct(collector, params: MbrParams, accept):
+    """Two-phase progressive reconstruction from k columns upward; returns
+    what accept(stripes) returns for the first candidate it takes.
 
     Round one on exactly k columns is ``reconstruct_fast``; later rounds
     decode A2's rows with the [n, k] code, so ``progressive.run`` tops up
-    to k columns, not d.  Returns (stripes, decode_rounds).
+    to k columns, not d.
     """
     field = params.field
     beta, n, k, d = params.beta, params.n, params.k, params.d
 
-    def attempt(rounds, received, decode):
-        if rounds == 1 and len(received) == k:
+    def attempt(received, decode):
+        if len(received) == k:
             return reconstruct_fast(received, params)
         # checked before the XOR below, so an out-of-field symbol is named as received
         y = progressive.checked_columns(received, params).reshape(beta, -1, d)
@@ -120,7 +122,7 @@ def reconstruct(collector, params: MbrParams, verify) -> tuple[np.ndarray, int]:
         return read_u(np.hstack([a1, a2t]).reshape(beta, k, d), params)
 
     take = lambda column: np.asarray(column)[:, k:]  # rows k..d-1 carry A2
-    return progressive.run(collector, k, params.code_k, beta, d - k, take, attempt, verify)
+    return progressive.run(collector, k, params.code_k, beta, d - k, attempt, accept, take)
 
 
 def repair_response(chunk, holder: int, failed: int, params: MbrParams) -> np.ndarray:
@@ -128,7 +130,8 @@ def repair_response(chunk, holder: int, failed: int, params: MbrParams) -> np.nd
     return progressive.repair_response(chunk, holder, failed, params)
 
 
-def regenerate(source, failed: int, params: MbrParams, recover, chunk_crc) -> tuple[np.ndarray, int]:
+def regenerate(source, failed: int, params: MbrParams, accept):
     """Rebuild node `failed` exactly; by U's symmetry the decoded g_i·U
-    transposes into the stored column itself."""
-    return progressive.regenerate(source, failed, params, recover, chunk_crc)
+    transposes into the stored column itself.  Returns what accept(chunk)
+    returns for the first candidate it takes."""
+    return progressive.regenerate(source, failed, params, accept)

@@ -19,14 +19,15 @@ fast-path frame of ``progressive``; its route rule ``by_matrix`` is
 β > B and either B² ≤ k²α + 2kα + 4α³ (Y·D's products per stripe
 against the algebra's; α ≤ 3) or Y·D runs on one lane group of the
 product tables of ``GF.matmul`` (β past 2^(m+1) and B symbols to a row,
-so one gather per input symbol: α ≤ 7 over GF(2^8)).  When the checksum test rejects that
-result, the collector falls back to per-row error-erasure decoding of
-the [n, d] row code on the shared schedule of ``progressive``, whose
-decoder hands back U's rows as messages.
+so one gather per input symbol: α ≤ 7 over GF(2^8)).  When the caller's
+acceptance test turns that result down, the collector falls back to
+per-row error-erasure decoding of the [n, d] row code on the shared
+schedule of ``progressive``, whose decoder hands back U's rows as messages.
 
 Regeneration decodes t = g_i·U from one symbol per stripe from each
 helper straight into the lost column t[:α] + λ_i·t[α:]: the decoder
-multiplies by the column map [I; λ_i·I] in the same product.
+multiplies by the column map [I; λ_i·I] in the same product.  Both
+procedures return what their one ``accept`` returns.
 """
 
 from __future__ import annotations
@@ -58,9 +59,7 @@ class MsrParams(ProductMatrixParams):
         if field.m < (n * alpha - 1).bit_length():
             raise InvalidParams(f"m={field.m} too small for n*alpha={n * alpha}; powers would wrap")
         self.B = alpha * (alpha + 1)
-        self.lam = self.G[alpha]  # λ_i = (a^i)^α
-        if len(set(self.lam.tolist())) != n:
-            raise InvalidParams("node multipliers lambda_i collide; enlarge the field")
+        self.lam = self.G[alpha]  # λ_i = (a^i)^α, distinct: i·α < 2^m - 1 for i < n
         self.fill = np.hstack([symmetric_fill(alpha), symmetric_fill(alpha, alpha * (alpha + 1) // 2)])
         # Y·D: B² cube products per stripe, or one packed row per input symbol
         self.by_matrix = beta > self.B and (
@@ -109,20 +108,21 @@ def _reconstruct_structured(y: np.ndarray, nodes: list[int], params: MsrParams) 
     return read_u(a.transpose(2, 0, 1, 3).reshape(beta, alpha, -1), params)  # [s, i, A1 | A2]
 
 
-def reconstruct(collector, params: MsrParams, verify) -> tuple[np.ndarray, int]:
-    """Progressive reconstruction; verify(stripes) is the acceptance test.
+def reconstruct(collector, params: MsrParams, accept):
+    """Progressive reconstruction; returns what accept(stripes) returns for
+    the first candidate it takes.
 
     Round one is the fast path on k columns; later rounds decode every row
-    over all columns read.  Returns (stripes, decode_rounds).  Raises
-    ClusterExhausted once every reachable node has been read.
+    over all columns read.  Raises ClusterExhausted once every reachable
+    node has been read.
     """
-    def attempt(rounds, received, decode):
-        if rounds == 1:
-            return reconstruct_fast(received, params) if len(received) == params.k else None
+    def attempt(received, decode):
+        if len(received) == params.k:
+            return reconstruct_fast(received, params)
         return read_u(decode(), params)
 
     return progressive.run(collector, params.k, params.code, params.beta, params.alpha,
-                           lambda column: column, attempt, verify)
+                           attempt, accept)
 
 
 def repair_response(chunk, holder: int, failed: int, params: MsrParams) -> np.ndarray:
@@ -130,9 +130,9 @@ def repair_response(chunk, holder: int, failed: int, params: MsrParams) -> np.nd
     return progressive.repair_response(chunk, holder, failed, params)
 
 
-def regenerate(source, failed: int, params: MsrParams, recover, chunk_crc) -> tuple[np.ndarray, int]:
+def regenerate(source, failed: int, params: MsrParams, accept):
     """Rebuild node `failed` exactly from helper responses, through the
-    column map [I; λ_f·I]; recover and chunk_crc are as for
-    ``progressive.regenerate``.  Returns (chunk, decode_rounds)."""
+    column map [I; λ_f·I]; returns what accept(chunk) returns for the
+    first candidate it takes."""
     right = np.vstack([c * np.eye(params.alpha, dtype=np.int64) for c in (1, params.lam[failed])])
-    return progressive.regenerate(source, failed, params, recover, chunk_crc, right)
+    return progressive.regenerate(source, failed, params, accept, right)

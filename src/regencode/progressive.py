@@ -23,7 +23,9 @@ once on the k·α identity instead, to get the access set's (k·α)×B decoding
 matrix D, and returns y·D.
 
 Reconstruction and regeneration read what a fault-free run needs and
-read more only when the integrity test rejects the decoded result.
+read more only when the caller's acceptance test turns the decoded result
+down.  Each procedure takes one ``accept(candidate)``, which returns the
+result, or None to read on; the codecs decode and never judge.
 Round one asks for ``first`` items (k columns to reconstruct, d repair
 responses to regenerate).  Every later round asks for
 ``max(dim - count, 0) + 2`` more, where ``dim`` is the dimension of the
@@ -39,8 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ChecksumUnrecoverable, ClusterExhausted, DecodeFailure, InvalidParams,
-                     LengthMismatch, SelfRepair)
+from .errors import ClusterExhausted, DecodeFailure, InvalidParams, LengthMismatch, SelfRepair
 from .galois import GF
 from .rscode import ProgressiveDecoder, RsParams
 
@@ -148,17 +149,18 @@ def reconstruct_fast(columns: dict, params, algebra) -> np.ndarray:
     return algebra(y, nodes, params)
 
 
-def run(source, first: int, code, beta: int, rows: int, take, attempt, accept):
-    """Fetch, decode and test until ``accept`` passes; (result, rounds).
+def run(source, first: int, code, beta: int, rows: int, attempt, accept, take=None):
+    """Fetch, decode and test until ``accept`` returns a result; return it.
 
     One block decoder over ``code`` holds beta × rows rows (stripe-major),
-    fed the (beta, rows) symbols that ``take(data)`` picks from each
-    fetched item.  ``attempt(rounds, received, decode)`` builds a
-    candidate from the {node: data} received so far; ``decode(right)``
-    returns every row's message times ``right`` (None: the identity).
-    The decoder is built at the first ``decode()`` and fed at each call,
-    so an accepted fast path needs none.  A DecodeFailure counts as no
-    candidate.  Raises ClusterExhausted once the source runs out.
+    fed the (beta, rows) symbols of each fetched item, or of ``take(item)``.
+    ``attempt(received, decode)`` builds a candidate from the {node: data}
+    received so far; ``decode(right)`` returns every row's message times
+    ``right`` (None: the identity).  The decoder is built at the first
+    ``decode()`` and fed at each call, so an accepted fast path needs none.
+    A DecodeFailure counts as no candidate, and ``accept(candidate)``
+    returning None as a rejected one.  Raises ClusterExhausted once the
+    source runs out.
     """
     received: dict = {}
     pending: list = []
@@ -168,59 +170,41 @@ def run(source, first: int, code, beta: int, rows: int, take, attempt, accept):
         nonlocal decoder
         if decoder is None:
             decoder = ProgressiveDecoder(code, beta * rows)
-        decoder.absorb({j: np.asarray(take(data)).reshape(-1) for j, data in pending})
+        decoder.absorb({j: np.asarray(data if take is None else take(data)).reshape(-1)
+                        for j, data in pending})
         pending.clear()
-        return decoder.attempt(right).messages.reshape(beta, rows, -1)
+        width = code.dim if right is None else right.shape[1]  # rows may be 0 (MBR, d = k)
+        return decoder.attempt(right).messages.reshape(beta, rows, width)
 
-    count = rounds = 0
     want = first
     while True:
         got = source.fetch(want)
         if got:
             received.update(got)
             pending.extend(got)
-            count += len(got)
-            rounds += 1
             try:
-                candidate = attempt(rounds, received, decode)
+                candidate = attempt(received, decode)
             except DecodeFailure:
                 candidate = None
-            if candidate is not None and accept(candidate):
-                return candidate, rounds
+            result = None if candidate is None else accept(candidate)
+            if result is not None:
+                return result
         if len(got) < want:
-            raise ClusterExhausted(f"no verified result after reading {count} nodes")
-        want = max(code.dim - count, 0) + 2
+            raise ClusterExhausted(f"no verified result after reading {len(received)} nodes")
+        want = max(code.dim - len(received), 0) + 2
 
 
-def regenerate(source, failed: int, params, recover, chunk_crc, right=None):
-    """Rebuild node ``failed`` from helper responses; (chunk, rounds).
+def regenerate(source, failed: int, params, accept, right=None):
+    """Rebuild node ``failed`` from helper responses; return what ``accept``
+    returns for the first candidate chunk it takes.
 
     ``right`` is the family's d×α column map (None: the identity); each
     round's decoder returns g_failed·U times it, the lost chunk, in one
-    product.  recover(helpers) returns the node's checksum once enough
-    shares are in hand (None before that); chunk_crc(chunk) is the candidate's.
+    product.
     """
-    helpers: list[int] = []
-    checksum = None
-
-    def attempt(_rounds, received, decode):
-        nonlocal checksum
+    def attempt(received, decode):
         if failed in received:
             raise SelfRepair(f"node {failed} cannot help regenerate itself")
-        helpers[:] = received
-        if checksum is None:
-            checksum = recover(helpers)
         return decode(right)[:, 0]
 
-    def accept(chunk):
-        return checksum is not None and chunk_crc(chunk) == checksum
-
-    take = lambda resp: np.asarray(resp)[:, None]
-    try:
-        return run(source, params.d, params.code, params.beta, 1, take, attempt, accept)
-    except ClusterExhausted:
-        if helpers and checksum is None:
-            raise ChecksumUnrecoverable(
-                f"checksum of node {failed} undetermined after {len(helpers)} helpers"
-            ) from None
-        raise
+    return run(source, params.d, params.code, params.beta, 1, attempt, accept)

@@ -1,13 +1,16 @@
 """Capability calculator: cut-set bound and the capability report."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from regencode.analysis import capabilities, cut_set_bound, percent
+from regencode.cluster import FAIL, Adversarial, FaultPlan, inject, run_regeneration, store
 from regencode.errors import InvalidParams
 from regencode.galois import GF
+from regencode.integrity import CODED, CrcParams
 from regencode.mbr import MbrParams
 from regencode.msr import MsrParams
 
@@ -80,7 +83,7 @@ def test_capability_table_large_msr():
     assert rep.erasure_reconstruction == 80
     assert rep.erasure_regeneration == 61  # failed node is the 62nd crash
     assert rep.byzantine_reconstruction == 31
-    assert rep.byzantine_regeneration == min(31, (38 - 5) // 2) == 16
+    assert rep.byzantine_regeneration == min((100 - 1 - 38) // 2, (38 - 5) // 2) == 16
     assert rep.security_reconstruction == min(20, 32) - 1 == 19
     assert rep.security_regeneration == min(38, 32) - 1 == 31
     assert rep.storage_reconstruction == Fraction(32, 11 * 20 * 19 - 32)
@@ -113,7 +116,7 @@ def test_capability_table_small_mbr():
     assert rep.byzantine_reconstruction == 1  # floor((6-3)/2)
     assert rep.security_reconstruction == min(3, -((6 - 3 + 2) // -2)) - 1 == 2
     assert rep.security_regeneration == 1
-    # m' = 3, k' = ceil(8/3) = 3: regen tolerance min{1, 0} = 0
+    # m' = 3, k' = ceil(8/3) = 3: regen tolerance min{(6-1-4)//2, (4-3)//2} = min{0, 0} = 0
     assert rep.byzantine_regeneration == 0
     assert rep.storage_reconstruction == Fraction(8, 4 * 9 - 8)
 
@@ -154,3 +157,30 @@ def test_percent_rendering():
     assert percent(Fraction(1, 2)) == "50.00%"
     assert percent(Fraction(1, 3)) == "33.33%"
     assert percent(Fraction(0)) == "0.00%"
+
+
+@pytest.mark.parametrize("n,k,d,m,r,budget", [(8, 4, 6, 8, 8, 0), (12, 5, 8, 6, 16, 1)])
+def test_byzantine_regeneration_budget_is_exact(n, k, d, m, r, budget):
+    # a newcomer has n-1 helpers, so its [n-1, d] helper code corrects
+    # floor((n-1-d)/2) errors, one fewer than floor((n-d)/2) when n-d is
+    # even.  Exhaustive over one coded store: every failed node and every
+    # liar set of the reported size, liars read first and every symbol they
+    # hold (chunk and shares) corrupted, regenerates exactly; some set one
+    # larger ends FAIL.  Liars are present in the exact runs only at r = 16,
+    # where a CRC collision is 2^-16 per candidate (at r = 8, budget 0)
+    assert capabilities(n, k, d, "msr", m=m, r=r).byzantine_regeneration == budget
+    params = MsrParams(n, k, d, 2, GF(m))
+    bits = np.random.default_rng(n).integers(0, 2, params.beta * params.B * m - r)
+    state = store(bits, params, CODED, crc=CrcParams(r), seed=n)
+
+    def run(failed, liars):
+        return run_regeneration(inject(state, FaultPlan(byzantine=frozenset(liars))),
+                                failed, Adversarial())
+
+    sets = [(f, liars) for f in range(n)
+            for liars in itertools.combinations([j for j in range(n) if j != f], budget)]
+    for failed, liars in sets:
+        chunk, _ = run(failed, liars)
+        assert chunk is not None and np.array_equal(chunk, state.nodes[failed].chunk)
+    assert any(run(f, liars)[1].outcome == FAIL for f in range(n)
+               for liars in itertools.combinations([j for j in range(n) if j != f], budget + 1))

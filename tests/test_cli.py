@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from regencode.chunkio import read_chunk_file
 from regencode.cli import main
 
 HEADER_FMT = ">4sBBBBIHHHIBQBHQ"
@@ -146,6 +147,62 @@ def test_regenerate_drops_out_of_width_shares(capsys, tmp_path, seed):
     assert code == 0, err
     assert "share_unrecovered" not in out
     assert lost.read_bytes() == original
+
+
+def test_regenerate_failure_record(capsys, tmp_path):
+    # two helpers, fewer than d = 4: one short round, then the run fails,
+    # and no chunk file is written
+    _, chunks = encode_dir(capsys, tmp_path, payload=random.Random(1).randbytes(3000))
+    for i in (1, 3, 4, 5):
+        (chunks / f"node{i:03d}.rgen").unlink()
+    code, out, err = run(capsys, "regenerate", chunks, "--failed", 1)
+    assert code == 1, err
+    assert out == ("command=regenerate failed=1 outcome=FAIL nodes_contacted=2 "
+                   "symbols_downloaded=1002 checksum_symbols_downloaded=2 decode_rounds=1\n")
+    assert sorted(p.name for p in chunks.iterdir()) == ["node000.rgen", "node002.rgen"]
+
+
+def test_regenerate_warns_of_unrecovered_share(capsys, tmp_path):
+    # coded shares at n = 14 are one byte each, owner 13's last: set to 0xFF
+    # (out of the 4-bit width) in six of the 12 other holders, they leave
+    # fewer than k' = 8 shares of owner 13's checksum, so the newcomer's
+    # share of it is zero-filled and named in a warning; node 1's own
+    # checksum and chunk are still recovered exactly
+    payload = random.Random(1).randbytes(3000)
+    _, chunks = encode_dir(capsys, tmp_path, n=14, k=5, d=8, scheme="coded", payload=payload)
+    lost = chunks / "node001.rgen"
+    _, chunk, shares = read_chunk_file(lost)
+    lost.unlink()
+    for i in (0, 2, 3, 4, 5, 6):
+        holder = chunks / f"node{i:03d}.rgen"
+        raw = bytearray(holder.read_bytes())
+        raw[-1] = 0xFF
+        holder.write_bytes(raw)
+    code, out, err = run(capsys, "regenerate", chunks, "--failed", 1)
+    assert code == 0, err
+    assert "outcome=SUCCESS" in out and "share_warnings=1" in out
+    assert warning_lines(out) == ["warning=share_unrecovered owner=13"]
+    _, got_chunk, got_shares = read_chunk_file(lost)
+    assert (got_chunk == chunk).all()
+    assert got_shares[-1] == 0 and (got_shares[:-1] == shares[:-1]).all()
+
+
+def test_mbr_d_equals_k_byzantine_reconstruct(capsys, tmp_path):
+    # MBR [7,3,3]: A2 is empty, so round two's decoder holds no rows.  The
+    # low bit of body byte 60 of node000 is flipped; --seed 2 and --seed 5
+    # read node000 in round one, and 6 of 7 good files decode in round two
+    payload = random.Random(1).randbytes(3000)
+    _, chunks = encode_dir(capsys, tmp_path, family="mbr", n=7, k=3, d=3, payload=payload)
+    victim = chunks / "node000.rgen"
+    raw = bytearray(victim.read_bytes())
+    raw[HEADER_LEN + 60] ^= 0x01
+    victim.write_bytes(raw)
+    for seed in (2, 5):
+        dst = tmp_path / f"out{seed}.bin"
+        code, out, err = run(capsys, "reconstruct", chunks, "--seed", seed, "--out", dst)
+        assert code == 0, err
+        assert "decode_rounds=2" in out
+        assert dst.read_bytes() == payload
 
 
 def encode_other(capsys, tmp_path):

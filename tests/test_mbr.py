@@ -34,30 +34,39 @@ def rand_msg(rng, params):
     )
 
 
-class ListCollector:
-    def __init__(self, chunks, order):
-        self.items = [(i, chunks[i]) for i in order]
-        self.pos = 0
+class ListSource:
+    """Serves items in a fixed order; counts the items read and the rounds
+    (fetches that returned something)."""
+
+    def __init__(self, items):
+        self.items = list(items)
+        self.pos = self.rounds = 0
 
     def fetch(self, count):
         out = self.items[self.pos : self.pos + count]
         self.pos += len(out)
+        self.rounds += bool(out)
         return out
 
 
-class ListSource(ListCollector):
-    def __init__(self, items):
-        self.items = list(items)
-        self.pos = 0
+class ListCollector(ListSource):
+    def __init__(self, chunks, order):
+        super().__init__((i, chunks[i]) for i in order)
 
 
-def truth_verify(truth):
-    return lambda stripes: np.array_equal(stripes, truth)
+def accept_truth(truth):
+    return lambda stripes: stripes if np.array_equal(stripes, truth) else None
+
+
+def accept_checksum(checksum, crc_of):
+    return lambda chunk: chunk if crc_of(chunk) == checksum else None
 
 
 def test_params_validation():
     with pytest.raises(InvalidParams):
         mbr.MbrParams(6, 5, 4, 1, F16)  # k > d
+    with pytest.raises(InvalidParams, match="k=0 must be positive"):
+        mbr.MbrParams(6, 0, 4, 1, F16)
     with pytest.raises(InvalidParams):
         mbr.MbrParams(4, 3, 4, 1, F16)  # d > n-1
     with pytest.raises(InvalidParams):
@@ -131,9 +140,9 @@ def test_reconstruct_fault_free_all_subsets():
     chunks = mbr.encode(msg, p)
     for subset in itertools.combinations(range(p.n), p.k):
         coll = ListCollector(chunks, subset)
-        out, rounds = mbr.reconstruct(coll, p, truth_verify(msg))
+        out = mbr.reconstruct(coll, p, accept_truth(msg))
         assert np.array_equal(out, msg)
-        assert rounds == 1
+        assert coll.rounds == 1
         assert coll.pos == p.k
 
 
@@ -148,9 +157,9 @@ def test_reconstruct_one_byzantine_any_position():
             [[rng.randrange(1, p.field.order) for _ in range(p.d)]]
         )
         coll = ListCollector(chunks, range(p.n))
-        out, rounds = mbr.reconstruct(coll, p, truth_verify(msg))
+        out = mbr.reconstruct(coll, p, accept_truth(msg))
         assert np.array_equal(out, msg)
-        assert rounds == (1 if byz >= p.k else 2)
+        assert coll.rounds == (1 if byz >= p.k else 2)
 
 
 def test_reconstruct_two_byzantine_exhausts():
@@ -166,7 +175,8 @@ def test_reconstruct_two_byzantine_exhausts():
             )
         coll = ListCollector(chunks, range(p.n))
         with pytest.raises(ClusterExhausted):
-            mbr.reconstruct(coll, p, truth_verify(msg))
+            mbr.reconstruct(coll, p, accept_truth(msg))
+        assert coll.pos == p.n
 
 
 def test_reconstruct_degenerate_d_equals_k():
@@ -175,8 +185,26 @@ def test_reconstruct_degenerate_d_equals_k():
     msg = rand_msg(rng, p)
     chunks = mbr.encode(msg, p)
     coll = ListCollector(chunks, [4, 0, 2])
-    out, rounds = mbr.reconstruct(coll, p, truth_verify(msg))
-    assert np.array_equal(out, msg) and rounds == 1
+    out = mbr.reconstruct(coll, p, accept_truth(msg))
+    assert np.array_equal(out, msg) and coll.rounds == 1
+
+
+def test_reconstruct_byzantine_d_equals_k():
+    # d = k leaves A2 empty: round two's decoder holds β·0 rows, so their
+    # message width cannot be inferred, and the A1 phase alone locates the
+    # corrupt column
+    rng = random.Random(17)
+    for n, k, beta in ((7, 3, 2), (6, 2, 3)):
+        p = mbr.MbrParams(n, k, k, beta, F16)
+        msg = rand_msg(rng, p)
+        clean = mbr.encode(msg, p)
+        for byz in range(k):
+            chunks = clean.copy()
+            chunks[byz] ^= np.array([[rng.randrange(1, p.field.order) for _ in range(p.d)]
+                                     for _ in range(p.beta)])
+            coll = ListCollector(chunks, range(p.n))
+            out = mbr.reconstruct(coll, p, accept_truth(msg))
+            assert np.array_equal(out, msg) and coll.rounds == 2 and coll.pos == k + 2
 
 
 # -- fast reconstruction -----------------------------------------------------
@@ -265,7 +293,7 @@ def test_rejected_candidate_matches_round_two_oracle():
 
         def reject(candidate):
             candidates.append(candidate)
-            return False
+            return None
 
         with pytest.raises(ClusterExhausted):
             mbr.reconstruct(ListCollector(chunks, order), p, reject)
@@ -288,8 +316,9 @@ def test_fast_path_builds_no_decoder(monkeypatch):
         msg = rand_msg(rng, p)
         chunks = mbr.encode(msg, p)
         for subset in itertools.combinations(range(p.n), p.k):
-            out, rounds = mbr.reconstruct(ListCollector(chunks, subset), p, truth_verify(msg))
-            assert np.array_equal(out, msg) and rounds == 1
+            coll = ListCollector(chunks, subset)
+            out = mbr.reconstruct(coll, p, accept_truth(msg))
+            assert np.array_equal(out, msg) and coll.rounds == 1
 
 
 def test_reconstruct_malformed_column_in_a_later_round():
@@ -302,7 +331,7 @@ def test_reconstruct_malformed_column_in_a_later_round():
     chunks[0] = chunks[0] ^ 1  # round one rejects
     chunks[4] = chunks[4][:2]
     with pytest.raises(LengthMismatch):
-        mbr.reconstruct(ListCollector(chunks, range(p.n)), p, truth_verify(msg))
+        mbr.reconstruct(ListCollector(chunks, range(p.n)), p, accept_truth(msg))
 
 
 def test_reconstruct_names_received_symbol_in_a_later_round():
@@ -316,7 +345,7 @@ def test_reconstruct_names_received_symbol_in_a_later_round():
     chunks[4] = chunks[4].copy()
     chunks[4][0, 0] = 256
     with pytest.raises(InvalidParams, match="symbol 256 outside field of size 256"):
-        mbr.reconstruct(ListCollector(chunks, range(p.n)), p, truth_verify(msg))
+        mbr.reconstruct(ListCollector(chunks, range(p.n)), p, accept_truth(msg))
 
 
 def test_repair_response_properties():
@@ -354,11 +383,9 @@ def test_regenerate_fault_free_exhaustive():
             src = ListSource(
                 [(j, mbr.repair_response(chunks[j], j, failed, p)) for j in subset]
             )
-            chunk, rounds = mbr.regenerate(
-                src, failed, p, lambda h: checksums[failed], crc_of
-            )
+            chunk = mbr.regenerate(src, failed, p, accept_checksum(checksums[failed], crc_of))
             assert np.array_equal(chunk, chunks[failed])
-            assert rounds == 1
+            assert src.rounds == 1
 
 
 def test_regenerate_one_byzantine_escalates():
@@ -378,11 +405,9 @@ def test_regenerate_one_byzantine_escalates():
                 r = r ^ np.array([rng.randrange(1, p.field.order)])
             responses.append((j, r))
         src = ListSource(responses)
-        chunk, rounds = mbr.regenerate(
-            src, failed, p, lambda h: checksums[failed], crc_of
-        )
+        chunk = mbr.regenerate(src, failed, p, accept_checksum(checksums[failed], crc_of))
         assert np.array_equal(chunk, chunks[failed])
-        assert rounds <= 2  # d + 2 responses cover one wrong symbol
+        assert src.rounds <= 2  # d + 2 responses cover one wrong symbol
 
 
 def test_regenerated_chunk_reserves_reconstruction():
@@ -396,9 +421,9 @@ def test_regenerated_chunk_reserves_reconstruction():
     src = ListSource(
         [(j, mbr.repair_response(chunks[j], j, failed, p)) for j in range(p.d)]
     )
-    chunk, _ = mbr.regenerate(src, failed, p, lambda h: checksums[failed], crc_of)
+    chunk = mbr.regenerate(src, failed, p, accept_checksum(checksums[failed], crc_of))
     rebuilt = chunks.copy()
     rebuilt[failed] = chunk
     coll = ListCollector(rebuilt, [5, 1, 0])
-    out, _ = mbr.reconstruct(coll, p, truth_verify(msg))
+    out = mbr.reconstruct(coll, p, accept_truth(msg))
     assert np.array_equal(out, msg)

@@ -9,7 +9,6 @@ import pytest
 
 from regencode import msr, progressive
 from regencode.errors import (
-    ChecksumUnrecoverable,
     ClusterExhausted,
     InvalidParams,
     LengthMismatch,
@@ -36,32 +35,34 @@ def rand_msg(rng, params):
     )
 
 
-class ListCollector:
-    """Serves chunks in a fixed node order; tracks how many were read."""
-
-    def __init__(self, chunks, order):
-        self.items = [(i, chunks[i]) for i in order]
-        self.pos = 0
-
-    def fetch(self, count):
-        out = self.items[self.pos : self.pos + count]
-        self.pos += len(out)
-        return out
-
-
 class ListSource:
+    """Serves items in a fixed order; counts the items read and the rounds
+    (fetches that returned something)."""
+
     def __init__(self, items):
         self.items = list(items)
-        self.pos = 0
+        self.pos = self.rounds = 0
 
     def fetch(self, count):
         out = self.items[self.pos : self.pos + count]
         self.pos += len(out)
+        self.rounds += bool(out)
         return out
 
 
-def truth_verify(truth):
-    return lambda stripes: np.array_equal(stripes, truth)
+class ListCollector(ListSource):
+    """Serves chunks in a fixed node order."""
+
+    def __init__(self, chunks, order):
+        super().__init__((i, chunks[i]) for i in order)
+
+
+def accept_truth(truth):
+    return lambda stripes: stripes if np.array_equal(stripes, truth) else None
+
+
+def accept_checksum(checksum, crc_of):
+    return lambda chunk: chunk if crc_of(chunk) == checksum else None
 
 
 # -- parameters and fill maps ----------------------------------------------
@@ -305,9 +306,9 @@ def test_reconstruct_fault_free_contacts_k():
     msg = rand_msg(rng, p)
     chunks = msr.encode(msg, p)
     coll = ListCollector(chunks, range(p.n))
-    out, rounds = msr.reconstruct(coll, p, truth_verify(msg))
+    out = msr.reconstruct(coll, p, accept_truth(msg))
     assert np.array_equal(out, msg)
-    assert rounds == 1
+    assert coll.rounds == 1
     assert coll.pos == p.k
 
 
@@ -318,13 +319,13 @@ def test_reconstruct_errored_path_matches_fast_path():
     chunks = msr.encode(msg, p)
     candidates = []
 
-    def verify(stripes):
+    def accept(stripes):
         candidates.append(stripes.copy())
-        return len(candidates) > 1  # force one escalation past the fast path
+        return stripes if len(candidates) > 1 else None  # one escalation past the fast path
 
     coll = ListCollector(chunks, range(p.n))
-    out, rounds = msr.reconstruct(coll, p, verify)
-    assert rounds == 2
+    out = msr.reconstruct(coll, p, accept)
+    assert coll.rounds == 2
     assert coll.pos == p.d + 2
     assert np.array_equal(candidates[0], msg)  # fast path
     assert np.array_equal(candidates[1], msg)  # error-erasure path
@@ -344,9 +345,9 @@ def test_reconstruct_one_byzantine_any_position():
         )
         chunks[byz] ^= noise
         coll = ListCollector(chunks, range(p.n))
-        out, rounds = msr.reconstruct(coll, p, truth_verify(msg))
+        out = msr.reconstruct(coll, p, accept_truth(msg))
         assert np.array_equal(out, msg)
-        assert rounds == (2 if byz < p.k else 1)
+        assert coll.rounds == (2 if byz < p.k else 1)
 
 
 def test_reconstruct_two_byzantine_never_silently_wrong():
@@ -363,13 +364,14 @@ def test_reconstruct_two_byzantine_never_silently_wrong():
         coll = ListCollector(chunks, range(p.n))
         if all(byz >= p.k for byz in pair):
             # the fast path never touches the corrupt columns
-            out, rounds = msr.reconstruct(coll, p, truth_verify(msg))
-            assert np.array_equal(out, msg) and rounds == 1
+            out = msr.reconstruct(coll, p, accept_truth(msg))
+            assert np.array_equal(out, msg) and coll.rounds == 1
         else:
             # beyond the floor((n-d)/2)=1 budget: an exact-match acceptance
             # test is never satisfied, so the collector must run out
             with pytest.raises(ClusterExhausted):
-                msr.reconstruct(coll, p, truth_verify(msg))
+                msr.reconstruct(coll, p, accept_truth(msg))
+            assert coll.pos == p.n
 
 
 def test_reconstruct_insufficient_nodes():
@@ -377,7 +379,7 @@ def test_reconstruct_insufficient_nodes():
     chunks = msr.encode(np.zeros((1, p.B), dtype=np.int64), p)
     coll = ListCollector(chunks, [0, 4])
     with pytest.raises(ClusterExhausted):
-        msr.reconstruct(coll, p, lambda s: True)
+        msr.reconstruct(coll, p, lambda s: s)
 
 
 # -- regeneration -------------------------------------------------------------
@@ -426,11 +428,9 @@ def test_regenerate_fault_free_exhaustive():
             src = ListSource(
                 [(j, msr.repair_response(chunks[j], j, failed, p)) for j in subset]
             )
-            chunk, rounds = msr.regenerate(
-                src, failed, p, lambda h: checksums[failed], crc_of
-            )
+            chunk = msr.regenerate(src, failed, p, accept_checksum(checksums[failed], crc_of))
             assert np.array_equal(chunk, chunks[failed])
-            assert rounds == 1
+            assert src.rounds == 1
 
 
 def test_regenerate_byzantine_escalation():
@@ -455,11 +455,9 @@ def test_regenerate_byzantine_escalation():
                 r ^= np.array([rng.randrange(1, p.field.order)])
             responses.append((j, r))
         src = ListSource(responses)
-        chunk, rounds = msr.regenerate(
-            src, failed, p, lambda h: checksums[failed], crc_of
-        )
+        chunk = msr.regenerate(src, failed, p, accept_checksum(checksums[failed], crc_of))
         assert np.array_equal(chunk, chunks[failed])
-        assert rounds <= 3
+        assert src.rounds <= 3
 
 
 def test_regenerate_failure_modes():
@@ -471,13 +469,16 @@ def test_regenerate_failure_modes():
     mk = lambda: ListSource(
         [(j, msr.repair_response(chunks[j], j, failed, p)) for j in helpers]
     )
-    with pytest.raises(ChecksumUnrecoverable):
-        msr.regenerate(mk(), failed, p, lambda h: None, crc_of)
+    # an accept that never takes a candidate (no checksum recovered, or a
+    # wrong one) reads every helper, then the source runs out
+    for accept in (lambda chunk: None, accept_checksum(checksums[failed] ^ 1, crc_of)):
+        src = mk()
+        with pytest.raises(ClusterExhausted):
+            msr.regenerate(src, failed, p, accept)
+        assert src.pos == len(helpers)
+    right = accept_checksum(checksums[failed], crc_of)
     with pytest.raises(ClusterExhausted):
-        wrong = (checksums[failed] ^ 1)
-        msr.regenerate(mk(), failed, p, lambda h: wrong, crc_of)
-    with pytest.raises(ClusterExhausted):
-        msr.regenerate(ListSource([]), failed, p, lambda h: checksums[failed], crc_of)
+        msr.regenerate(ListSource([]), failed, p, right)
     with pytest.raises(SelfRepair):
         src = ListSource([(failed, np.zeros(1, dtype=np.int64))])
-        msr.regenerate(src, failed, p, lambda h: checksums[failed], crc_of)
+        msr.regenerate(src, failed, p, right)

@@ -1038,13 +1038,16 @@ def _fill_then_invert(params, failed, responses):
 
 
 class _Helpers:
-    """A source that hands out the given responses in order, as many as asked."""
+    """A source that hands out the given responses in order, as many as
+    asked; counts the rounds (fetches that returned something)."""
 
     def __init__(self, responses):
         self.items = list(responses.items())
+        self.rounds = 0
 
     def fetch(self, count):
         got, self.items = self.items[:count], self.items[count:]
+        self.rounds += bool(got)
         return got
 
 
@@ -1055,7 +1058,7 @@ def test_regenerate_product_matches_fill_then_invert(family, beta):
     # its helpers and all n-1 of them, clean and with one corrupt response.
     # Each round's candidate (d responses, then all of them) must be the
     # codeword-filling decode's column, or no candidate where that decode
-    # fails; the chunk test accepts only the true chunk.
+    # fails; the acceptance test takes only the true chunk.
     from regencode import mbr, msr
     from regencode.progressive import encode, repair_response
 
@@ -1080,12 +1083,11 @@ def test_regenerate_product_matches_fill_then_invert(family, beta):
                         continue
                     if want[-1] == truth:
                         break
-                seen = []
-                crc = lambda chunk: seen.append(chunk.tolist()) or int(chunk.tolist() != truth)
-                run = lambda: mod.regenerate(_Helpers(responses), failed, params, lambda h: 0, crc)
+                seen, source = [], _Helpers(responses)
+                accept = lambda chunk: seen.append(chunk.tolist()) or (chunk if chunk.tolist() == truth else None)
+                run = lambda: mod.regenerate(source, failed, params, accept)
                 if truth in want:
-                    chunk, got_rounds = run()
-                    assert chunk.tolist() == truth and got_rounds == rounds
+                    assert run().tolist() == truth and source.rounds == rounds
                 else:
                     assert bad is not None
                     with pytest.raises(ClusterExhausted):
