@@ -16,7 +16,7 @@ import argparse
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,16 +55,6 @@ from .integrity import REPLICATED, SCHEMES, CrcParams
 
 def _record(**fields) -> str:
     return " ".join(f"{k}={v}" for k, v in fields.items())
-
-
-def _metrics_fields(metrics) -> dict:
-    return {
-        "outcome": metrics.outcome,
-        "nodes_contacted": metrics.nodes_contacted,
-        "symbols_downloaded": metrics.symbols_downloaded,
-        "checksum_symbols_downloaded": metrics.checksum_symbols_downloaded,
-        "decode_rounds": metrics.decode_rounds,
-    }
 
 
 def _download_fields(params) -> dict:
@@ -192,7 +182,7 @@ def cmd_encode(args) -> int:
 def cmd_reconstruct(args) -> int:
     state = _assemble_state(_chunk_paths(args.chunks), args.seed)
     bits, metrics = run_reconstruction(state, SeededRandom(args.seed))
-    fields = _metrics_fields(metrics)
+    fields = asdict(metrics)
     if metrics.outcome == FAIL:
         print(_record(command="reconstruct", **fields))
         return 1
@@ -210,7 +200,7 @@ def cmd_regenerate(args) -> int:
     chunk, metrics = run_regeneration(
         state, args.failed, SeededRandom(args.seed)
     )
-    fields = _metrics_fields(metrics)
+    fields = asdict(metrics)
     if metrics.outcome == FAIL:
         print(_record(command="regenerate", failed=args.failed, **fields))
         return 1
@@ -249,26 +239,45 @@ def cmd_analyze(args) -> int:
 # simulate
 
 
-_CONFIG_KEYS = {
-    "family", "n", "k", "d", "beta", "m", "r", "scheme", "seed", "trials",
-    "operation", "failed", "payload_bits", "payload_file", "crashes",
-    "byzantine", "strategy", "rate", "policy", "out",
+# Every simulate config key, declared once, with its default.  An int or
+# float default's type also parses the key's value; a tuple lists the
+# allowed values, default first; any other entry is kept as text.
+# payload_bits (its default depends on the code), failed, crashes and
+# byzantine (they depend on the trial) are parsed where they are used, and
+# ``store`` rejects an unknown scheme.
+_CONFIG = {
+    "family": tuple(PARAMS), "n": 6, "k": 3, "d": 4, "beta": 1, "m": 8,
+    "r": 32, "scheme": REPLICATED, "seed": 0, "trials": 1,
+    "operation": ("reconstruct", "regenerate"),
+    "policy": ("seeded_random", "adversarial"),
+    "strategy": ("random_corruption", "zero_crc_forgery"),
+    "rate": 1.0, "failed": "random", "crashes": "", "byzantine": "",
+    "payload_bits": None, "payload_file": None, "out": None,
 }
 
 
-def _parse_config(path) -> dict[str, str]:
-    cfg = {}
+def _parse_config(path) -> dict:
+    """The defaults, overridden line by line by the config's parsed values."""
+    cfg = {key: v[0] if isinstance(v, tuple) else v for key, v in _CONFIG.items()}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise InvalidParams(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _CONFIG:
             raise InvalidParams(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = value.strip()
+        entry = _CONFIG[key]
+        if isinstance(entry, tuple) and value not in entry:
+            raise InvalidParams(f"unknown {key} {value!r}")
+        cfg[key] = _number(key, value, type(entry)) if isinstance(entry, (int, float)) else value
+    if not 0 <= cfg["rate"] <= 1:  # NaN fails both comparisons
+        raise InvalidParams(f"rate={cfg['rate']} outside [0, 1]")
+    if cfg["trials"] < 1:
+        raise InvalidParams(f"trial count must be >= 1, got {cfg['trials']}")
+    if cfg["seed"] < 0:
+        raise InvalidParams(f"seed={cfg['seed']} is negative")
     return cfg
 
 
@@ -283,9 +292,7 @@ def _number(key: str, text, kind=int):
 
 def _resolve_fault_set(cfg: dict, key: str, rng: random.Random, n: int,
                        taken: set) -> set:
-    expr = cfg.get(key, "")
-    if not expr:
-        return set()
+    expr = cfg[key]
     if expr.startswith("random:"):
         count = _number(key, expr.split(":", 1)[1])
         pool = [i for i in range(n) if i not in taken]
@@ -297,52 +304,18 @@ def _resolve_fault_set(cfg: dict, key: str, rng: random.Random, n: int,
 
 def cmd_simulate(args) -> int:
     cfg = _parse_config(args.config)
-    num = lambda key, default, kind=int: _number(key, cfg.get(key, default), kind)
-    family = cfg.get("family", "msr")
-    n = num("n", 6)
-    k = num("k", 3)
-    d = num("d", 4)
-    beta = num("beta", 1)
-    m = num("m", 8)
-    r = num("r", 32)
-    scheme = cfg.get("scheme", REPLICATED)
-    seed = num("seed", 0)
-    trials = num("trials", 1)
-    operation = cfg.get("operation", "reconstruct")
-    policy_name = cfg.get("policy", "seeded_random")
-    strategy_name = cfg.get("strategy", "random_corruption")
-    rate = num("rate", 1.0, float)
-    if not 0 <= rate <= 1:  # NaN fails both comparisons
-        raise InvalidParams(f"rate={rate} outside [0, 1]")
-    if trials < 1:
-        raise InvalidParams(f"trial count must be >= 1, got {trials}")
-    if seed < 0:
-        raise InvalidParams(f"seed={seed} is negative")
-    if operation not in ("reconstruct", "regenerate"):
-        raise InvalidParams(f"unknown operation {operation!r}")
-    if policy_name not in ("seeded_random", "adversarial"):
-        raise InvalidParams(f"unknown policy {policy_name!r}")
-    if strategy_name not in ("random_corruption", "zero_crc_forgery"):
-        raise InvalidParams(f"unknown strategy {strategy_name!r}")
-    if scheme not in SCHEMES:
-        raise InvalidParams(f"unknown checksum scheme {scheme!r}")
-    if family not in PARAMS:
-        raise InvalidParams(f"unknown family {family!r}")
-
-    params = PARAMS[family](n, k, d, beta, GF(m))
-    if "payload_file" in cfg:
-        payload = Path(cfg["payload_file"]).read_bytes()
-        truth = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    n, r, seed, trials = cfg["n"], cfg["r"], cfg["seed"], cfg["trials"]
+    params = PARAMS[cfg["family"]](n, cfg["k"], cfg["d"], cfg["beta"], GF(cfg["m"]))
+    if cfg["payload_file"] is not None:
+        truth = np.unpackbits(np.frombuffer(Path(cfg["payload_file"]).read_bytes(), np.uint8))
     else:
-        default_bits = params.beta * params.B * params.field.m - r
-        size = num("payload_bits", default_bits)
+        size = cfg["payload_bits"]
+        size = (params.beta * params.B * params.field.m - r if size is None
+                else _number("payload_bits", size))
         if size < 0:  # the default is negative when the frame is shorter than r
             raise InvalidParams(f"payload_bits={size} is negative")
-        truth = np.random.default_rng(seed).integers(
-            0, 2, size=size, dtype=np.uint8
-        )
-        payload = truth
-    base = store(payload, params, scheme, crc=CrcParams(r), seed=seed)
+        truth = np.random.default_rng(seed).integers(0, 2, size=size, dtype=np.uint8)
+    base = store(truth, params, cfg["scheme"], crc=CrcParams(r), seed=seed)
 
     lines = []
     successes = wrong = 0
@@ -350,36 +323,32 @@ def cmd_simulate(args) -> int:
         rng = random.Random(f"{seed}|trial|{trial}")
         crashes = _resolve_fault_set(cfg, "crashes", rng, n, set())
         byzantine = _resolve_fault_set(cfg, "byzantine", rng, n, crashes)
-        if strategy_name == "zero_crc_forgery":
+        if cfg["strategy"] == "zero_crc_forgery":
             strategy = build_msr_zero_crc_forgery(base, byzantine)
         else:
-            strategy = RandomCorruption(rate)
+            strategy = RandomCorruption(cfg["rate"])
         base.rng_seed = seed + trial
         state = inject(base, FaultPlan(crashes, byzantine, strategy))
         policy = (
-            Adversarial() if policy_name == "adversarial"
+            Adversarial() if cfg["policy"] == "adversarial"
             else SeededRandom(seed + trial)
         )
-        if operation == "reconstruct":
+        if cfg["operation"] == "reconstruct":
             out, metrics = run_reconstruction(state, policy)
-            correct = metrics.outcome == SUCCESS and np.array_equal(out, truth)
+            expected = truth
         else:
-            failed_expr = cfg.get("failed", "random")
             failed = (
-                rng.randrange(n) if failed_expr == "random"
-                else _number("failed", failed_expr)
+                rng.randrange(n) if cfg["failed"] == "random"
+                else _number("failed", cfg["failed"])
             )
             out, metrics = run_regeneration(state, failed, policy)
-            correct = metrics.outcome == SUCCESS and np.array_equal(
-                out, base.nodes[failed].chunk
-            )
+            expected = base.nodes[failed].chunk
+        correct = metrics.outcome == SUCCESS and np.array_equal(out, expected)
         if metrics.outcome == SUCCESS:
             successes += 1
             if not correct:
                 wrong += 1
-        lines.append(_record(
-            trial=trial, correct=int(correct), **_metrics_fields(metrics),
-        ))
+        lines.append(_record(trial=trial, correct=int(correct), **asdict(metrics)))
 
     footer = {
         "trials": trials,
@@ -387,12 +356,12 @@ def cmd_simulate(args) -> int:
         "wrong_successes": wrong,
         "success_rate": f"{successes / trials:.4f}",
     }
-    if operation == "regenerate":
+    if cfg["operation"] == "regenerate":
         saving = (params.k * params.alpha) / params.d
         footer.update(_download_fields(params), bandwidth_saving=f"{saving:.2f}x")
     lines.append(_record(**footer))
-    report = "\n".join(str(s) for s in lines)
-    if "out" in cfg:
+    report = "\n".join(lines)
+    if cfg["out"] is not None:
         write_atomic(cfg["out"], (report + "\n").encode())
     print(report)
     return 0 if wrong == 0 else 1
@@ -400,19 +369,6 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _add_code_flags(sp):
-    sp.add_argument("--family", required=True, choices=PARAMS)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--beta", type=int, default=0,
-                    help="stripes per frame (default: smallest that fits)")
-    sp.add_argument("--m", type=int, default=8, help="field degree (default 8)")
-    sp.add_argument("--r", type=int, default=32,
-                    help="checksum width in bits (default 32)")
-    sp.add_argument("--scheme", choices=SCHEMES, default=REPLICATED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     enc = sub.add_parser("encode", help="split a file into n chunk files")
     enc.add_argument("input")
-    _add_code_flags(enc)
+    enc.add_argument("--family", required=True, choices=PARAMS)
+    enc.add_argument("--n", type=int, required=True)
+    enc.add_argument("--k", type=int, required=True)
+    enc.add_argument("--d", type=int, required=True)
+    enc.add_argument("--beta", type=int, default=0,
+                     help="stripes per frame (default: smallest that fits)")
+    enc.add_argument("--m", type=int, default=8, help="field degree (default 8)")
+    enc.add_argument("--r", type=int, default=32,
+                     help="checksum width in bits (default 32)")
+    enc.add_argument("--scheme", choices=SCHEMES, default=REPLICATED)
     enc.add_argument("--seed", type=int, default=0)
     enc.add_argument("--out", default=".", help="output directory")
     enc.set_defaults(func=cmd_encode)

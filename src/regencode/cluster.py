@@ -102,11 +102,11 @@ class ClusterState:
 
 @dataclass
 class RunMetrics:
+    outcome: str = ""  # first: the CLI prints the fields in this order
     nodes_contacted: int = 0
     symbols_downloaded: int = 0
     checksum_symbols_downloaded: int = 0
     decode_rounds: int = 0
-    outcome: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +141,14 @@ class ConsistentForgery:
     forged_row_delta: np.ndarray
 
     def apply(self, state: "ClusterState", idx: int) -> None:
-        """XOR node idx's column of the forged codewords into its chunk."""
+        """XOR node idx's column of the forged codewords into its chunk: the
+        deltas times g_idx alone, not a full encode per colluder."""
         params = state.params
         delta = np.asarray(self.forged_row_delta, dtype=np.int64)
         if delta.shape != (params.beta, params.alpha, params.d):
             raise InvalidParams(f"forged row deltas of shape {delta.shape}, not (beta, alpha, d)")
-        cw = encode_eval(delta.reshape(-1, params.d), params.code)
-        state.nodes[idx].chunk ^= cw[:, idx].reshape(params.beta, params.alpha)
+        column = params.field.matmul(delta.reshape(-1, params.d), params.G[:, idx : idx + 1])
+        state.nodes[idx].chunk ^= column.reshape(params.beta, params.alpha)
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """Arithmetic over GF(2^m), 2 <= m <= 16, with log/antilog tables.
 
-Addition is XOR.  Multiplication, inversion and exponentiation go through
-eagerly built log/antilog tables for a configurable primitive polynomial
-and generator element.  Bulk operations (re-encoding, interpolation,
-locator roots, matrix products) go through ``vmul``, ``vdiv``, ``prod``,
-``matmul`` and ``power`` on numpy arrays; this module is the only one
-that knows the table format.
+Addition is XOR.  Multiplication and exponentiation (``pow(x, -1)`` is
+the inverse) go through eagerly built log/antilog tables for a
+configurable primitive polynomial and generator element.  Bulk operations
+(re-encoding, locator roots, matrix products) go through ``vmul``,
+``vdiv``, ``prod``, ``matmul`` and ``power`` on numpy arrays.  Besides
+this module, only ``rscode._interpolate`` reads the tables: it indexes
+``exp``, ``log`` and ``order`` directly, because its per-point update
+runs on short polynomials of Python ints, one point at a time, where
+numpy's per-call cost would outweigh the arithmetic.
 
 ``matmul`` picks one of two kernels from the operand shapes.  A product
 whose outer sides are both within 2^(m+1) runs on the log/exp cube
@@ -173,22 +176,10 @@ class GF:
 
     # -- scalar operations -------------------------------------------------
 
-    @staticmethod
-    def add(x: int, y: int) -> int:
-        return x ^ y
-
-    # Subtraction coincides with addition in characteristic 2.
-    sub = add
-
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
         return self.exp[self.log[x] + self.log[y]]
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroInverse("0 has no multiplicative inverse")
-        return self.exp[self.order - self.log[x]]
 
     def pow(self, x: int, e: int) -> int:
         if x == 0:

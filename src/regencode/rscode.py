@@ -399,7 +399,7 @@ def _interpolate(field: GF, basis: list, positions, zs, cap: int) -> None:
     1, which could only pivot for element 0 from a weight at most
     element 0's, is no longer kept up to date.
     """
-    exp, log, order = field.exp, field.log, field.order
+    exp, log, order = field.exp, field.log, field.order  # Python ints, see ``galois``
 
     def at(poly, p):  # poly(a^p) by Horner; log(a^p) = p
         acc = 0

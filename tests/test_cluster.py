@@ -35,6 +35,7 @@ from regencode.galois import GF
 from regencode.integrity import CODED, REPLICATED, CrcParams
 from regencode.mbr import MbrParams
 from regencode.msr import MsrParams
+from regencode.rscode import encode_eval
 
 F16 = GF(4)
 
@@ -571,6 +572,12 @@ def test_forgery_builder_validation():
     mbr_state, _ = make_state("mbr")
     with pytest.raises(InvalidParams):
         build_msr_zero_crc_forgery(mbr_state, {0})
+    # MSR [6,3,4] over GF(2^8) at beta = 1 leaves 16 payload bits: its 16
+    # unit residues of 32 bits have no GF(2) dependency
+    short, _ = make_state("msr", field=GF(8), r=32)
+    assert short.payload_bit_len == 16
+    with pytest.raises(InvalidParams, match="no zero-residue forgery exists"):
+        build_msr_zero_crc_forgery(short, [0, 1])
 
 
 def _forgery_digest(forgery) -> str:
@@ -623,3 +630,8 @@ def test_forged_rows_are_codeword_consistent():
     out, metrics = run_reconstruction(faulty, Adversarial())
     assert metrics.outcome == SUCCESS
     assert not np.array_equal(out, bits)
+    # each colluder's injected delta is its coordinate of a full encode
+    codewords = encode_eval(forgery.forged_row_delta.reshape(-1, 4), state.params.code)
+    for i in range(3):
+        injected = faulty.nodes[i].chunk ^ state.nodes[i].chunk
+        assert np.array_equal(injected, codewords[:, i].reshape(8, 2))

@@ -197,7 +197,7 @@ def per_stripe_reconstruct_fast(columns, params):
         zcols, wcols = [], []
         for t in range(alpha):
             others, v_inv = v_invs[t]
-            q = [field.mul(int(proj[o, t] ^ proj[t, o]), field.inv(lam[o] ^ lam[t])) for o in others]
+            q = [field.mul(int(proj[o, t] ^ proj[t, o]), field.pow(lam[o] ^ lam[t], -1)) for o in others]
             r = [int(proj[o, t]) ^ field.mul(lam[t], qv) for o, qv in zip(others, q)]
             zcols.append(field.matmul(v_inv, np.array([q]).T)[:, 0])
             wcols.append(field.matmul(v_inv, np.array([r]).T)[:, 0])

@@ -43,7 +43,7 @@ def oracle_solve(field, A, rhs):
     for col in range(nn):
         piv = next(r for r in range(col, nn) if M[r][col])
         M[col], M[piv] = M[piv], M[col]
-        s = field.inv(M[col][col])
+        s = field.pow(M[col][col], -1)
         M[col] = [field.mul(s, x) for x in M[col]]
         for r in range(nn):
             if r != col and M[r][col]:
@@ -367,7 +367,7 @@ def scalar_inverse(field, M):
             raise SingularMatrix(f"no pivot in column {col}")
         a[col], a[piv] = a[piv], a[col]
         inv[col], inv[piv] = inv[piv], inv[col]
-        scale = field.inv(a[col][col])
+        scale = field.pow(a[col][col], -1)
         a[col] = [field.mul(scale, x) for x in a[col]]
         inv[col] = [field.mul(scale, x) for x in inv[col]]
         for r in range(nn):
@@ -387,7 +387,7 @@ def _poly_mul(field, a, b):
 
 
 def _div(field, x, y):
-    return field.mul(x, field.inv(y))
+    return field.mul(x, field.pow(y, -1))
 
 
 def _poly_eval(field, poly, x):
@@ -465,7 +465,7 @@ class ScalarDecoder:
         deg = len(lam) - 1
         if deg != L:
             raise DecodeFailure("inconsistent locator")
-        roots = [p for p in range(n) if _poly_eval(field, lam, field.inv(params.points[p])) == 0]
+        roots = [p for p in range(n) if _poly_eval(field, lam, field.pow(params.points[p], -1)) == 0]
         if len(roots) != deg:
             raise DecodeFailure("missing roots")
         omega = (_poly_mul(field, lam, S) if S else [0])[:two_t] or [0]
@@ -473,7 +473,7 @@ class ScalarDecoder:
         codeword = [self.received.get(p, 0) for p in range(n)]
         errors = set()
         for p in roots:
-            xinv = field.inv(params.points[p])
+            xinv = field.pow(params.points[p], -1)
             den = field.mul(params.w[p], _poly_eval(field, deriv, xinv))
             if den == 0:
                 raise DecodeFailure("vanishing derivative")
@@ -608,6 +608,26 @@ def test_messages_invert_once_at_first_use(monkeypatch):
         block = ProgressiveDecoder(code, 2).absorb({p: [0, 0] for p in range(6)})
         assert not block.attempt().messages.any()
     assert len(calls) == 1
+
+
+def test_row_dirty_under_its_own_errors_fails_once(monkeypatch):
+    # An exact locator never leaves a row dirty under its own errors; a
+    # locator that finds none for row 1 must end the attempt, not loop.
+    code = RsParams(6, 2, GF(8))
+    words = encode_eval(np.array([[3, 5], [7, 11]]), code)
+    words[1, 4] ^= 1  # row 1 alone has an error
+    block = ProgressiveDecoder(code, 2).absorb({p: words[:, p] for p in range(code.n)})
+    located, real = [], ProgressiveDecoder._locate
+
+    def locate(self, r):
+        located.append(r)
+        assert len(located) <= 2, "attempt loops on the dirty row"
+        return real(self, r) if r == 0 else []
+
+    monkeypatch.setattr(ProgressiveDecoder, "_locate", locate)
+    with pytest.raises(DecodeFailure, match="stays dirty"):
+        block.attempt()
+    assert located == [0, 1]
 
 
 def test_scalar_oracle_agrees_with_batch_decode(rs15_4, gf16):
