@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .cluster import PARAMS
 from .errors import InvalidParams
+from .galois import DEFAULT_PRIMITIVE_POLYS
 from .integrity import checksum_code_size
 
 
@@ -76,8 +77,10 @@ def capabilities(n: int, k: int, d: int, family: str, *, beta: int = 1,
     cut_set_bound(n, k, d, 1, 1)  # checks (n, k, d) before the family
     if family not in PARAMS:
         raise InvalidParams(f"unknown family {family!r}")
-    if beta < 1 or m < 1 or r < 1:
-        raise InvalidParams("beta, m and r must be positive")
+    if beta < 1 or r < 1:
+        raise InvalidParams("beta and r must be positive")
+    if m not in DEFAULT_PRIMITIVE_POLYS or n >= 1 << m:  # what GF and RsParams refuse
+        raise InvalidParams(f"no field GF(2^{m}) with 2 <= m <= 16 and n={n} nonzero points")
     alpha = PARAMS[family].alpha_for(k, d)
     B = cut_set_bound(n, k, d, alpha, 1)
     # the coded scheme's [n-1, k'] share code needs n >= 3; below that its

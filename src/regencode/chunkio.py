@@ -2,8 +2,8 @@
 
 Each node's stored state lives in one self-describing file: a fixed header
 carrying every code parameter (so a decoder needs no side channel — the
-generator matrix column is regenerable from the node index and the field
-generator), followed by the packed chunk symbols and the node's checksum
+generator matrix column is regenerable from the node index and the
+field), followed by the packed chunk symbols and the node's checksum
 shares.
 
 Layout (all integers big-endian):
@@ -11,6 +11,10 @@ Layout (all integers big-endian):
     magic "RGEN" | version u8 | family u8 | m u8 | generator u8 |
     prim_poly u32 | n u16 | k u16 | d u16 | beta u32 | r u8 |
     crc_poly u64 | scheme u8 | node_index u16 | payload_bit_len u64
+
+The generator, prim_poly and crc_poly fields are fixed by m and r, as 2,
+DEFAULT_PRIMITIVE_POLYS[m] and DEFAULT_CRC_POLYS[r]: ``pack_chunk`` writes
+them, and ``unpack_chunk`` rejects other values or an m or r without one.
 
 Body: ``beta * alpha`` symbols in stripe-major order, each in ceil(m/8)
 bytes most-significant-bit-first; then n-1 checksum shares in ascending
@@ -34,8 +38,8 @@ import numpy as np
 
 from .cluster import PARAMS
 from .errors import MalformedChunk
-from .galois import GF
-from .integrity import CODED, REPLICATED, CrcParams, share_bits
+from .galois import DEFAULT_PRIMITIVE_POLYS, GF
+from .integrity import CODED, DEFAULT_CRC_POLYS, REPLICATED, CrcParams, share_bits
 
 MAGIC = b"RGEN"
 VERSION = 1
@@ -50,14 +54,11 @@ _SCHEME_NAMES = {v: s for s, v in _SCHEME_CODES.items()}
 class ChunkHeader:
     family: str
     m: int
-    generator: int
-    prim_poly: int
     n: int
     k: int
     d: int
     beta: int
     r: int
-    crc_poly: int
     scheme: str
     node_index: int
     payload_bit_len: int
@@ -87,14 +88,11 @@ def header_for_state(state, node_index: int) -> ChunkHeader:
     return ChunkHeader(
         family=p.family,
         m=p.field.m,
-        generator=p.field.generator,
-        prim_poly=p.field.prim_poly,
         n=p.n,
         k=p.k,
         d=p.d,
         beta=p.beta,
         r=state.crc.r,
-        crc_poly=state.crc.poly,
         scheme=state.scheme,
         node_index=node_index,
         payload_bit_len=state.payload_bit_len,
@@ -103,14 +101,21 @@ def header_for_state(state, node_index: int) -> ChunkHeader:
 
 def params_from_header(h: ChunkHeader):
     """(code params, CrcParams) reconstructed from a header."""
-    field = GF(h.m, h.prim_poly, h.generator)
-    return PARAMS[h.family](h.n, h.k, h.d, h.beta, field), CrcParams(h.r, h.crc_poly)
+    return PARAMS[h.family](h.n, h.k, h.d, h.beta, GF(h.m)), CrcParams(h.r)
+
+
+def _polys(m: int, r: int) -> tuple[int, int, int]:
+    """The (generator, prim_poly, crc_poly) header fields that m and r fix."""
+    if m not in DEFAULT_PRIMITIVE_POLYS or r not in DEFAULT_CRC_POLYS:
+        raise MalformedChunk(f"no field of degree m={m} or checksum of width r={r}")
+    return 2, DEFAULT_PRIMITIVE_POLYS[m], DEFAULT_CRC_POLYS[r]
 
 
 def pack_chunk(header: ChunkHeader, chunk, shares) -> bytes:
+    generator, prim_poly, crc_poly = _polys(header.m, header.r)
     head = _HEADER.pack(
-        MAGIC, VERSION, _FAMILY_CODES[header.family], header.m, header.generator,
-        header.prim_poly, header.n, header.k, header.d, header.beta, header.r, header.crc_poly,
+        MAGIC, VERSION, _FAMILY_CODES[header.family], header.m, generator, prim_poly,
+        header.n, header.k, header.d, header.beta, header.r, crc_poly,
         _SCHEME_CODES[header.scheme], header.node_index, header.payload_bit_len,
     )
     chunk = np.asarray(chunk, dtype=np.int64)
@@ -145,14 +150,15 @@ def unpack_chunk(data: bytes) -> tuple[ChunkHeader, np.ndarray, np.ndarray]:
         raise MalformedChunk(f"unknown scheme code {scheme_code}")
     if node_index >= n:
         raise MalformedChunk(f"node index {node_index} out of range for n={n}")
-    if not (2 <= m <= 16 and 1 <= r <= 64):
-        raise MalformedChunk(f"symbol width m={m} or checksum width r={r} out of range")
+    if (generator, prim_poly, crc_poly) != _polys(m, r):
+        raise MalformedChunk(f"generator or polynomials {generator}, 0x{prim_poly:x}, "
+                             f"0x{crc_poly:x} are not those of m={m}, r={r}")
     if scheme_code == _SCHEME_CODES[CODED] and n < 3:
         raise MalformedChunk(f"coded checksum scheme needs n >= 3, got {n}")
     if not 1 <= k <= d < n:
         raise MalformedChunk(f"need 1 <= k <= d < n, got n={n}, k={k}, d={d}")
-    header = ChunkHeader(_FAMILY_NAMES[family_code], m, generator, prim_poly, n, k, d, beta, r,
-                         crc_poly, _SCHEME_NAMES[scheme_code], node_index, bit_len)
+    header = ChunkHeader(_FAMILY_NAMES[family_code], m, n, k, d, beta, r,
+                         _SCHEME_NAMES[scheme_code], node_index, bit_len)
     body = data[_HEADER.size :]
     if len(body) != header.body_size():
         raise MalformedChunk(

@@ -1,10 +1,11 @@
 """Arithmetic over GF(2^m), 2 <= m <= 16, with log/antilog tables.
 
 Addition is XOR.  Multiplication and exponentiation (``pow(x, -1)`` is
-the inverse) go through eagerly built log/antilog tables for a
-configurable primitive polynomial and generator element.  Bulk operations
-(re-encoding, locator roots, matrix products) go through ``vmul``,
-``vdiv``, ``prod``, ``matmul`` and ``power`` on numpy arrays.  Besides
+the inverse) go through eagerly built log/antilog tables: a field is
+named by its degree m alone, reduced by DEFAULT_PRIMITIVE_POLYS[m] and
+generated by 2, the element x.  Bulk operations (re-encoding, locator
+roots, matrix products) go through ``vmul``, ``vdiv``, ``prod``,
+``matmul`` and ``power`` on numpy arrays.  Besides
 this module, only ``rscode._interpolate`` reads the tables: it indexes
 ``exp``, ``log`` and ``order`` directly, because its per-point update
 runs on short polynomials of Python ints, one point at a time, where
@@ -58,8 +59,9 @@ _SEED_CELLS = 2047
 
 _UINT = {n: np.dtype(f"uint{8 * n}") for n in (1, 2, 4, 8)}
 
-# Primitive polynomials by degree, bit i = coefficient of x^i.
-# Conventional choices; primitivity is re-verified at construction time.
+# Primitive polynomials by degree, bit i = coefficient of x^i: the one
+# polynomial of each field.  Conventional choices; the tests check that 2
+# has order 2^m - 1 under each.
 DEFAULT_PRIMITIVE_POLYS = {
     2: 0b111,
     3: 0b1011,
@@ -77,19 +79,6 @@ DEFAULT_PRIMITIVE_POLYS = {
     15: 0b1000_0000_0000_0011,
     16: 0b1_0001_0000_0000_1011,  # x^16 + x^12 + x^3 + x + 1
 }
-
-
-def _clmul_mod(a: int, b: int, poly: int, m: int) -> int:
-    """Carry-less multiply of a and b reduced modulo poly (degree m)."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a >> m:
-            a ^= poly
-    return acc
 
 
 def _split_gathers(tables, D, c: int, s: int, rows: int):
@@ -117,48 +106,28 @@ def _split_gathers(tables, D, c: int, s: int, rows: int):
 class GF:
     """A finite field GF(2^m) together with its arithmetic tables."""
 
-    def __init__(self, m: int, prim_poly: int | None = None, generator: int = 2):
-        if not 2 <= m <= 16:
+    def __init__(self, m: int):
+        if m not in DEFAULT_PRIMITIVE_POLYS:
             raise InvalidParams(f"field degree m={m} outside supported range [2, 16]")
-        if prim_poly is None:
-            prim_poly = DEFAULT_PRIMITIVE_POLYS[m]
-        if prim_poly.bit_length() != m + 1:
-            raise InvalidParams(f"polynomial 0x{prim_poly:x} does not have degree {m}")
         q = 1 << m
-        if not 1 <= generator < q:
-            raise InvalidParams(f"generator {generator} outside field of size {q}")
-
         self.m = m
         self.q = q
         self.order = q - 1
-        self.prim_poly = prim_poly
-        self.generator = generator
 
-        # Fill exp/log by repeated multiplication with the generator.  The
-        # generator must reach every nonzero element exactly once before
-        # cycling back to 1, which verifies both that the polynomial gives
-        # a field and that the generator is primitive in it.
+        # Fill exp/log by doubling: the generator is 2 (the element x),
+        # reduced by the degree-m primitive polynomial.
+        poly = DEFAULT_PRIMITIVE_POLYS[m]
         exp = [0] * (2 * self.order)
         log = [0] * q
         x = 1
         for i in range(self.order):
-            if x == 0:
-                raise InvalidParams(
-                    f"0x{prim_poly:x} is reducible: powers of the generator hit zero"
-                )
-            if x == 1 and i > 0:
-                raise InvalidParams(
-                    f"generator {generator} has order {i} < {self.order}; "
-                    "pick a primitive polynomial and generator"
-                )
-            exp[i] = x
-            exp[i + self.order] = x
+            exp[i] = exp[i + self.order] = x
             log[x] = i
-            x = _clmul_mod(x, generator, prim_poly, m)
-        if x != 1:
-            raise InvalidParams(f"generator {generator} does not have order {self.order}")
+            x <<= 1
+            if x >> m:
+                x ^= poly
 
-        self.exp = exp  # doubled: exp[i] == generator ** (i % order), 0 <= i < 2*order
+        self.exp = exp  # doubled: exp[i] == 2 ** (i % order), 0 <= i < 2*order
         self.log = log  # log[0] is a placeholder and must never be used
         # Vector tables: log(0) is the sentinel 2·order and exp is zero from
         # 2·order through 4·order, so a product or quotient with a zero
@@ -172,7 +141,7 @@ class GF:
         self._seed_rows = {}  # (c, h) -> the rows ``_seeds`` gathers
 
     def __repr__(self):
-        return f"GF(2^{self.m}, poly=0x{self.prim_poly:x}, g={self.generator})"
+        return f"GF(2^{self.m})"
 
     # -- scalar operations -------------------------------------------------
 
@@ -221,7 +190,7 @@ class GF:
         return np.where(zero, 0, self._exp[np.add.reduce(la, axis) % self.order])
 
     def power(self, e) -> np.ndarray:
-        """generator ** e elementwise, for any integer exponents."""
+        """2 ** e elementwise, for any integer exponents."""
         return self._exp[np.mod(e, self.order)]
 
     def matmul(self, A, B) -> np.ndarray:

@@ -1,21 +1,22 @@
 """CRC checksums, the packed frame format and checksum-share directories.
 
 The CRC uses the IEEE 802.3 convention: reflected input/output, all-ones
-initial register, final complement.  With the default width r=32 and
-polynomial 0x04C11DB7 the byte-stream behaviour is identical to zlib's
-crc32 when bytes are expanded least-significant-bit first.  Payloads here
-are arbitrary *bit* sequences (symbol sizes are rarely byte multiples),
-so the register is defined over the bit stream.
+initial register, final complement.  Its width r is 4, 8, 16, 32 or 64,
+and each width has one polynomial (``DEFAULT_CRC_POLYS``).  At the default
+r=32, polynomial 0x04C11DB7, the byte-stream behaviour is identical to
+zlib's crc32 when bytes are expanded least-significant-bit first.
+Payloads here are arbitrary *bit* sequences (symbol sizes are rarely
+byte multiples), so the register is defined over the bit stream.
 
 A frame (payload ∥ CRC ∥ zero pad) is carried as bytes plus a bit
 length, most-significant bit first: the layout ``np.packbits`` produces,
 so 0/1 bit arrays cross the API edge through packbits/unpackbits.  m-bit
 field symbols follow each other in the same order, so for m = 8 the
 frame bytes are the symbols.  The CRC core reads whole bytes through a
-bit-reversal table into zlib.crc32 (for that default) or a byte table
-(other r >= 8), and the tail of fewer than 8 bits, or everything when
-r < 8, bit by bit.  A CRC of width r lets a fraction 1/2^r of random
-corruptions through; that residual risk is inherent.
+bit-reversal table into zlib.crc32 (r = 32) or one byte table (every
+other width: the reflected byte update holds for r < 8 too), and the
+tail of fewer than 8 bits bit by bit.  A CRC of width r lets a fraction
+1/2^r of random corruptions through; that residual risk is inherent.
 
 For regeneration each node's chunk checksum is spread over the other
 n-1 nodes in one of two ways:
@@ -45,11 +46,13 @@ from .errors import InvalidParams, NoMajority, TooShort
 from .galois import GF
 from .rscode import ReceivedWord, RsParams, decode_error_erasure, encode_eval
 
+# The one polynomial of each checksum width, truncated (leading term implicit).
 DEFAULT_CRC_POLYS = {
     4: 0x3,  # x^4 + x + 1
     8: 0x07,  # x^8 + x^2 + x + 1
     16: 0x8005,  # x^16 + x^15 + x^2 + 1
     32: 0x04C11DB7,  # IEEE 802.3
+    64: 0x42F0E1EBA9EA3693,  # ECMA-182
 }
 
 
@@ -62,29 +65,20 @@ def _reflect(value: int, width: int) -> int:
 
 
 class CrcParams:
-    """Width and polynomial of the checksum; IEEE 802.3 convention."""
+    """Width of the checksum, which names its polynomial; IEEE 802.3 convention."""
 
-    def __init__(self, r: int = 32, poly: int | None = None):
-        if r < 1 or r > 64:
-            raise InvalidParams(f"checksum width r={r} outside [1, 64]")
-        if poly is None:
-            if r not in DEFAULT_CRC_POLYS:
-                raise InvalidParams(f"no default polynomial for r={r}")
-            poly = DEFAULT_CRC_POLYS[r]
-        if not 0 < poly < (1 << r):
-            raise InvalidParams(
-                f"polynomial 0x{poly:x} is not a degree-{r} polynomial "
-                "in truncated (leading term implicit) form"
-            )
+    def __init__(self, r: int = 32):
+        if r not in DEFAULT_CRC_POLYS:
+            raise InvalidParams(f"no CRC polynomial of width r={r}: widths are 4, 8, 16, 32, 64")
         self.r = r
-        self.poly = poly
+        self.poly = DEFAULT_CRC_POLYS[r]
         self.mask = (1 << r) - 1
-        self.rpoly = _reflect(poly, r)
-        self._zlib = r == 32 and poly == DEFAULT_CRC_POLYS[32]
+        self.rpoly = _reflect(self.poly, r)
+        self._zlib = r == 32
 
     @functools.cached_property
     def _table(self) -> list[int]:
-        """Register update per input byte, for r >= 8 off the zlib path."""
+        """Register update per input byte, for every width off the zlib path."""
         table = []
         for byte in range(256):
             crc = byte
@@ -94,7 +88,7 @@ class CrcParams:
         return table
 
     def __repr__(self):
-        return f"CrcParams(r={self.r}, poly=0x{self.poly:x})"
+        return f"CrcParams(r={self.r})"
 
 
 # -- frames: packed bytes, most-significant bit first ---------------------
@@ -140,11 +134,11 @@ def bytes_to_symbols(data: bytes, m: int, count: int) -> np.ndarray:
 def _crc_register(data: bytes, nbits: int, params: CrcParams, init: int) -> int:
     """The register after the first nbits bits of ``data``, fed in frame
     order: whole bytes, bit-reversed for the reflected register, go through
-    zlib or the byte table, and the tail (everything for r < 8) bit by bit."""
+    zlib or the byte table, and the tail of fewer than 8 bits bit by bit."""
     if not 0 <= nbits <= 8 * len(data):
         raise InvalidParams(f"{nbits} bits do not fit in {len(data)} bytes")
     crc = init
-    nfull = nbits // 8 if params.r >= 8 else 0
+    nfull = nbits // 8
     if nfull:
         whole = bytes(data[:nfull]).translate(_REVERSED)
         if params._zlib:  # zlib complements the register on entry and exit
@@ -201,8 +195,6 @@ def checksum_code_size(n: int, r: int) -> tuple[int, int]:
     """
     if n < 3:
         raise InvalidParams(f"coded checksum scheme needs n >= 3, got {n}")
-    if r < 1:
-        raise InvalidParams(f"checksum width must be positive, got {r}")
     m_prime = max(2, (n - 2).bit_length())
     # the [n-1, k'] code needs n-1 distinct nonzero evaluation points
     while (1 << m_prime) - 1 < n - 1:

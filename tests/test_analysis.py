@@ -127,9 +127,22 @@ def test_capability_table_boundaries():
     assert rep.byzantine_reconstruction == 0
     with pytest.raises(InvalidParams):
         capabilities(5, 3, 4, "lrc", m=4, r=8)
-    # checksum larger than the stored data
-    with pytest.raises(InvalidParams):
-        capabilities(6, 3, 4, "msr", m=2, r=32)
+    # checksum larger than the stored data: 6 symbols of 3 bits
+    with pytest.raises(InvalidParams, match="no room for data"):
+        capabilities(6, 3, 4, "msr", m=3, r=32)
+
+
+def test_fields_no_code_can_use_are_refused():
+    # the checks GF and RsParams make: a degree with no primitive polynomial,
+    # and more nodes than the field has nonzero points
+    for m in (0, 1, 17):
+        with pytest.raises(InvalidParams, match=rf"no field GF\(2\^{m}\)"):
+            capabilities(6, 3, 4, "msr", m=m, r=8)
+    with pytest.raises(InvalidParams, match="n=100 nonzero points"):
+        capabilities(100, 20, 38, "msr", m=4, r=8)
+    with pytest.raises(InvalidParams, match="n=16 nonzero points"):
+        capabilities(16, 4, 7, "mbr", m=4, r=8)
+    assert capabilities(15, 4, 7, "mbr", m=4, r=8).n == 15  # full length: every point
 
 
 def test_two_nodes_report_coded_cells_infeasible():

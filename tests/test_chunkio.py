@@ -3,6 +3,7 @@ seeded fuzz of the parser, and atomic writes."""
 
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,14 +18,16 @@ from regencode.chunkio import (
     write_chunk_file,
 )
 from regencode.errors import MalformedChunk
-from regencode.integrity import CODED, REPLICATED
+from regencode.galois import DEFAULT_PRIMITIVE_POLYS
+from regencode.integrity import CODED, DEFAULT_CRC_POLYS, REPLICATED
 
-HEADER_LEN = struct.calcsize(">4sBBBBIHHHIBQBHQ")
+HEADER_FMT = ">4sBBBBIHHHIBQBHQ"
+HEADER_LEN = struct.calcsize(HEADER_FMT)
+M, GENERATOR, PRIM_POLY, R, CRC_POLY = 3, 4, 5, 10, 11  # field positions in the header
 
 
 def make_header(m, r, scheme, node_index=2, n=7, k=3, d=4, beta=5):
-    return ChunkHeader(family="msr", m=m, generator=2, prim_poly=0, n=n, k=k, d=d,
-                       beta=beta, r=r, crc_poly=1, scheme=scheme,
+    return ChunkHeader(family="msr", m=m, n=n, k=k, d=d, beta=beta, r=r, scheme=scheme,
                        node_index=node_index, payload_bit_len=123)
 
 
@@ -50,11 +53,11 @@ def oracle_unpack_body(header, body):
     return flat, shares
 
 
-# (m, r, scheme): 1- and 2-byte symbols; 1-, 3-, 4- and 8-byte replicated
+# (m, r, scheme): 1- and 2-byte symbols; 1-, 2-, 4- and 8-byte replicated
 # shares; coded shares of m' = 3 bits in one byte
 LAYOUTS = [
     (8, 32, REPLICATED),
-    (11, 24, REPLICATED),
+    (11, 16, REPLICATED),
     (16, 64, REPLICATED),
     (5, 8, REPLICATED),
     (8, 16, CODED),
@@ -101,6 +104,35 @@ def test_unpack_keeps_its_checks():
     too_wide[0] = 1 << 32
     with pytest.raises(MalformedChunk):
         pack_chunk(header, chunk, too_wide)
+
+
+def test_header_polynomials_are_fixed_by_m_and_r():
+    # the generator, prim_poly and crc_poly fields hold the values m and r
+    # fix; a header with any other value, or with an m or r that has no
+    # polynomial, is malformed
+    header = make_header(11, 16, REPLICATED)
+    chunk = np.zeros((header.beta, header.alpha), dtype=np.int64)
+    shares = np.zeros(header.n, dtype=np.uint64)
+    data = pack_chunk(header, chunk, shares)
+    fields = struct.unpack_from(HEADER_FMT, data)
+    assert (fields[GENERATOR], fields[PRIM_POLY], fields[CRC_POLY]) == (
+        2, DEFAULT_PRIMITIVE_POLYS[11], DEFAULT_CRC_POLYS[16])
+    assert unpack_chunk(data)[0] == header
+
+    def with_field(i, value):
+        edited = list(fields)
+        edited[i] = value
+        return struct.pack(HEADER_FMT, *edited) + data[HEADER_LEN:]
+
+    for i in (GENERATOR, PRIM_POLY, CRC_POLY):
+        for value in (fields[i] - 1, fields[i] + 1):
+            with pytest.raises(MalformedChunk, match="are not those of m=11, r=16"):
+                unpack_chunk(with_field(i, value))
+    for i, value in ((M, 1), (M, 17), (R, 0), (R, 24), (R, 65)):
+        with pytest.raises(MalformedChunk, match="no field of degree"):
+            unpack_chunk(with_field(i, value))
+        with pytest.raises(MalformedChunk, match="no field of degree"):
+            pack_chunk(replace(header, **{"m" if i == M else "r": value}), chunk, shares)
 
 
 def test_pack_rejects_malformed_share_rows():

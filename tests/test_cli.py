@@ -52,6 +52,23 @@ def test_encode_reconstruct_round_trip(capsys, tmp_path, family, scheme):
     assert dst.read_bytes() == payload
 
 
+@pytest.mark.parametrize("r", [4, 16, 64])
+def test_checksum_widths_round_trip(capsys, tmp_path, r):
+    # every checksum width but the default: reconstruct with one node gone,
+    # then regenerate it byte for byte
+    payload = bytes(random.Random(r).randrange(256) for _ in range(500))
+    src, chunks = encode_dir(capsys, tmp_path, r=r, payload=payload)
+    lost = chunks / "node001.rgen"
+    original = lost.read_bytes()
+    assert original[22] == r
+    lost.unlink()
+    dst = tmp_path / "out.bin"
+    assert run(capsys, "reconstruct", chunks, "--out", dst)[0] == 0
+    assert dst.read_bytes() == payload
+    assert run(capsys, "regenerate", chunks, "--failed", 1)[0] == 0
+    assert lost.read_bytes() == original
+
+
 @pytest.mark.parametrize("payload", [b"", b"\xa7"])
 def test_tiny_payloads(capsys, tmp_path, payload):
     src, chunks = encode_dir(capsys, tmp_path, payload=payload, beta=1)
@@ -263,6 +280,29 @@ def test_forged_header_is_a_crashed_node(capsys, tmp_path, victim):
     assert warning_lines(out) == [f"warning=chunk_foreign path={path}"]
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "regenerate"])
+def test_foreign_polynomial_is_an_unreadable_node(capsys, tmp_path, command):
+    # the field's polynomial is fixed by m: a file whose prim_poly bytes
+    # (8-11) name another primitive polynomial of degree 8 is unreadable,
+    # a crashed node, and the other five files of n = 6 suffice
+    src, chunks = encode_dir(capsys, tmp_path)
+    victim = chunks / "node002.rgen"
+    original = victim.read_bytes()
+    victim.write_bytes(original[:8] + (0x12D).to_bytes(4, "big") + original[12:])
+    if command == "reconstruct":
+        dst = tmp_path / "o"
+        code, out, _ = run(capsys, "reconstruct", chunks, "--out", dst)
+        assert dst.read_bytes() == src.read_bytes()
+    else:
+        code, out, _ = run(capsys, "regenerate", chunks, "--failed", 2)
+        assert victim.read_bytes() == original
+    assert code == 0
+    assert warning_lines(out) == [
+        f"warning=chunk_unreadable path={victim} detail='generator or polynomials "
+        "2, 0x12d, 0x4c11db7 are not those of m=8, r=32'"
+    ]
+
+
 def test_duplicate_node_index_crashes_both_files(capsys, tmp_path):
     # a second file claims node 2 with other content (one body byte differs)
     src, chunks = encode_dir(capsys, tmp_path)
@@ -456,6 +496,22 @@ def test_analyze_rejects_bad_parameters(capsys):
     )
     assert code == 1
     assert "error=InvalidParams" in err
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["--n", "6", "--k", "3", "--d", "4", "--m", "17"],
+     "no field GF(2^17) with 2 <= m <= 16 and n=6 nonzero points"),
+    (["--n", "100", "--k", "20", "--d", "38", "--m", "4"],
+     "no field GF(2^4) with 2 <= m <= 16 and n=100 nonzero points"),
+])
+def test_analyze_refuses_fields_encode_refuses(capsys, tmp_path, argv, detail):
+    # analyze reports only fields a store can use: encode refuses the same flags
+    record = f"error=InvalidParams detail={detail!r}\n"
+    assert run(capsys, "analyze", "--family", "msr", *argv) == (1, "", record)
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"x" * 100)
+    code, _, err = run(capsys, "encode", src, "--family", "msr", *argv, "--out", tmp_path)
+    assert (code, err.startswith("error=InvalidParams ")) == (1, True)
 
 
 def write_config(tmp_path, **kv):

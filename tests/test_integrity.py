@@ -36,14 +36,20 @@ def _reflect_bits(value, width):
     return sum(((value >> i) & 1) << (width - 1 - i) for i in range(width))
 
 
-def oracle_crc(bits, r, poly):
-    """Bit-by-bit long division in most-significant-first register form."""
+def oracle_register(bits, r, poly, reg):
+    """Bit-by-bit long division in most-significant-first register form,
+    from the register value reg; the result reflected."""
     mask = (1 << r) - 1
-    reg = mask
     for b in bits:
         top = (reg >> (r - 1)) & 1
         reg = ((reg << 1) & mask) ^ (poly if top ^ (int(b) & 1) else 0)
-    return _reflect_bits(reg, r) ^ mask
+    return _reflect_bits(reg, r)
+
+
+def oracle_crc(bits, r, poly):
+    """The checksum: all-ones initial register, final complement."""
+    mask = (1 << r) - 1
+    return oracle_register(bits, r, poly, mask) ^ mask
 
 
 def lsb_first_bits(data: bytes) -> np.ndarray:
@@ -74,7 +80,7 @@ def test_crc32_matches_zlib_on_byte_streams():
 
 def test_crc_matches_long_division_oracle_all_widths():
     rng = random.Random(0x0A11)
-    for r in (4, 8, 16, 32):
+    for r in (4, 8, 16, 32, 64):
         params = CrcParams(r)
         for _ in range(25):
             bits = [rng.randrange(2) for _ in range(rng.randrange(0, 90))]
@@ -82,12 +88,15 @@ def test_crc_matches_long_division_oracle_all_widths():
 
 
 def test_crc_byte_table_agrees_with_bitwise_on_ragged_lengths():
-    # lengths straddling byte boundaries exercise the table + tail split
-    params = CrcParams(16)
-    rng = random.Random(7)
-    for nbits in range(0, 40):
-        bits = [rng.randrange(2) for _ in range(nbits)]
-        assert crc_checksum(*packed(bits), params) == oracle_crc(bits, 16, params.poly)
+    # lengths straddling byte boundaries exercise the table + tail split;
+    # at r = 4 the byte table's register is narrower than the byte it reads
+    for r in (4, 8, 16):
+        params = CrcParams(r)
+        rng = random.Random(7 + r)
+        for nbits in range(0, 40):
+            bits = [rng.randrange(2) for _ in range(nbits)]
+            assert crc_checksum(*packed(bits), params) == oracle_crc(bits, r, params.poly)
+            assert crc_linear(*packed(bits), params) == oracle_register(bits, r, params.poly, 0)
 
 
 def test_append_verify_round_trip_and_single_bit_flips():
@@ -132,12 +141,10 @@ def test_crc_linearity():
 
 def test_crc_params_validation():
     with pytest.raises(InvalidParams):
-        CrcParams(5)  # no default polynomial
-    with pytest.raises(InvalidParams):
-        CrcParams(8, poly=0x100)  # does not fit truncated form
+        CrcParams(5)  # no polynomial of this width
     with pytest.raises(InvalidParams):
         CrcParams(0)
-    assert CrcParams(5, poly=0x15).r == 5
+    assert CrcParams(64).poly == 0x42F0E1EBA9EA3693
 
 
 # -- packed frames ---------------------------------------------------------
