@@ -3,10 +3,10 @@
 ``capabilities`` evaluates a code point and every cell of the capability
 table for either code family: erasure and Byzantine fault tolerance,
 security strength under colluding forgery, and redundancy ratios of the
-integrity checksums on storage and bandwidth.  The two families differ
-in two numbers only: the chunk height α (their params' ``alpha_for``)
-and the dimension of the row code a data collector decodes.  B is the
-cut-set bound at α.
+integrity checksums on storage and bandwidth.  It builds the params and
+the ``CrcParams`` that ``encode`` builds, so it refuses what ``encode``
+refuses, with the same error, and reads α and B off the params.  The
+families differ in α and in the dimension of the row code a collector decodes.
 
 Conventions: ``alpha`` and ``B`` are per-stripe symbol counts (as for the
 codec parameter objects); ``beta`` multiplies them where a formula depends
@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .cluster import PARAMS
 from .errors import InvalidParams
-from .galois import DEFAULT_PRIMITIVE_POLYS
-from .integrity import checksum_code_size
+from .galois import GF
+from .integrity import CrcParams, checksum_code_size
 
 
 def cut_set_bound(n: int, k: int, d: int, alpha: int, beta: int) -> int:
@@ -74,15 +74,11 @@ def percent(ratio: Fraction) -> str:
 def capabilities(n: int, k: int, d: int, family: str, *, beta: int = 1,
                  m: int = 8, r: int = 32) -> Capabilities:
     """Evaluate one family's code point and every capability cell."""
-    cut_set_bound(n, k, d, 1, 1)  # checks (n, k, d) before the family
     if family not in PARAMS:
         raise InvalidParams(f"unknown family {family!r}")
-    if beta < 1 or r < 1:
-        raise InvalidParams("beta and r must be positive")
-    if m not in DEFAULT_PRIMITIVE_POLYS or n >= 1 << m:  # what GF and RsParams refuse
-        raise InvalidParams(f"no field GF(2^{m}) with 2 <= m <= 16 and n={n} nonzero points")
-    alpha = PARAMS[family].alpha_for(k, d)
-    B = cut_set_bound(n, k, d, alpha, 1)
+    params = PARAMS[family](n, k, d, beta, GF(m))
+    CrcParams(r)  # refuses a width with no polynomial
+    alpha, B = params.alpha, params.B
     # the coded scheme's [n-1, k'] share code needs n >= 3; below that its
     # cells take the sizes at n = 3 and vouch for nothing, as when k' > n-1
     mp, kp = checksum_code_size(max(n, 3), r)

@@ -44,7 +44,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import progressive
-from .errors import InvalidParams
 from .progressive import ProductMatrixParams, read_u, symmetric_fill
 from .rscode import ProgressiveDecoder, RsParams, vandermonde_inverse
 
@@ -59,8 +58,6 @@ class MbrParams(ProductMatrixParams):
         return d
 
     def __init__(self, n: int, k: int, d: int, beta: int, field):
-        if k < 1:
-            raise InvalidParams(f"k={k} must be positive")
         super().__init__(n, k, d, beta, field)
         self.B = k * d - k * (k - 1) // 2
         self.code_k = RsParams(n, k, field)

@@ -1,7 +1,7 @@
-"""Minimum-storage regenerating code for d = 2k-2: the U layout, the
-reconstruct procedure and the regenerate column map.  Parameter checks,
-U's packing, ``encode`` and ``repair_response`` are the shared
-product-matrix layer of ``progressive``.
+"""Minimum-storage regenerating code for d = 2k-2: its own parameter rules,
+the U layout, the reconstruct procedure and the regenerate column map.  The
+(n, k, d) check, U's packing, ``encode`` and ``repair_response`` are the
+shared product-matrix layer of ``progressive``.
 
 The B = α(α+1) message symbols (α = k-1 = d/2) fill two symmetric α×α
 matrices A1, A2, laid out as U = [A1 | A2] by one α×d index map.  Node
@@ -49,15 +49,17 @@ class MsrParams(ProductMatrixParams):
     def alpha_for(k: int, d: int) -> int:  # symbols per node and stripe
         return d - k + 1
 
-    def __init__(self, n: int, k: int, d: int, beta: int, field):
-        if k < 2:
-            raise InvalidParams(f"k={k} leaves no message symbols")
+    def check_point(self):
+        """d = 2k-2, and n·α ≤ 2^m, so that the λ_i = a^(i·α) are distinct."""
+        n, k, d, m = self.n, self.k, self.d, self.field.m
         if d != 2 * (k - 1):
             raise InvalidParams(f"construction requires d = 2k-2, got k={k}, d={d}")
+        if m < (n * self.alpha - 1).bit_length():
+            raise InvalidParams(f"m={m} too small for n*alpha={n * self.alpha}; powers would wrap")
+
+    def __init__(self, n: int, k: int, d: int, beta: int, field):
         super().__init__(n, k, d, beta, field)
         alpha = self.alpha
-        if field.m < (n * alpha - 1).bit_length():
-            raise InvalidParams(f"m={field.m} too small for n*alpha={n * alpha}; powers would wrap")
         self.B = alpha * (alpha + 1)
         self.lam = self.G[alpha]  # λ_i = (a^i)^α, distinct: i·α < 2^m - 1 for i < n
         self.fill = np.hstack([symmetric_fill(alpha), symmetric_fill(alpha, alpha * (alpha + 1) // 2)])

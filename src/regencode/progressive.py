@@ -52,15 +52,19 @@ class ProductMatrixParams:
     message index of every entry of U (α×d; B marks MBR's zero corner)."""
 
     def __init__(self, n: int, k: int, d: int, beta: int, field: GF):
-        if not k <= d <= n - 1:
-            raise InvalidParams(f"need k <= d <= n-1, got n={n}, k={k}, d={d}")
+        if not 1 <= k <= d <= n - 1:  # the text of analysis.cut_set_bound
+            raise InvalidParams(f"need 1 <= k <= d <= n-1, got n={n}, k={k}, d={d}")
         if beta < 1:
             raise InvalidParams(f"beta={beta} must be positive")
         self.n, self.k, self.d, self.beta = n, k, d, beta
         self.field = field
         self.alpha = self.alpha_for(k, d)
+        self.check_point()  # before any table is built
         self.code = RsParams(n, d, field)
         self.G = self.code.G  # d×n; column i is g_i
+
+    def check_point(self):
+        """The family's own rules: raise InvalidParams for a point it cannot build."""
 
     @cached_property
     def reads(self) -> tuple[np.ndarray, np.ndarray]:

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from regencode.analysis import capabilities, cut_set_bound, percent
-from regencode.cluster import FAIL, Adversarial, FaultPlan, inject, run_regeneration, store
+from regencode.cluster import (
+    FAIL, PARAMS, Adversarial, FaultPlan, SeededRandom, inject, run_reconstruction,
+    run_regeneration, store,
+)
 from regencode.errors import InvalidParams
 from regencode.galois import GF
-from regencode.integrity import CODED, CrcParams
+from regencode.integrity import CODED, REPLICATED, CrcParams
 from regencode.mbr import MbrParams
 from regencode.msr import MsrParams
 
@@ -127,20 +130,22 @@ def test_capability_table_boundaries():
     assert rep.byzantine_reconstruction == 0
     with pytest.raises(InvalidParams):
         capabilities(5, 3, 4, "lrc", m=4, r=8)
-    # checksum larger than the stored data: 6 symbols of 3 bits
+    # checksum larger than the stored data: 9 symbols of 3 bits (MSR [6,3,4]
+    # needs n·α = 12 powers, more than GF(2^3) has, and is refused first)
     with pytest.raises(InvalidParams, match="no room for data"):
-        capabilities(6, 3, 4, "msr", m=3, r=32)
+        capabilities(6, 3, 4, "mbr", m=3, r=32)
 
 
 def test_fields_no_code_can_use_are_refused():
-    # the checks GF and RsParams make: a degree with no primitive polynomial,
-    # and more nodes than the field has nonzero points
+    # the checks GF, MsrParams and RsParams make: a degree with no primitive
+    # polynomial, more MSR powers n·α than the field has, and more nodes than
+    # the field has nonzero points
     for m in (0, 1, 17):
-        with pytest.raises(InvalidParams, match=rf"no field GF\(2\^{m}\)"):
+        with pytest.raises(InvalidParams, match=rf"field degree m={m} outside supported range"):
             capabilities(6, 3, 4, "msr", m=m, r=8)
-    with pytest.raises(InvalidParams, match="n=100 nonzero points"):
+    with pytest.raises(InvalidParams, match=r"m=4 too small for n\*alpha=1900"):
         capabilities(100, 20, 38, "msr", m=4, r=8)
-    with pytest.raises(InvalidParams, match="n=16 nonzero points"):
+    with pytest.raises(InvalidParams, match="length n=16 exceeds the 15 distinct nonzero points"):
         capabilities(16, 4, 7, "mbr", m=4, r=8)
     assert capabilities(15, 4, 7, "mbr", m=4, r=8).n == 15  # full length: every point
 
@@ -148,20 +153,22 @@ def test_fields_no_code_can_use_are_refused():
 def test_two_nodes_report_coded_cells_infeasible():
     # no [n-1, k'] share code exists below n = 3: the coded cells take the
     # sizes at n = 3 (m' = 2) and vouch for nothing, as when k' > n-1; the
-    # replicated cells are reported (a 16-bit symbol holds the 8-bit checksum)
-    for family in ("msr", "mbr"):
-        rep = capabilities(2, 1, 1, family, m=16, r=8)
-        assert (rep.alpha, rep.B) == (1, 1)
-        assert (rep.m_prime, rep.k_prime) == (2, 4)
-        assert rep.k_prime > rep.n - 1
-        assert rep.erasure_reconstruction == 1
-        assert rep.erasure_regeneration == 0
-        assert rep.byzantine_regeneration == 0
-        assert rep.storage_reconstruction == Fraction(8, 16 - 8)
-        assert rep.storage_regeneration_replicated == Fraction(8, 16)
-        assert rep.storage_regeneration_coded == Fraction(2, 16)
-    rep = capabilities(2, 1, 1, "msr", m=8, r=2)
-    assert (rep.m_prime, rep.k_prime, rep.byzantine_regeneration) == (2, 1, 0)
+    # replicated cells are reported (a 16-bit symbol holds the 8-bit checksum).
+    # MBR is the family with a point at n = 2: MSR [2,1,1] breaks d = 2k-2
+    rep = capabilities(2, 1, 1, "mbr", m=16, r=8)
+    assert (rep.alpha, rep.B) == (1, 1)
+    assert (rep.m_prime, rep.k_prime) == (2, 4)
+    assert rep.k_prime > rep.n - 1
+    assert rep.erasure_reconstruction == 1
+    assert rep.erasure_regeneration == 0
+    assert rep.byzantine_regeneration == 0
+    assert rep.storage_reconstruction == Fraction(8, 16 - 8)
+    assert rep.storage_regeneration_replicated == Fraction(8, 16)
+    assert rep.storage_regeneration_coded == Fraction(2, 16)
+    rep = capabilities(2, 1, 1, "mbr", m=8, r=4)  # the narrowest checksum
+    assert (rep.m_prime, rep.k_prime, rep.byzantine_regeneration) == (2, 2, 0)
+    with pytest.raises(InvalidParams, match="construction requires d = 2k-2"):
+        capabilities(2, 1, 1, "msr", m=16, r=8)
     with pytest.raises(InvalidParams, match="no room for data"):
         capabilities(2, 1, 1, "mbr", m=11, r=32)  # 11 stored bits, 32 checksum bits
 
@@ -197,3 +204,42 @@ def test_byzantine_regeneration_budget_is_exact(n, k, d, m, r, budget):
         assert chunk is not None and np.array_equal(chunk, state.nodes[failed].chunk)
     assert any(run(f, liars)[1].outcome == FAIL for f in range(n)
                for liars in itertools.combinations([j for j in range(n) if j != f], budget + 1))
+
+
+@pytest.mark.parametrize("r", [8, 16])
+@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("family,n,k,d", [
+    ("msr", 6, 3, 4), ("msr", 5, 3, 4), ("mbr", 6, 3, 4), ("mbr", 5, 2, 3),
+])
+def test_erasure_cells_match_real_runs(family, n, k, d, m, r):
+    # every crash set of the reported size reconstructs the payload (or
+    # regenerates each failed node's chunk) exactly, and some set one node
+    # larger ends FAIL.  The coded scheme needs k' = ceil(r/m') <= n-1 shares,
+    # which r = 16 breaks at n <= 6 (m' = 3)
+    rep = capabilities(n, k, d, family, m=m, r=r)
+    params = PARAMS[family](n, k, d, 2, GF(m))
+    bits = np.random.default_rng([n, k, d, m, r]).integers(0, 2, 2 * params.B * m - r)
+    for scheme in (REPLICATED, CODED) if r == 8 else (REPLICATED,):
+        state = store(bits, params, scheme, crc=CrcParams(r), seed=m)
+
+        def reconstruct(crashes):
+            return run_reconstruction(inject(state, FaultPlan(crashes=frozenset(crashes))),
+                                      SeededRandom(r))
+
+        for crashes in itertools.combinations(range(n), rep.erasure_reconstruction):
+            out, _ = reconstruct(crashes)
+            assert out is not None and np.array_equal(out, bits)
+        assert any(reconstruct(crashes)[1].outcome == FAIL
+                   for crashes in itertools.combinations(range(n), rep.erasure_reconstruction + 1))
+
+        def regenerate(failed, crashes):
+            faulty = inject(state, FaultPlan(crashes=frozenset({failed, *crashes})))
+            return run_regeneration(faulty, failed, SeededRandom(r))
+
+        others = {f: [j for j in range(n) if j != f] for f in range(n)}
+        for failed in range(n):
+            for crashes in itertools.combinations(others[failed], rep.erasure_regeneration):
+                chunk, _ = regenerate(failed, crashes)
+                assert chunk is not None and np.array_equal(chunk, state.nodes[failed].chunk)
+        assert any(regenerate(f, crashes)[1].outcome == FAIL for f in range(n)
+                   for crashes in itertools.combinations(others[f], rep.erasure_regeneration + 1))

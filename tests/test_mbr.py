@@ -65,7 +65,7 @@ def accept_checksum(checksum, crc_of):
 def test_params_validation():
     with pytest.raises(InvalidParams):
         mbr.MbrParams(6, 5, 4, 1, F16)  # k > d
-    with pytest.raises(InvalidParams, match="k=0 must be positive"):
+    with pytest.raises(InvalidParams, match=r"need 1 <= k <= d <= n-1, got n=6, k=0, d=4"):
         mbr.MbrParams(6, 0, 4, 1, F16)
     with pytest.raises(InvalidParams):
         mbr.MbrParams(4, 3, 4, 1, F16)  # d > n-1

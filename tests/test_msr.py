@@ -3,6 +3,7 @@ paths, and regeneration, against ground-truth and rscode oracles."""
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,20 @@ def test_params_validation():
     p = small_params()
     assert (p.alpha, p.B) == (2, 6)
     assert len(set(p.lam.tolist())) == p.n
+
+
+def test_too_many_powers_refused_before_any_table():
+    # n·α = 6000 > 2^12 powers: refused before the [3000, 4] row code's
+    # n×n tables (hundreds of MiB) are built
+    field = GF(12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParams, match=r"n\*alpha=6000"):
+            msr.MsrParams(3000, 3, 4, 1, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_fill_maps_frozen_alpha2():
