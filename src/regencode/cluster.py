@@ -54,6 +54,7 @@ from .integrity import (
     build_directory,
     bytes_to_symbols,
     chunk_checksum,
+    chunk_checksums,
     crc_checksum,
     crc_linear,
     crc_verify,
@@ -191,8 +192,7 @@ def store(payload, params, scheme: str = REPLICATED, *, crc: CrcParams | None = 
     stripes = bytes_to_symbols(frame.to_bytes(nbytes, "big"), m, params.beta * params.B)
     stripes = stripes.reshape(params.beta, params.B)
     chunks = CODECS[params.family].encode(stripes, params)
-    checksums = [chunk_checksum(chunks[i], m, crc) for i in range(params.n)]
-    directory = build_directory(checksums, scheme, crc)
+    directory = build_directory(chunk_checksums(chunks, m, crc), scheme, crc)
     nodes = [
         NodeSlot(np.array(chunks[i]), directory[i]) for i in range(params.n)
     ]

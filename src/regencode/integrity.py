@@ -29,8 +29,10 @@ n-1 nodes in one of two ways:
   decoding and tolerates floor((d-k')/2) forged shares out of d, at a
   per-node cost of (n-1)*m' bits instead of (n-1)*r.
 
-``build_directory`` returns all shares as one n×n array: row j, indexed
-by owner, is what node j holds, with a zero at j itself.
+``chunk_checksums`` packs all n chunks in one pass.  ``build_directory``
+returns all shares as one n×n array: row j, indexed by owner, is what
+node j holds, with a zero at j itself; it writes each owner's n-1 words
+around the diagonal of an owner-major matrix, then transposes it.
 """
 
 from __future__ import annotations
@@ -105,15 +107,19 @@ def bits_at(data: bytes, start: int, width: int) -> int:
     return value >> (8 * stop - start - width) & ((1 << width) - 1)
 
 
+def _packed_rows(rows: np.ndarray, m: int) -> np.ndarray:
+    """Each row of 2-D symbols as uint8, serialised as ``symbols_to_bytes`` does."""
+    if m == 8:
+        return rows.astype(np.uint8, order="C")
+    bits = np.unpackbits(rows.astype(">u2", order="C").view(np.uint8))
+    return np.packbits(bits.reshape(len(rows), -1, 16)[:, :, 16 - m :].reshape(len(rows), -1), axis=1)
+
+
 def symbols_to_bytes(symbols, m: int) -> bytes:
     """Serialise field elements as m bits each, most-significant first, and
     zero-pad the last byte.  For m == 8 each symbol is one byte; otherwise
     the last m bits of each symbol's big-endian uint16 are kept."""
-    syms = np.asarray(symbols).reshape(-1)
-    if m == 8:
-        return syms.astype(np.uint8).tobytes()
-    bits = np.unpackbits(syms.astype(">u2").view(np.uint8)).reshape(-1, 16)[:, 16 - m :]
-    return np.packbits(bits).tobytes()
+    return _packed_rows(np.reshape(symbols, (1, -1)), m).tobytes()
 
 
 def bytes_to_symbols(data: bytes, m: int, count: int) -> np.ndarray:
@@ -175,9 +181,20 @@ def crc_verify(data: bytes, nbits: int, params: CrcParams) -> bool:
     return crc_checksum(data, payload, params) == bits_at(data, payload, params.r)
 
 
+def chunk_checksums(chunks, m: int, params: CrcParams) -> list[int]:
+    """``chunk_checksum`` of each chunk along the first axis: all packed in
+    one pass, each row zero-padded to whole bytes, then one ``crc_checksum``
+    per chunk over a memoryview of its bytes (a tail bit reads a Python int)."""
+    rows = np.asarray(chunks)
+    rows = rows.reshape(len(rows), -1)
+    packed = _packed_rows(rows, m)
+    data, width, nbits = memoryview(packed.reshape(-1)), packed.shape[1], rows.shape[1] * m
+    return [crc_checksum(data[i * width : (i + 1) * width], nbits, params) for i in range(len(rows))]
+
+
 def chunk_checksum(symbols, m: int, params: CrcParams) -> int:
     """Checksum of a stored chunk, taken over its serialised bits."""
-    return crc_checksum(symbols_to_bytes(symbols, m), np.size(symbols) * m, params)
+    return chunk_checksums(np.reshape(symbols, (1, -1)), m, params)[0]
 
 
 # -- checksum directories -------------------------------------------------
@@ -248,11 +265,6 @@ def coded_layout(n: int, r: int) -> CodedLayout:
     return CodedLayout(n, r)
 
 
-def _peer_position(holder, owner):
-    """Index of a holder node within the owner's ascending peer list; elementwise on arrays."""
-    return holder - (holder > owner)
-
-
 def build_directory(checksums, scheme: str, crc: CrcParams) -> np.ndarray:
     """The n×n uint64 share directory: shares[j, i] is holder j's share of
     node i's checksum, and the diagonal is zero (no node vouches for
@@ -262,15 +274,15 @@ def build_directory(checksums, scheme: str, crc: CrcParams) -> np.ndarray:
         raise InvalidParams(f"unknown checksum scheme {scheme!r}")
     n = len(checksums)
     cs = np.array([int(c) for c in checksums], dtype=np.uint64)
-    holder, owner = np.nonzero(~np.eye(n, dtype=bool))
-    shares = np.zeros((n, n), dtype=np.uint64)
     if scheme == REPLICATED:
-        shares[holder, owner] = cs[owner]
-    else:  # one codeword per owner; holder j takes its peer position's coordinate
+        words = np.broadcast_to(cs[:, None], (n, n - 1))
+    else:  # one codeword per owner, its coordinates in peer-position order
         layout = coded_layout(n, crc.r)
         words = encode_eval(layout.checksum_to_message(cs), layout.code)
-        shares[holder, owner] = words[owner, _peer_position(holder, owner)]
-    return shares
+    # owner i's n-1 words fill row i around the diagonal: every (n+1)-th cell
+    by_owner = np.zeros((n, n), dtype=np.uint64)
+    by_owner.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] = words.reshape(n - 1, n)
+    return by_owner.T
 
 
 def recover_checksum(
@@ -296,5 +308,6 @@ def recover_checksum(
             raise NoMajority(f"top candidate holds {top} of {len(responses)} votes")
         return value
     layout = coded_layout(n, crc.r)
-    word = ReceivedWord({_peer_position(j, failed): v for j, v in responses.items()})
+    # a holder's coordinate is its place in the failed node's ascending peer list
+    word = ReceivedWord({j - (j > failed): v for j, v in responses.items()})
     return layout.message_to_checksum(decode_error_erasure(word, layout.code).messages)

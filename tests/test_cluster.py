@@ -108,6 +108,39 @@ def test_store_accepts_bytes():
     assert bytes(np.packbits(out)) == b"hi"
 
 
+def snapshot(state):
+    """Every node's chunk and shares as (dtype, shape, bytes), and its status."""
+    return [
+        [(a.dtype, a.shape, a.tobytes()) for a in (s.chunk, s.shares)] + [s.status]
+        for s in state.nodes
+    ]
+
+
+@pytest.mark.parametrize("family", ["msr", "mbr"])
+@pytest.mark.parametrize("scheme", [REPLICATED, CODED])
+def test_stored_nodes_are_independent(family, scheme):
+    """Each node owns its chunk and its shares: writing into one node's
+    arrays changes no other node, and inject leaves its input bit-identical."""
+    state, _ = make_state(family, scheme=scheme)
+    before = snapshot(state)
+    for i, slot in enumerate(state.nodes):
+        slot.chunk ^= 1
+        slot.shares ^= np.uint64(1)
+        after = snapshot(state)
+        assert after[i] != before[i]
+        assert after[:i] + after[i + 1 :] == before[:i] + before[i + 1 :]
+        slot.chunk ^= 1
+        slot.shares ^= np.uint64(1)
+    assert snapshot(state) == before
+    strategies = [RandomCorruption(1.0)]
+    if family == "msr":
+        strategies.append(build_msr_zero_crc_forgery(state, [1, 2]))
+    for strategy in strategies:
+        out = inject(state, FaultPlan(crashes={0}, byzantine={1, 2}, strategy=strategy))
+        assert snapshot(out) != before
+        assert snapshot(state) == before
+
+
 # ---------------------------------------------------------------------------
 # inject
 

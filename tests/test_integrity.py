@@ -1,5 +1,6 @@
 """Checksum core, packed frames, and checksum-share directories."""
 
+import math
 import random
 import zlib
 
@@ -18,6 +19,7 @@ from regencode.integrity import (
     build_directory,
     bytes_to_symbols,
     chunk_checksum,
+    chunk_checksums,
     coded_layout,
     crc_checksum,
     crc_linear,
@@ -212,6 +214,37 @@ def test_chunk_checksum_equals_bit_serialisation():
     assert chunk_checksum(syms, 4, CRC32) == expect
 
 
+def old_chunk_checksum(chunk, m, crc):
+    """Oracle: the per-chunk body, one serialisation and one CRC per chunk."""
+    chunk = np.asarray(chunk)
+    return crc_checksum(symbols_to_bytes(chunk, m), chunk.size * m, crc)
+
+
+@pytest.mark.parametrize("r", [4, 8, 16, 32, 64])
+@pytest.mark.parametrize("m", [2, 3, 8, 11, 16])
+def test_chunk_checksums_match_per_chunk_and_bit_oracles(m, r):
+    """All chunks packed at once give each chunk's own checksum, for every
+    chunk width mod 8 that m allows, from encode's transposed (n, β, α)
+    view as from a contiguous array."""
+    crc = CrcParams(r)
+    rng = np.random.default_rng([m, r])
+    residues = set()
+    for n in (1, 3, 100):
+        for beta, alpha in [(1, 1), (1, 2), (3, 1), (2, 2), (1, 5), (3, 2), (7, 1), (2, 4), (5, 3)]:
+            # laid out as encode returns it: (β, α, n) transposed to (n, β, α)
+            by_stripe = rng.integers(0, 1 << m, (beta, alpha, n))
+            by_stripe.flat[:2] = [0, (1 << m) - 1][: by_stripe.size]
+            chunks = by_stripe.transpose(2, 0, 1)
+            want = [oracle_crc(shift_bits(c, m), r, crc.poly) for c in chunks]
+            assert [old_chunk_checksum(c, m, crc) for c in chunks] == want
+            got = chunk_checksums(chunks, m, crc)
+            assert got == want and all(type(v) is int for v in got)
+            assert chunk_checksums(np.ascontiguousarray(chunks), m, crc) == want
+            assert [chunk_checksum(c, m, crc) for c in chunks] == want
+            residues.add(beta * alpha * m % 8)
+    assert residues == set(range(0, 8, math.gcd(m, 8)))  # every width mod 8 that m allows
+
+
 # -- directories -----------------------------------------------------------
 
 
@@ -295,7 +328,7 @@ def coded_layout_fails(n, r):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("n", [3, 4, 17, 100])
+@pytest.mark.parametrize("n", [2, 3, 4, 17, 100])
 @pytest.mark.parametrize("r", [8, 16, 32])
 def test_directory_matches_per_share_oracle(scheme, n, r):
     crc = CrcParams(r)
@@ -463,13 +496,17 @@ SHAPES = {("mbr", 2): (2, 1, 1), ("msr", 3): (3, 2, 2), ("mbr", 3): (3, 2, 2)}
 def test_store_frames_match_bit_level_recipe(family, m, r):
     """Chunks are the encode of payload ∥ CRC ∥ zero pad cut into m-bit
     symbols, built here one uint8 per bit, for every payload length mod 8
-    at both ends of the frame; reconstruction returns the payload bits."""
+    at both ends of the frame; each node's shares are the per-share
+    directory of the chunks' bit-level CRCs, under every scheme the shape
+    admits (chunks of m = 3 and 11 end inside a byte); reconstruction
+    returns the payload bits."""
     cls = MbrParams if family == "mbr" else MsrParams
     n, k, d = SHAPES.get((family, m), (6, 3, 4))
     field, crc = GF(m), CrcParams(r)
     per_stripe = cls(n, k, d, 1, field).B * m
     params = cls(n, k, d, -(-(r + 16) // per_stripe), field)
     capacity = params.beta * params.B * m
+    schemes = [s for s in SCHEMES if s == REPLICATED or not coded_layout_fails(n, r)]
     rng = np.random.default_rng([m, r, family == "mbr"])
     for nbits in [*range(8), *range(capacity - r - 7, capacity - r + 1)]:
         payload = rng.integers(0, 2, nbits, dtype=np.uint8)
@@ -477,9 +514,13 @@ def test_store_frames_match_bit_level_recipe(family, m, r):
         framed[: nbits + r] = np.concatenate([payload, int_bits(oracle_crc(payload, r, crc.poly), r)])
         stripes = weighted_symbols(framed, m).reshape(params.beta, params.B)
         want = CODECS[family].encode(stripes, params)
-        state = store(payload, params, crc=crc)
+        checksums = [oracle_crc(shift_bits(chunk, m), r, crc.poly) for chunk in want]
+        states = {scheme: store(payload, params, scheme, crc=crc) for scheme in schemes}
+        for scheme, stored in states.items():
+            assert all(np.array_equal(slot.chunk, want[i]) for i, slot in enumerate(stored.nodes))
+            assert [slot.shares.tolist() for slot in stored.nodes] == per_share_directory(checksums, scheme, crc)
+        state = states[REPLICATED]
         assert state.payload_bit_len == nbits
-        assert all(np.array_equal(slot.chunk, want[i]) for i, slot in enumerate(state.nodes))
         if nbits % 8 == 0:
             as_bytes = store(packed(payload)[0], params, crc=crc)
             assert all(np.array_equal(slot.chunk, want[i]) for i, slot in enumerate(as_bytes.nodes))
