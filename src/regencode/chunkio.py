@@ -19,7 +19,10 @@ them, and ``unpack_chunk`` rejects other values or an m or r without one.
 Body: ``beta * alpha`` symbols in stripe-major order, each in ceil(m/8)
 bytes most-significant-bit-first; then n-1 checksum shares in ascending
 owner order, each in ceil(r/8) bytes (replicated scheme) or ceil(m'/8)
-bytes (coded scheme).
+bytes (coded scheme).  Each part is one array of big-endian words, cast
+to and viewed as ``>u{width}``.  A width is always 1, 2, 4 or 8:
+2 <= m <= 16, r is 4, 8, 16, 32 or 64, and m' <= 16 because the header's
+n is a u16; ``_polys`` rejects any other m or r before a width is read.
 
 In memory the shares are the node's row of the checksum directory: n
 entries indexed by owner, with a zero at the node's own index.  The file
@@ -129,10 +132,15 @@ def pack_chunk(header: ChunkHeader, chunk, shares) -> bytes:
         raise MalformedChunk(
             f"shares must be a row of {header.n} with a zero at node {header.node_index}"
         )
-    # a negative value wraps to a huge unsigned one and fails the width check
-    body = _be_bytes(chunk.reshape(-1).astype(np.uint64), header.symbol_bytes)
-    body += _be_bytes(np.delete(shares, header.node_index).astype(np.uint64), header.share_bytes)
-    return head + body
+    # numpy shifts a negative value to -1, by 64 bits too, so both checks
+    # also refuse negative values
+    if (chunk >> header.m).any():
+        raise MalformedChunk(f"symbol exceeds {header.m} bits")
+    row = np.delete(shares, header.node_index)
+    if (row >> 8 * header.share_bytes).any():
+        raise MalformedChunk(f"share does not fit in {header.share_bytes} bytes")
+    return (head + chunk.astype(f">u{header.symbol_bytes}").tobytes()
+            + row.astype(f">u{header.share_bytes}").tobytes())
 
 
 def unpack_chunk(data: bytes) -> tuple[ChunkHeader, np.ndarray, np.ndarray]:
@@ -159,32 +167,18 @@ def unpack_chunk(data: bytes) -> tuple[ChunkHeader, np.ndarray, np.ndarray]:
         raise MalformedChunk(f"need 1 <= k <= d < n, got n={n}, k={k}, d={d}")
     header = ChunkHeader(_FAMILY_NAMES[family_code], m, n, k, d, beta, r,
                          _SCHEME_NAMES[scheme_code], node_index, bit_len)
-    body = data[_HEADER.size :]
+    body = memoryview(data)[_HEADER.size :]
     if len(body) != header.body_size():
         raise MalformedChunk(
             f"body has {len(body)} bytes, layout requires {header.body_size()}"
         )
-    off = header.beta * header.alpha * header.symbol_bytes
-    flat = _be_values(body[:off], header.symbol_bytes)
-    if (flat >> np.uint64(m)).any():
+    count = header.beta * header.alpha
+    flat = np.frombuffer(body, f">u{header.symbol_bytes}", count)
+    if (flat >> m).any():
         raise MalformedChunk(f"symbol exceeds {m} bits")
     chunk = flat.astype(np.int64).reshape(header.beta, header.alpha)
-    shares = np.insert(_be_values(body[off:], header.share_bytes), node_index, 0)
-    return header, chunk, shares
-
-
-def _be_bytes(values: np.ndarray, width: int) -> bytes:
-    """Unsigned values as width-byte big-endian integers, width <= 8."""
-    if width < 8 and (values >> np.uint64(8 * width)).any():
-        raise MalformedChunk(f"value does not fit in {width} bytes")
-    return values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width :].tobytes()
-
-
-def _be_values(raw: bytes, width: int) -> np.ndarray:
-    """Inverse of _be_bytes: the width-byte big-endian integers in raw."""
-    padded = np.zeros((len(raw) // width, 8), dtype=np.uint8)
-    padded[:, 8 - width :] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
-    return padded.view(">u8")[:, 0].astype(np.uint64)
+    row = np.frombuffer(body, f">u{header.share_bytes}", n - 1, count * header.symbol_bytes)
+    return header, chunk, np.insert(row.astype(np.uint64), node_index, 0)
 
 
 def read_chunk_file(path) -> tuple[ChunkHeader, np.ndarray, np.ndarray]:

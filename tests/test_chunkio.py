@@ -104,6 +104,17 @@ def test_unpack_keeps_its_checks():
     too_wide[0] = 1 << 32
     with pytest.raises(MalformedChunk):
         pack_chunk(header, chunk, too_wide)
+    # pack refuses a symbol that unpack would refuse
+    wide_symbol = chunk.copy()
+    wide_symbol[0, 0] = 0x800
+    with pytest.raises(MalformedChunk, match="exceeds 11 bits"):
+        pack_chunk(header, wide_symbol, shares)
+    # a negative share does not wrap into the widest share either
+    header64 = make_header(11, 64, REPLICATED)
+    negative = np.zeros(header64.n, dtype=np.int64)
+    negative[0] = -1
+    with pytest.raises(MalformedChunk):
+        pack_chunk(header64, chunk, negative)
 
 
 def test_header_polynomials_are_fixed_by_m_and_r():
@@ -174,19 +185,22 @@ def test_write_is_atomic(tmp_path):
     assert os.listdir(tmp_path) == ["node002.rgen"]
 
 
-def fuzz_file(r, scheme):
-    header = make_header(8, r, scheme, node_index=0, beta=2)
+def fuzz_file(m, r, scheme):
+    header = make_header(m, r, scheme, node_index=0, beta=2)
     chunk = np.arange(header.beta * header.alpha).reshape(header.beta, header.alpha)
     return pack_chunk(header, chunk, 3 * np.arange(header.n))
 
 
-FUZZ_FILES = [fuzz_file(32, REPLICATED), fuzz_file(8, CODED)]
+# every word width the parser reads: 1- and 2-byte symbols; 1-, 4- and
+# 8-byte shares
+FUZZ_FILES = [fuzz_file(8, 32, REPLICATED), fuzz_file(8, 8, CODED),
+              fuzz_file(11, 32, REPLICATED), fuzz_file(8, 64, REPLICATED)]
 N_OFFSET = struct.calcsize(">4sBBBBI")  # where the u16 fields n, k, d start
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
-    which=st.sampled_from([0, 1]),
+    which=st.sampled_from(range(len(FUZZ_FILES))),
     edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=6),
     cut=st.none() | st.integers(0, 1 << 16),
 )
@@ -207,3 +221,6 @@ def test_unpack_parses_or_rejects_any_bytes(which, edits, cut):
         return
     assert chunk.shape == (header.beta, header.alpha)
     assert shares.shape == (header.n,) and shares[header.node_index] == 0
+    # the node's own arrays, whatever the word width
+    assert chunk.dtype == np.int64 and shares.dtype == np.uint64
+    assert chunk.flags.writeable and shares.flags.writeable

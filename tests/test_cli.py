@@ -361,6 +361,32 @@ def test_truncated_chunk_file(capsys, tmp_path):
     assert warnings[0].startswith(f"warning=chunk_unreadable path={victim} detail=")
 
 
+def test_directory_without_chunk_files(capsys, tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("not a chunk file")
+    code, out, err = run(capsys, "reconstruct", empty, "--out", tmp_path / "o")
+    assert code == 1 and not out
+    assert err == "error=InvalidParams detail='no chunk files found'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_no_readable_chunk_file_is_fatal(capsys, tmp_path):
+    # every file cut inside its header: one warning per file, then the
+    # fatal error record
+    _, chunks = encode_dir(capsys, tmp_path)
+    paths = sorted(chunks.glob("*.rgen"))
+    for p in paths:
+        p.write_bytes(p.read_bytes()[: HEADER_LEN - 2])
+    code, out, err = run(capsys, "reconstruct", chunks, "--out", tmp_path / "o")
+    assert code == 1
+    detail = f"'file too short for header ({HEADER_LEN - 2} bytes)'"
+    assert out.splitlines() == [
+        f"warning=chunk_unreadable path={p} detail={detail}" for p in paths
+    ]
+    assert err == "error=MalformedChunk detail='none of the 6 chunk files is readable'\n"
+
+
 @pytest.mark.parametrize("command", ["reconstruct", "regenerate"])
 def test_truncated_body_is_a_crashed_node(capsys, tmp_path, command):
     # cut to half its length, the file keeps its header but loses its body;
@@ -602,6 +628,24 @@ def test_simulate_report_write_is_atomic(capsys, tmp_path, monkeypatch):
     assert code == 1 and "error=OSError" in err
     assert report.read_text() == "previous report\n"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_simulate_config_skips_blank_and_comment_lines(capsys, tmp_path):
+    plain = write_config(tmp_path, family="msr", n=6, k=3, d=4, seed=4, trials=2,
+                         byzantine="random:1")
+    want = run(capsys, "simulate", "--config", plain)
+    assert want[0] == 0 and "wrong_successes=0" in want[1] and not want[2]
+    lines = plain.read_text().splitlines()
+    commented = tmp_path / "commented.cfg"
+    commented.write_text("# a comment\n\n" + "\n  \n#n=99\n".join(lines) + "\n\n")
+    assert run(capsys, "simulate", "--config", commented) == want
+
+
+def test_simulate_rejects_zero_trials(capsys, tmp_path):
+    cfg = write_config(tmp_path, family="msr", n=6, k=3, d=4, trials=0)
+    code, out, err = run(capsys, "simulate", "--config", cfg)
+    assert code == 1 and not out
+    assert err == "error=InvalidParams detail='trial count must be >= 1, got 0'\n"
 
 
 def test_simulate_config_validation(capsys, tmp_path):
