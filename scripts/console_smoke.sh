@@ -1,10 +1,18 @@
 #!/usr/bin/env bash
-# Console-script smoke: encode, reconstruct, regenerate and simulate through
-# the installed `regencode` command, with `cmp` against the inputs.  Run it
-# from the repository root (it reads README.md) after `pip install -e .`.
-# It works in a new `mktemp -d` directory and leaves it in place.
+# Console-script smoke: --help, then encode, reconstruct, regenerate and
+# simulate through the installed `regencode` command, with `cmp` against
+# the inputs.  Run it from the repository root (it reads README.md) after
+# `pip install -e .`.  It works in a new `mktemp -d` directory and leaves
+# it in place.
 set -e
 dir=$(mktemp -d)
+# --help, at the top level and for each subcommand: exit 0, a usage
+# line naming the command, and no traceback
+for cmd in "" encode reconstruct regenerate simulate analyze; do
+  regencode $cmd --help > "$dir/help.txt" 2>&1
+  grep -q "^usage: regencode ${cmd:+$cmd }" "$dir/help.txt"
+  if grep -q "Traceback" "$dir/help.txt"; then exit 1; fi
+done
 python -c "import os, sys; sys.stdout.buffer.write(os.urandom(100001))" > "$dir/in.bin"
 regencode encode --family msr --n 6 --k 3 --d 4 --out "$dir/chunks" "$dir/in.bin"
 mv "$dir/chunks/node001.rgen" "$dir/node001.orig"

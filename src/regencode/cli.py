@@ -3,7 +3,8 @@
 Subcommands: ``encode`` a file into n chunk files, ``reconstruct`` the
 payload from any sufficient subset, ``regenerate`` a missing chunk file,
 ``simulate`` fault scenarios from a flat key=value config, and ``analyze``
-code parameters and capabilities.
+code parameters and capabilities.  The parser is built once; ``main``
+looks up ``cmd_<command>`` per call, so handlers rebound after import run.
 
 Reports are structured text with stable field names: one ``key=value ...``
 record per line.  Exit status is 0 on success and nonzero when the
@@ -275,7 +276,7 @@ def _parse_config(path) -> dict:
     if not 0 <= cfg["rate"] <= 1:  # NaN fails both comparisons
         raise InvalidParams(f"rate={cfg['rate']} outside [0, 1]")
     if cfg["trials"] < 1:
-        raise InvalidParams(f"trial count must be >= 1, got {cfg['trials']}")
+        raise InvalidParams(f"trials={cfg['trials']} is below 1")
     if cfg["seed"] < 0:
         raise InvalidParams(f"seed={cfg['seed']} is negative")
     return cfg
@@ -392,24 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--scheme", choices=SCHEMES, default=REPLICATED)
     enc.add_argument("--seed", type=int, default=0)
     enc.add_argument("--out", default=".", help="output directory")
-    enc.set_defaults(func=cmd_encode)
 
     rec = sub.add_parser("reconstruct", help="rebuild the payload from chunks")
     rec.add_argument("chunks", nargs="+", help="chunk files or directories")
     rec.add_argument("--out", required=True, help="output payload file")
     rec.add_argument("--seed", type=int, default=0)
-    rec.set_defaults(func=cmd_reconstruct)
 
     reg = sub.add_parser("regenerate", help="rebuild one node's chunk file")
     reg.add_argument("chunks", nargs="+", help="surviving chunk files or dirs")
     reg.add_argument("--failed", type=int, required=True)
     reg.add_argument("--out", default=None, help="output chunk file")
     reg.add_argument("--seed", type=int, default=0)
-    reg.set_defaults(func=cmd_regenerate)
 
     sim = sub.add_parser("simulate", help="run trials from a config file")
     sim.add_argument("--config", required=True)
-    sim.set_defaults(func=cmd_simulate)
 
     ana = sub.add_parser("analyze", help="print parameters and capabilities")
     ana.add_argument("--family", required=True, choices=PARAMS)
@@ -420,14 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--m", type=int, default=11,
                      help="field degree used in the ratio formulas (default 11)")
     ana.add_argument("--r", type=int, default=32)
-    ana.set_defaults(func=cmd_analyze)
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (RegencodeError, OSError) as exc:
         print(
             _record(error=type(exc).__name__, detail=repr(str(exc))),

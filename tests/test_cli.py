@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import random
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+from regencode import cli
 from regencode.chunkio import read_chunk_file
 from regencode.cli import main
 
@@ -645,7 +647,7 @@ def test_simulate_rejects_zero_trials(capsys, tmp_path):
     cfg = write_config(tmp_path, family="msr", n=6, k=3, d=4, trials=0)
     code, out, err = run(capsys, "simulate", "--config", cfg)
     assert code == 1 and not out
-    assert err == "error=InvalidParams detail='trial count must be >= 1, got 0'\n"
+    assert err == "error=InvalidParams detail='trials=0 is below 1'\n"
 
 
 def test_simulate_config_validation(capsys, tmp_path):
@@ -672,6 +674,7 @@ def test_simulate_config_validation(capsys, tmp_path):
     ("seed", "-1", {}),
     ("payload_bits", "-5", {}),
     ("payload_bits", None, {"r": 64}),  # unset: the default, 48 frame bits - r
+    ("trials", "0", {}),
 ])
 def test_simulate_rejects_malformed_numbers(capsys, tmp_path, key, value, extra):
     # each once escaped as a ValueError traceback or ran its trials
@@ -706,3 +709,101 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "command=analyze" in proc.stdout
+
+
+# one argv per subcommand; the handlers are replaced, so no file is read
+COMMAND_ARGV = {
+    "encode": ["encode", "in.bin", "--family", "msr", "--n", "6", "--k", "3", "--d", "4"],
+    "reconstruct": ["reconstruct", "chunks", "--out", "out.bin"],
+    "regenerate": ["regenerate", "chunks", "--failed", "1"],
+    "simulate": ["simulate", "--config", "sim.cfg"],
+    "analyze": ["analyze", "--family", "mbr", "--n", "6", "--k", "3", "--d", "4"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGV))
+def test_main_calls_the_handler_bound_at_call_time(monkeypatch, command):
+    # a handler rebound on the module after import (a tracer's wrapper)
+    # is the one main runs, with the parsed arguments, and its exit code
+    calls = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: calls.append(args) or 7)
+    assert main(COMMAND_ARGV[command]) == 7
+    assert [args.command for args in calls] == [command]
+
+
+def test_main_does_not_rebuild_the_parser(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, out, _ = run(capsys, *COMMAND_ARGV["analyze"])
+    assert code == 0 and out.startswith("command=analyze ")
+
+
+FAMILIES, SCHEMES = ["msr", "mbr"], ["replicated", "coded"]
+# per subcommand, each declared argument in order: (name, nargs, type,
+# default, choices, required, help)
+DECLARED = {
+    "encode": [
+        ("input", None, None, None, None, True, None),
+        ("--family", None, None, None, FAMILIES, True, None),
+        ("--n", None, int, None, None, True, None),
+        ("--k", None, int, None, None, True, None),
+        ("--d", None, int, None, None, True, None),
+        ("--beta", None, int, 0, None, False, "stripes per frame (default: smallest that fits)"),
+        ("--m", None, int, 8, None, False, "field degree (default 8)"),
+        ("--r", None, int, 32, None, False, "checksum width in bits (default 32)"),
+        ("--scheme", None, None, "replicated", SCHEMES, False, None),
+        ("--seed", None, int, 0, None, False, None),
+        ("--out", None, None, ".", None, False, "output directory"),
+    ],
+    "reconstruct": [
+        ("chunks", "+", None, None, None, True, "chunk files or directories"),
+        ("--out", None, None, None, None, True, "output payload file"),
+        ("--seed", None, int, 0, None, False, None),
+    ],
+    "regenerate": [
+        ("chunks", "+", None, None, None, True, "surviving chunk files or dirs"),
+        ("--failed", None, int, None, None, True, None),
+        ("--out", None, None, None, None, False, "output chunk file"),
+        ("--seed", None, int, 0, None, False, None),
+    ],
+    "simulate": [
+        ("--config", None, None, None, None, True, None),
+    ],
+    "analyze": [
+        ("--family", None, None, None, FAMILIES, True, None),
+        ("--n", None, int, None, None, True, None),
+        ("--k", None, int, None, None, True, None),
+        ("--d", None, int, None, None, True, None),
+        ("--beta", None, int, 1, None, False, None),
+        ("--m", None, int, 11, None, False, "field degree used in the ratio formulas (default 11)"),
+        ("--r", None, int, 32, None, False, None),
+    ],
+}
+
+
+def test_parser_declarations_pinned():
+    # the declarations, not the rendered help, whose layout differs
+    # between argparse versions
+    ap = cli.build_parser()
+    assert (ap.prog, ap.description) == (
+        "regencode", "Regenerating-code storage simulator and chunk tool")
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        ("encode", "split a file into n chunk files"),
+        ("reconstruct", "rebuild the payload from chunks"),
+        ("regenerate", "rebuild one node's chunk file"),
+        ("simulate", "run trials from a config file"),
+        ("analyze", "print parameters and capabilities"),
+    ]
+    declared = {
+        name: [
+            (", ".join(a.option_strings) or a.dest, a.nargs, a.type,
+             a.default, None if a.choices is None else list(a.choices), a.required, a.help)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, parser in sub.choices.items()
+    }
+    assert declared == DECLARED

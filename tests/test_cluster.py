@@ -164,6 +164,28 @@ def test_inject_overlap_and_range():
         inject(state, FaultPlan(byzantine={0}, strategy="bogus"))
 
 
+def test_inject_applies_any_strategy():
+    # a strategy that neither built-in class is: inject applies it to each
+    # Byzantine node in index order, on the copy it returns
+    class Stamp:
+        def __init__(self):
+            self.seen = []
+
+        def apply(self, state, idx):
+            self.seen.append(idx)
+            state.nodes[idx].chunk[:] = idx + 1
+
+    state, _ = make_state()
+    before = [s.chunk.copy() for s in state.nodes]
+    stamp = Stamp()
+    out = inject(state, FaultPlan(crashes={0}, byzantine={4, 1}, strategy=stamp))
+    assert stamp.seen == [1, 4]
+    assert [s.status for s in out.nodes] == [CRASHED, BYZANTINE, HEALTHY, HEALTHY, BYZANTINE, HEALTHY]
+    for i in (1, 4):
+        assert (out.nodes[i].chunk == i + 1).all()
+    assert all(np.array_equal(a, s.chunk) for a, s in zip(before, state.nodes))
+
+
 def test_inject_does_not_mutate_input():
     state, _ = make_state()
     before = [s.chunk.copy() for s in state.nodes]
