@@ -184,7 +184,7 @@ done
 # with beta = 1000, record for record
 regencode analyze --family msr --n 100 --k 20 --d 38 --beta 1000 > "$dir/analyze.txt"
 cat "$dir/analyze.txt"
-echo "ec2a0edeb64b6be5af9cc3ff3bba98831e238ccb8c22b5e9d51cdaacdfd31b95  $dir/analyze.txt" | sha256sum -c -
+echo "ef0f584525d701f5a6a97e67dd1f1b35a8f57efabae1471867eb1f4912e6fbf7  $dir/analyze.txt" | sha256sum -c -
 # the sharp collusion threshold: at MSR [6,3,4], ceil((n-d+2)/2) = 2
 # colluders pass a zero-residue forgery through the CRC check (both
 # trials wrong, exit 1); one colluder cannot (exit 0)

@@ -1,7 +1,6 @@
 """Exact-regenerating storage codes (MSR/MBR) with CRC integrity checks."""
 
 from .errors import (
-    ClusterExhausted,
     DecodeFailure,
     DuplicatePosition,
     InvalidParams,
@@ -38,7 +37,6 @@ __all__ = [
     "TooShort",
     "NoMajority",
     "SelfRepair",
-    "ClusterExhausted",
     "PayloadTooLarge",
     "OverlappingSets",
 ]

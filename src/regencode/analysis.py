@@ -82,9 +82,10 @@ def capabilities(n: int, k: int, d: int, family: str, *, beta: int = 1,
     # the coded scheme's [n-1, k'] share code needs n >= 3; below that its
     # cells take the sizes at n = 3 and vouch for nothing, as when k' > n-1
     mp, kp = checksum_code_size(max(n, 3), r)
-    if m * B <= r:
+    frame = beta * m * B  # one checksum covers all β stripes
+    if frame <= r:
         raise InvalidParams(
-            f"checksum of {r} bits leaves no room for data ({m * B} bits stored)"
+            f"checksum of {r} bits leaves no room for data ({frame} bits stored)"
         )
     # A data collector error-decodes rows of its family's row code: MSR
     # decodes U's rows in the [n, d] code of U·G; MBR decodes A2's rows, then
@@ -103,7 +104,7 @@ def capabilities(n: int, k: int, d: int, family: str, *, beta: int = 1,
         byzantine_regeneration=max(0, min((n - 1 - d) // 2, (d - kp) // 2)),
         security_reconstruction=min(k, -((n - dim + 2) // -2)) - 1,
         security_regeneration=min(d, -((n - d + 2) // -2)) - 1,
-        storage_reconstruction=Fraction(r, m * B - r),
+        storage_reconstruction=Fraction(r, frame - r),
         storage_regeneration_replicated=Fraction(r * (n - 1), beta * alpha * m),
         storage_regeneration_coded=Fraction((n - 1) * mp, beta * alpha * m),
         bandwidth_regeneration_replicated=Fraction(r, beta * m),

@@ -39,7 +39,6 @@ import numpy as np
 
 from . import mbr, msr
 from .errors import (
-    ClusterExhausted,
     DecodeFailure,
     InvalidParams,
     NoMajority,
@@ -311,10 +310,7 @@ class _MeteredSource:
 
     def run(self, procedure, *args) -> tuple:
         """(procedure(self, *args), or None once the source runs out; metrics)."""
-        try:
-            result = procedure(self, *args)
-        except ClusterExhausted:
-            result = None
+        result = procedure(self, *args)
         self.metrics.outcome = FAIL if result is None else SUCCESS
         return result, self.metrics
 

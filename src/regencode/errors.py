@@ -45,10 +45,6 @@ class SelfRepair(RegencodeError, ValueError):
     """A node was asked to help regenerate itself."""
 
 
-class ClusterExhausted(RegencodeError):
-    """Every reachable node was consumed without a verified result."""
-
-
 class PayloadTooLarge(RegencodeError, ValueError):
     """Payload does not fit the configured code dimensions."""
 

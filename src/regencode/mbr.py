@@ -36,7 +36,7 @@ rows of A2, then those of A1.  Either way the result is U's top rows
 [A1 | A2ᵀ], which hold every message symbol.  Regeneration works
 exactly as in the MSR family except the decoded vector g_i·U,
 transposed via U's symmetry, *is* the lost column: no column map.  Both
-procedures return what their one ``accept`` returns.
+procedures return what their one ``accept`` returns, or None.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _two_phase(y: np.ndarray, nodes: list[int], params: MbrParams) -> np.ndarray
 
 def reconstruct(collector, params: MbrParams, accept):
     """Two-phase progressive reconstruction from k columns upward; returns
-    what accept(stripes) returns for the first candidate it takes.
+    what accept(stripes) returns for the first candidate it takes, or None.
 
     Round one on exactly k columns is ``reconstruct_fast``; later rounds
     decode A2's rows with the [n, k] code, so ``progressive.run`` tops up
@@ -130,5 +130,5 @@ def repair_response(chunk, holder: int, failed: int, params: MbrParams) -> np.nd
 def regenerate(source, failed: int, params: MbrParams, accept):
     """Rebuild node `failed` exactly; by U's symmetry the decoded g_i·U
     transposes into the stored column itself.  Returns what accept(chunk)
-    returns for the first candidate it takes."""
+    returns for the first candidate it takes, or None."""
     return progressive.regenerate(source, failed, params, accept)

@@ -112,11 +112,11 @@ def _reconstruct_structured(y: np.ndarray, nodes: list[int], params: MsrParams) 
 
 def reconstruct(collector, params: MsrParams, accept):
     """Progressive reconstruction; returns what accept(stripes) returns for
-    the first candidate it takes.
+    the first candidate it takes, or None once every reachable node has
+    been read.
 
     Round one is the fast path on k columns; later rounds decode every row
-    over all columns read.  Raises ClusterExhausted once every reachable
-    node has been read.
+    over all columns read.
     """
     def attempt(received, decode):
         if len(received) == params.k:
@@ -135,6 +135,6 @@ def repair_response(chunk, holder: int, failed: int, params: MsrParams) -> np.nd
 def regenerate(source, failed: int, params: MsrParams, accept):
     """Rebuild node `failed` exactly from helper responses, through the
     column map [I; λ_f·I]; returns what accept(chunk) returns for the
-    first candidate it takes."""
+    first candidate it takes, or None."""
     right = np.vstack([c * np.eye(params.alpha, dtype=np.int64) for c in (1, params.lam[failed])])
     return progressive.regenerate(source, failed, params, accept, right)

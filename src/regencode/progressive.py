@@ -25,7 +25,9 @@ matrix D, and returns y·D.
 Reconstruction and regeneration read what a fault-free run needs and
 read more only when the caller's acceptance test turns the decoded result
 down.  Each procedure takes one ``accept(candidate)``, which returns the
-result, or None to read on; the codecs decode and never judge.
+result, or None to read on; the codecs decode and never judge.  A
+procedure returns what ``accept`` returned, or None once its source runs
+out.
 Round one asks for ``first`` items (k columns to reconstruct, d repair
 responses to regenerate).  Every later round asks for
 ``max(dim - count, 0) + 2`` more, where ``dim`` is the dimension of the
@@ -41,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClusterExhausted, DecodeFailure, InvalidParams, LengthMismatch, SelfRepair
+from .errors import DecodeFailure, InvalidParams, LengthMismatch, SelfRepair
 from .galois import GF
 from .rscode import ProgressiveDecoder, RsParams
 
@@ -154,7 +156,8 @@ def reconstruct_fast(columns: dict, params, algebra) -> np.ndarray:
 
 
 def run(source, first: int, code, beta: int, rows: int, attempt, accept, take=None):
-    """Fetch, decode and test until ``accept`` returns a result; return it.
+    """Fetch, decode and test until ``accept`` returns a result; return it,
+    or None once the source runs out.
 
     One block decoder over ``code`` holds beta × rows rows (stripe-major),
     fed the (beta, rows) symbols of each fetched item, or of ``take(item)``.
@@ -163,8 +166,7 @@ def run(source, first: int, code, beta: int, rows: int, attempt, accept, take=No
     ``right`` (None: the identity).  The decoder is built at the first
     ``decode()`` and fed at each call, so an accepted fast path needs none.
     A DecodeFailure counts as no candidate, and ``accept(candidate)``
-    returning None as a rejected one.  Raises ClusterExhausted once the
-    source runs out.
+    returning None as a rejected one.
     """
     received: dict = {}
     pending: list = []
@@ -194,13 +196,13 @@ def run(source, first: int, code, beta: int, rows: int, attempt, accept, take=No
             if result is not None:
                 return result
         if len(got) < want:
-            raise ClusterExhausted(f"no verified result after reading {len(received)} nodes")
+            return None
         want = max(code.dim - len(received), 0) + 2
 
 
 def regenerate(source, failed: int, params, accept, right=None):
     """Rebuild node ``failed`` from helper responses; return what ``accept``
-    returns for the first candidate chunk it takes.
+    returns for the first candidate chunk it takes, or None.
 
     ``right`` is the family's d×α column map (None: the identity); each
     round's decoder returns g_failed·U times it, the lost chunk, in one

@@ -89,8 +89,9 @@ def test_capability_table_large_msr():
     assert rep.byzantine_regeneration == min((100 - 1 - 38) // 2, (38 - 5) // 2) == 16
     assert rep.security_reconstruction == min(20, 32) - 1 == 19
     assert rep.security_regeneration == min(38, 32) - 1 == 31
-    assert rep.storage_reconstruction == Fraction(32, 11 * 20 * 19 - 32)
-    assert percent(rep.storage_reconstruction) == "0.77%"
+    # one 32-bit CRC covers the whole frame of 1000 stripes
+    assert rep.storage_reconstruction == Fraction(32, 1000 * 11 * 20 * 19 - 32) == Fraction(1, 130624)
+    assert percent(rep.storage_reconstruction) == "0.00%"
     assert rep.storage_regeneration_replicated == Fraction(32 * 99, 209000)
     assert percent(rep.storage_regeneration_replicated) == "1.52%"
     assert rep.bandwidth_regeneration_replicated == Fraction(32, 11000)
@@ -171,6 +172,18 @@ def test_two_nodes_report_coded_cells_infeasible():
         capabilities(2, 1, 1, "msr", m=16, r=8)
     with pytest.raises(InvalidParams, match="no room for data"):
         capabilities(2, 1, 1, "mbr", m=11, r=32)  # 11 stored bits, 32 checksum bits
+
+
+def test_room_for_data_is_counted_per_frame():
+    # MBR [2,1,1] stores one 8-bit symbol per stripe: a 32-bit CRC leaves no
+    # room in one stripe, but over 15 stripes it covers 120 bits, 88 of them
+    # data, which is the 11-byte file encode builds at these flags
+    rep = capabilities(2, 1, 1, "mbr", beta=15, m=8, r=32)
+    assert rep.storage_reconstruction == Fraction(32, 15 * 8 - 32) == Fraction(4, 11)
+    with pytest.raises(InvalidParams, match=r"no room for data \(8 bits stored\)"):
+        capabilities(2, 1, 1, "mbr", beta=1, m=8, r=32)
+    with pytest.raises(InvalidParams, match=r"no room for data \(32 bits stored\)"):
+        capabilities(2, 1, 1, "mbr", beta=4, m=8, r=32)
 
 
 def test_percent_rendering():

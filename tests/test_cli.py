@@ -92,12 +92,15 @@ def test_reconstruct_after_losing_n_minus_k_chunks(capsys, tmp_path):
 
 
 def test_reconstruct_below_k_fails(capsys, tmp_path):
+    # two chunks, fewer than k = 3: one short round of 2 × 14 symbols, then
+    # the run fails, and no payload file is written
     src, chunks = encode_dir(capsys, tmp_path)
     for i in (0, 1, 4, 5):
         (chunks / f"node{i:03d}.rgen").unlink()
-    code, out, _ = run(capsys, "reconstruct", chunks, "--out", tmp_path / "o")
-    assert code == 1
-    assert "outcome=FAIL" in out
+    code, out, err = run(capsys, "reconstruct", chunks, "--out", tmp_path / "o")
+    assert code == 1, err
+    assert out == ("command=reconstruct outcome=FAIL nodes_contacted=2 "
+                   "symbols_downloaded=28 checksum_symbols_downloaded=0 decode_rounds=1\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -480,7 +483,7 @@ def test_analyze_output_pinned(capsys):
         "byzantine_regeneration=16\n"
         "security_reconstruction=19\n"
         "security_regeneration=31\n"
-        "storage_reconstruction=8/1037 storage_reconstruction_pct=0.77%\n"
+        "storage_reconstruction=1/130624 storage_reconstruction_pct=0.00%\n"
         "storage_regeneration_replicated=36/2375 "
         "storage_regeneration_replicated_pct=1.52%\n"
         "storage_regeneration_coded=63/19000 storage_regeneration_coded_pct=0.33%\n"
@@ -489,7 +492,7 @@ def test_analyze_output_pinned(capsys):
         "bandwidth_regeneration_coded=7/11000 bandwidth_regeneration_coded_pct=0.06%\n"
     )
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "ec2a0edeb64b6be5af9cc3ff3bba98831e238ccb8c22b5e9d51cdaacdfd31b95"
+        "ef0f584525d701f5a6a97e67dd1f1b35a8f57efabae1471867eb1f4912e6fbf7"
     )
     code, out, _ = run(
         capsys, "analyze", "--family", "mbr", "--n", "6", "--k", "3",

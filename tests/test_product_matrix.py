@@ -1,12 +1,15 @@
 """The product-matrix layer both families share: U's index maps against
 the closed forms of the construction (and build_u/read_u round trips on
-them), the fast-path frame's input checks and route rule, and chunk
-files pinned byte for byte."""
+them), the fast-path frame's input checks and route rule, chunk files
+pinned byte for byte, and the progressive ladder of a run that never
+accepts."""
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regencode.chunkio import header_for_state, pack_chunk
 from regencode.cluster import CODECS, PARAMS, store
@@ -15,7 +18,9 @@ from regencode.galois import GF
 from regencode.integrity import CODED, REPLICATED, CrcParams
 from regencode.mbr import MbrParams
 from regencode.msr import MsrParams
-from regencode.progressive import build_u, read_u
+from regencode.progressive import build_u, read_u, repair_response
+
+from listsource import ListSource
 
 F256 = GF(8)
 
@@ -208,3 +213,41 @@ def test_chunk_files_are_pinned(case):
         for i, s in enumerate(state.nodes)
     ]
     assert got == CHUNK_SHA256[case]
+
+
+def ladder(first, dim, total):
+    """(items read, non-empty fetches) of a run over ``total`` items whose
+    acceptance test never takes a candidate: ``first`` items, then
+    max(dim - count, 0) + 2 per round, until a fetch comes back short."""
+    count, want, rounds = 0, first, 0
+    while True:
+        got = min(want, total - count)
+        count, rounds = count + got, rounds + (got > 0)
+        if got < want:
+            return count, rounds
+        want = max(dim - count, 0) + 2
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(family=st.sampled_from(["msr", "mbr"]), k=st.integers(1, 4), spread=st.integers(0, 2),
+       spare=st.integers(1, 3), beta=st.sampled_from([1, 3]), repair=st.booleans(),
+       perm=st.permutations(range(9)))
+@example(family="mbr", k=3, spread=0, spare=2, beta=3, repair=False, perm=list(range(9)))  # d = k
+def test_rejecting_run_reads_the_ladder_then_returns_none(family, k, spread, spare, beta, repair, perm):
+    # MSR has d = 2k-2 (k >= 2); MBR any k <= d <= k+2; n = d + spare <= 9
+    k, d = (max(k, 2), 2 * max(k, 2) - 2) if family == "msr" else (k, k + spread)
+    params = PARAMS[family](d + spare, k, d, beta, GF(6))
+    order = [i for i in perm if i < params.n]
+    chunks = CODECS[family].encode(np.random.default_rng(len(order)).integers(0, 64, (beta, params.B)), params)
+    never = lambda candidate: None
+    if repair:  # the first node in the order fails, the others help
+        failed, helpers = order[0], order[1:]
+        source = ListSource((j, repair_response(chunks[j], j, failed, params)) for j in helpers)
+        assert CODECS[family].regenerate(source, failed, params, never) is None
+        want = ladder(d, d, len(helpers))
+    else:
+        source = ListSource((i, chunks[i]) for i in order)
+        assert CODECS[family].reconstruct(source, params, never) is None
+        want = ladder(k, d if family == "msr" else k, len(order))
+    assert source.pos == len(source.items)  # every item read
+    assert (source.pos, source.rounds) == want
