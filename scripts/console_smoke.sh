@@ -127,7 +127,9 @@ cmp "$dir/node001.orig" "$dir/node001.rgen"
 # erasure, not an error).  --seed 1 reads a flipped node in round one,
 # so the ladder climbs past it.  The decode's (3648x38)·(38x38)
 # message products and the regenerate's (192x38)·(38x19) column maps
-# take split product tables
+# take split product tables.  The regenerate's --seed 3 also reads a
+# flipped helper in round one, so its ladder climbs too, with a liar
+# inside a round whose responses come from one stacked product
 rm -rf "$dir/chunks" "$dir/out.bin"
 regencode encode --family msr --n 100 --k 20 --d 38 --m 11 --scheme coded --out "$dir/chunks" "$dir/in.bin"
 mv "$dir/chunks/node005.rgen" "$dir/node005.orig"
@@ -141,7 +143,10 @@ cat "$dir/record.txt"
 grep -q "decode_rounds=" "$dir/record.txt"
 if grep -Eq "decode_rounds=1( |$)" "$dir/record.txt"; then exit 1; fi
 cmp "$dir/in.bin" "$dir/out.bin"
-regencode regenerate "$dir/chunks" --failed 5 --out "$dir/node005.rgen"
+regencode regenerate "$dir/chunks" --failed 5 --seed 3 --out "$dir/node005.rgen" > "$dir/record.txt"
+cat "$dir/record.txt"
+grep -q "decode_rounds=" "$dir/record.txt"
+if grep -Eq "decode_rounds=1( |$)" "$dir/record.txt"; then exit 1; fi
 cmp "$dir/node005.orig" "$dir/node005.rgen"
 # a foreign polynomial: the prim_poly bytes (8-11) of one MSR [6,3,4]
 # file rewritten to 0x12D, another primitive polynomial of degree 8.

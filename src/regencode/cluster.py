@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from . import mbr, msr
+from . import galois, mbr, msr
 from .errors import (
     DecodeFailure,
     InvalidParams,
@@ -284,9 +284,8 @@ class ExplicitOrder:
 
 @dataclass
 class _MeteredSource:
-    """Serves ``serve(j)`` for the nodes of ``queue`` (policy order, so no
-    crashed node), in the order kept in ``read``; each item costs
-    ``symbols`` symbols plus ``shares`` checksum symbols."""
+    """Serves the nodes of ``queue`` (policy order, so no crashed node) in the order kept in
+    ``read``, a round's by one ``serve(ids)``; each costs ``symbols`` plus ``shares`` checksum symbols."""
 
     queue: deque
     serve: object
@@ -296,17 +295,15 @@ class _MeteredSource:
     read: list = dc_field(default_factory=list)
 
     def fetch(self, count: int):
-        out = []
-        while self.queue and len(out) < count:
-            j = self.queue.popleft()
-            out.append((j, self.serve(j)))
-            self.read.append(j)
-        if out:
-            self.metrics.nodes_contacted += len(out)
-            self.metrics.symbols_downloaded += len(out) * self.symbols
-            self.metrics.checksum_symbols_downloaded += len(out) * self.shares
-            self.metrics.decode_rounds += 1
-        return out
+        ids = [self.queue.popleft() for _ in range(min(count, len(self.queue)))]
+        if not ids:
+            return []
+        self.read.extend(ids)
+        self.metrics.nodes_contacted += len(ids)
+        self.metrics.symbols_downloaded += len(ids) * self.symbols
+        self.metrics.checksum_symbols_downloaded += len(ids) * self.shares
+        self.metrics.decode_rounds += 1
+        return list(zip(ids, self.serve(ids), strict=True))
 
     def run(self, procedure, *args) -> tuple:
         """(procedure(self, *args), or None once the source runs out; metrics)."""
@@ -319,7 +316,7 @@ def run_reconstruction(state: ClusterState, policy=None) -> tuple:
     """Full data-collector protocol; returns (payload bits or None, metrics)."""
     policy = policy if policy is not None else SeededRandom()
     params = state.params
-    collector = _MeteredSource(deque(policy.order(state)), lambda j: state.nodes[j].chunk,
+    collector = _MeteredSource(deque(policy.order(state)), lambda ids: [state.nodes[j].chunk for j in ids],
                                params.beta * params.alpha)
 
     def accept(stripes):
@@ -338,10 +335,13 @@ def run_regeneration(state: ClusterState, failed: int, policy=None) -> tuple:
         raise InvalidParams(f"node index {failed} out of range for n={params.n}")
     policy = policy if policy is not None else SeededRandom()
     codec = CODECS[params.family]
-    source = _MeteredSource(
-        deque(policy.order(state, {failed})),
-        lambda j: codec.repair_response(state.nodes[j].chunk, j, failed, params),
-        params.beta, 1)
+
+    def serve(ids):  # one product per round while its stack fits a heap block; larger ones fault pages
+        if len(ids) * params.beta * params.alpha <= galois._BLOCK_CELLS:
+            return codec.repair_response(np.stack([state.nodes[j].chunk for j in ids]), ids, failed, params)
+        return [codec.repair_response(state.nodes[j].chunk, j, failed, params) for j in ids]
+
+    source = _MeteredSource(deque(policy.order(state, {failed})), serve, params.beta, 1)
     checksum = None  # the failed node's, recovered once from the shares read so far
 
     def accept(chunk):

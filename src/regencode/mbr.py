@@ -122,9 +122,9 @@ def reconstruct(collector, params: MbrParams, accept):
     return progressive.run(collector, k, params.code_k, beta, d - k, attempt, accept, take)
 
 
-def repair_response(chunk, holder: int, failed: int, params: MbrParams) -> np.ndarray:
-    """Helper's per-stripe download: inner product with the full column g_failed."""
-    return progressive.repair_response(chunk, holder, failed, params)
+def repair_response(chunks, holders, failed: int, params: MbrParams) -> np.ndarray:
+    """Helpers' per-stripe downloads, of one chunk or a stack: times the full column g_failed."""
+    return progressive.repair_response(chunks, holders, failed, params)
 
 
 def regenerate(source, failed: int, params: MbrParams, accept):

@@ -9,20 +9,20 @@ i's column of U·G is A1·g_i + λ_i·A2·g_i with g_i = (1, b_i, …,
 b_i^{α-1}), b_i = a^i and λ_i = b_i^α.
 
 Reconstruction from exactly k = α+1 columns needs no error decoding:
-for accessed nodes i ≠ j the cross projections g_j·y_i and g_i·y_j
+for accessed nodes o ≠ t the cross projections g_o·y_t and g_t·y_o
 differ only in their A2 terms (the A1 terms cancel by symmetry), so
-(λ_i + λ_j) divides out g_j·A2·g_i, and α such bilinear values pin down
-A2·g_i through an invertible Vandermonde system, inverted in closed form
-(``rscode.vandermonde_inverse``); A1 follows the same way.  That algebra
-is linear in the B = k·α symbols read per stripe and runs in the shared
-fast-path frame of ``progressive``; its route rule ``by_matrix`` is
-β > B and either B² ≤ k²α + 2kα + 4α³ (Y·D's products per stripe
-against the algebra's; α ≤ 3) or Y·D runs on one lane group of the
-product tables of ``GF.matmul`` (β past 2^(m+1) and B symbols to a row,
-so one gather per input symbol: α ≤ 7 over GF(2^8)).  When the caller's
-acceptance test turns that result down, the collector falls back to
-per-row error-erasure decoding of the [n, d] row code on the shared
-schedule of ``progressive``, whose decoder hands back U's rows as messages.
+(λ_o + λ_t) divides out F(b_o, b_t) = g_o·A2·g_t, and A1's F follows.
+Interpolating x ↦ F(x, b_t) through the other α points fills the
+diagonal of the α×α grid M = W^T·A·W (W's columns g_t, t < α), so
+A = W⁻ᵀ·M·W⁻¹ (``rscode.vandermonde_inverse``): four matrix products
+over all stripes, linear in the B = k·α symbols a stripe reads, in the
+fast-path frame of ``progressive``.  Its route rule ``by_matrix`` is β > B
+and either B² ≤ k²α + 2kα + 4α³ (α ≤ 3; the per-column algebra's count,
+which it was timed against: k²α + 4kα + 4α³ + 2α would move α = 4 to Y·D
+untimed) or Y·D runs on one lane group of ``GF.matmul``'s tables (β past
+2^(m+1), B symbols to a row: α ≤ 7 over GF(2^8)).  A rejected result
+falls back to per-row error-erasure decoding of the [n, d] row code on
+``progressive``'s schedule, whose decoder hands back U's rows as messages.
 
 Regeneration decodes t = g_i·U from one symbol per stripe from each
 helper straight into the lost column t[:α] + λ_i·t[α:]: the decoder
@@ -80,19 +80,15 @@ def reconstruct_fast(columns: dict[int, np.ndarray], params: MsrParams) -> np.nd
 
 
 def _reconstruct_structured(y: np.ndarray, nodes: list[int], params: MsrParams) -> np.ndarray:
-    """The message stripes of y[s, t·α + a] = symbol a of node nodes[t] in
-    stripe s, by the symmetric-projection algebra: α+2 field matrix
-    products and two elementwise products, each over all β stripes at once."""
+    """The message stripes of y[s, t·α + a] = symbol a of node nodes[t] in stripe s, by
+    the symmetric-projection algebra: four field matrix products over all β stripes."""
     field = params.field
     alpha, k, beta = params.alpha, params.k, y.shape[0]
     # y[a, t·β + s]: stripes innermost throughout, so every bulk step runs on long rows
     y = y.reshape(beta, k, alpha).transpose(2, 1, 0).reshape(alpha, k * beta)
-    m_rows = params.G[:alpha, nodes].T  # row t = g_{nodes[t]}
-    # others[t] is the access set without t.  W (columns g_i, i < alpha) is the
-    # Vandermonde matrix on others[alpha]; V_t (rows g_o) is that on others[t], transposed
-    others = [[o for o in range(k) if o != t] for t in range(k)]
-    inv = vandermonde_inverse(field, field.power(np.asarray(nodes)[others]))
-    w_inv, v_invs = inv[alpha], inv[:alpha].transpose(0, 2, 1)
+    m_rows, b = params.G[:alpha, nodes].T, params.G[1, nodes]  # row t = g_{nodes[t]}; b_t
+    full = field.prod((b[:, None] ^ b[None, :]) | np.eye(k, dtype=np.int64))  # ∏_{o≠t} (b_t + b_o)
+    w_inv = vandermonde_inverse(field, b[:alpha])  # W: columns g_t, t < α
     lam = params.lam[nodes]
     # 1/(λ_o + λ_t) off the diagonal; the diagonal is never read
     gap = (lam[:, None] ^ lam[None, :]) + np.eye(k, dtype=np.int64)
@@ -102,12 +98,15 @@ def _reconstruct_structured(y: np.ndarray, nodes: list[int], params: MsrParams) 
     sym = proj[:, :alpha] ^ proj.transpose(1, 0, 2)[:, :alpha]
     q = field.vmul(sym, gap_inv[:, :, None])  # q[o, t, s] = g_o·A2·g_t
     r = proj[:, :alpha] ^ field.vmul(q, lam[:alpha, None])  # r[o, t, s] = g_o·A1·g_t
-    rq = np.concatenate([r, q], axis=2)
-    # column t of A1·W (of A2·W) solves V_t·x = r[others, t] (= q[...]) per stripe
-    aw = np.stack([field.matmul(v_invs[t], rq[o, t]) for t, o in enumerate(others[:alpha])])
-    # aw[t, i, (1|2, s)] is the row (i, 1|2, s) of the left operand, column t
-    a = field.matmul(aw.reshape(alpha, -1).T, w_inv).reshape(alpha, 2, beta, alpha)
-    return read_u(a.transpose(2, 0, 1, 3).reshape(beta, alpha, -1), params)  # [s, i, A1 | A2]
+    rq = np.concatenate([r, q], axis=2)  # F(b_o, b_t) = g_o·A·g_t, A = A1 | A2, off the diagonal
+    rq[np.diag_indices(alpha)] = 0
+    # x ↦ F(x, b_t) has degree < α: through the other α points, b_o weighs full_t / full_o
+    diag = field.matmul(field.vdiv(1, full)[None], rq.reshape(k, -1)).reshape(alpha, -1)
+    rq[np.diag_indices(alpha)] = field.vmul(diag, full[:alpha, None])  # M = rq[:α] = W^T·A·W
+    # A = W⁻ᵀ·M·W⁻¹, M symmetric: rows (t, 1|2, s) times W⁻¹, then its transpose on the left
+    x = field.matmul(rq[:alpha].transpose(1, 2, 0).reshape(-1, alpha), w_inv)
+    a = field.matmul(x.reshape(alpha, -1).T, w_inv).reshape(2, beta, alpha, alpha)
+    return read_u(a.transpose(1, 2, 0, 3).reshape(beta, alpha, -1), params)  # [s, i, A1 | A2]
 
 
 def reconstruct(collector, params: MsrParams, accept):
@@ -127,9 +126,9 @@ def reconstruct(collector, params: MsrParams, accept):
                            attempt, accept)
 
 
-def repair_response(chunk, holder: int, failed: int, params: MsrParams) -> np.ndarray:
-    """Helper's per-stripe download: the inner product g_failed·y_holder."""
-    return progressive.repair_response(chunk, holder, failed, params)
+def repair_response(chunks, holders, failed: int, params: MsrParams) -> np.ndarray:
+    """Helpers' per-stripe downloads g_failed·y_holder, of one chunk or a stack."""
+    return progressive.repair_response(chunks, holders, failed, params)
 
 
 def regenerate(source, failed: int, params: MsrParams, accept):

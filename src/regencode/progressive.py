@@ -119,12 +119,13 @@ def encode(stripes, params) -> np.ndarray:
     return c_all.reshape(params.beta, params.alpha, params.n).transpose(2, 0, 1)
 
 
-def repair_response(chunk, holder: int, failed: int, params) -> np.ndarray:
-    """Helper's per-stripe download: its chunk times g_failed."""
-    if holder == failed:
+def repair_response(chunks, holders, failed: int, params) -> np.ndarray:
+    """Helpers' downloads in one product, each chunk times g_failed: (β, α) to β, (h, β, α) to (h, β)."""
+    chunks = np.asarray(chunks, dtype=np.int64)
+    if failed in (holders if chunks.ndim == 3 else (holders,)):
         raise SelfRepair(f"node {failed} cannot help regenerate itself")
     g = params.G[: params.alpha, failed : failed + 1]  # alpha × 1
-    return params.field.matmul(np.asarray(chunk, dtype=np.int64), g)[:, 0]
+    return params.field.matmul(chunks.reshape(-1, params.alpha), g).reshape(chunks.shape[:-1])
 
 
 def checked_columns(columns: dict, params) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -511,6 +513,84 @@ def test_progressive_fetch_schedule(family, n, k, d, scheme, op, b):
     rounds = metrics.decode_rounds
     assert rounds == b + 1
     assert metrics.nodes_contacted == (first if rounds == 1 else dim + 2 * (rounds - 1))
+
+
+def _metered_runs(monkeypatch) -> list:
+    """(metrics, read order) of every metered run made after the call."""
+    seen, run = [], cluster._MeteredSource.run
+
+    def recording(source, *args):
+        result = run(source, *args)
+        seen.append((astuple(source.metrics), source.read[:]))
+        return result
+
+    monkeypatch.setattr(cluster._MeteredSource, "run", recording)
+    return seen
+
+
+def _digest(read) -> str:
+    return hashlib.sha256(",".join(map(str, read)).encode()).hexdigest()[:16]
+
+
+# (outcome, nodes_contacted, symbols_downloaded, checksum_symbols_downloaded,
+# decode_rounds) and the read order's length and digest: reconstruct, then
+# regenerate, per seed
+BYZANTINE_RUNS = {
+    1: [(("SUCCESS", 100, 15200, 0, 32), 100, "d2e786249f9243d9"),
+        (("SUCCESS", 54, 432, 54, 9), 54, "c67ed594bafbb2c9")],
+    2: [(("SUCCESS", 98, 14896, 0, 31), 98, "61adc0c80a2c78e7"),
+        (("SUCCESS", 54, 432, 54, 9), 54, "d53f223ffd0bbf82")],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BYZANTINE_RUNS))
+def test_byzantine_shaped_runs_pinned(monkeypatch, seed):
+    # MSR [100,20,38] over GF(2^11) at beta = 8, coded, as in the benchmark:
+    # 31 liars against the reconstruct, then 16 among the regenerate's
+    # helpers, so liars sit inside rounds whose responses are one product
+    state, bits = make_state("msr", 100, 20, 38, beta=8, field=GF(11), r=32, scheme=CODED, seed=seed)
+    rng = random.Random(f"{seed}|pinned")
+    seen = _metered_runs(monkeypatch)
+    faulty = inject(state, FaultPlan(byzantine=frozenset(rng.sample(range(100), 31))))
+    out, metrics = run_reconstruction(faulty, SeededRandom(seed))
+    assert np.array_equal(out, bits)
+    failed = rng.randrange(100)
+    faulty = inject(state, FaultPlan(byzantine=frozenset(
+        rng.sample([i for i in range(100) if i != failed], 16))))
+    chunk, metrics = run_regeneration(faulty, failed, SeededRandom(seed))
+    assert np.array_equal(chunk, state.nodes[failed].chunk)
+    got = [(m, len(read), _digest(read)) for m, read in seen]
+    assert got == BYZANTINE_RUNS[seed]
+
+
+# the reconstruct's, then the regenerate's (metrics, read order)
+CRASHED_RUNS = {
+    ("msr", 64): [(("SUCCESS", 3, 384, 0, 1), [1, 3, 5]), (("SUCCESS", 4, 256, 4, 1), [1, 3, 5, 0])],
+    ("mbr", 64): [(("SUCCESS", 3, 768, 0, 1), [1, 3, 5]), (("SUCCESS", 4, 256, 4, 1), [1, 3, 5, 0])],
+    ("msr", 2100): [(("SUCCESS", 3, 12600, 0, 1), [1, 3, 5]), (("SUCCESS", 4, 8400, 4, 1), [1, 3, 5, 0])],
+    ("mbr", 2100): [(("SUCCESS", 3, 25200, 0, 1), [1, 3, 5]), (("SUCCESS", 4, 8400, 4, 1), [1, 3, 5, 0])],
+}
+
+
+@pytest.mark.parametrize("family,beta,calls", [
+    ("msr", 64, 1), ("mbr", 64, 1), ("msr", 2100, 4), ("mbr", 2100, 4)])
+def test_crashed_node_runs_pinned(monkeypatch, family, beta, calls):
+    # [6,3,4] over GF(2^8), replicated, node 2 crashed: a reconstruct, then the
+    # crashed node's regenerate from d = 4 helpers in one round, whose responses
+    # are one product while their stack of 4·β·α symbols fits one heap block of
+    # GF.matmul, and one product per helper past it
+    state, bits = make_state(family, beta=beta, field=GF(8), r=32, seed=5)
+    codec, made = cluster.CODECS[family], []
+    respond = codec.repair_response
+    monkeypatch.setattr(codec, "repair_response", lambda *args: made.append(args) or respond(*args))
+    seen = _metered_runs(monkeypatch)
+    faulty = inject(state, FaultPlan(crashes={2}))
+    out, _ = run_reconstruction(faulty, SeededRandom(3))
+    assert np.array_equal(out, bits)
+    chunk, _ = run_regeneration(faulty, 2, SeededRandom(3))
+    assert np.array_equal(chunk, state.nodes[2].chunk)
+    assert len(made) == calls
+    assert seen == CRASHED_RUNS[family, beta]
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,8 @@ def test_fast_reconstruct_multi_stripe():
 
 def per_stripe_reconstruct_fast(columns, params):
     """Oracle: the fast path one stripe at a time, in scalar arithmetic
-    around small matrix products."""
+    around small matrix products, solving each column t < α of A1·W and
+    A2·W by its own Vandermonde system V_t over the other α nodes."""
     field = params.field
     nodes = list(columns)
     alpha, k = params.alpha, params.k
@@ -208,6 +209,26 @@ def test_batched_fast_path_matches_per_stripe_oracle(n, k, field):
         assert np.array_equal(got, per_stripe_reconstruct_fast(cols, p))
         if not trial % 2:
             assert np.array_equal(got, msg)
+
+
+@pytest.mark.parametrize("n,k,field,beta", [
+    (13, 5, GF(8), 1), (13, 5, GF(8), 4), (13, 5, GF(8), 30),
+    (20, 10, GF(8), 1), (20, 10, GF(8), 4), (20, 10, GF(8), 30),
+    (100, 20, GF(11), 8),  # the benchmark's byzantine code and frame
+])
+def test_fast_path_on_random_columns_matches_per_stripe_oracle(n, k, field, beta):
+    # wholly random columns, not codewords, are what the fast path sees
+    # under liars; each access set is taken in forward and reversed order
+    rng = np.random.default_rng(n * 31 + beta)
+    p = msr.MsrParams(n, k, 2 * k - 2, beta, field)
+    assert not p.by_matrix  # the algebra runs on the columns themselves
+    for _ in range(3):
+        nodes = rng.choice(n, size=k, replace=False).tolist()
+        cols = {i: rng.integers(0, field.q, (beta, p.alpha)) for i in nodes}
+        for order in (nodes, nodes[::-1]):
+            ordered = {i: cols[i] for i in order}
+            assert np.array_equal(msr.reconstruct_fast(ordered, p),
+                                  per_stripe_reconstruct_fast(ordered, p))
 
 
 def field_product(field, a, b):

@@ -1,8 +1,8 @@
 """The product-matrix layer both families share: U's index maps against
 the closed forms of the construction (and build_u/read_u round trips on
 them), the fast-path frame's input checks and route rule, chunk files
-pinned byte for byte, and the progressive ladder of a run that never
-accepts."""
+pinned byte for byte, stacked repair responses, and the progressive
+ladder of a run that never accepts."""
 
 import hashlib
 
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from regencode.chunkio import header_for_state, pack_chunk
 from regencode.cluster import CODECS, PARAMS, store
-from regencode.errors import InvalidParams, LengthMismatch
+from regencode.errors import InvalidParams, LengthMismatch, SelfRepair
 from regencode.galois import GF
 from regencode.integrity import CODED, REPLICATED, CrcParams
 from regencode.mbr import MbrParams
@@ -213,6 +213,34 @@ def test_chunk_files_are_pinned(case):
         for i, s in enumerate(state.nodes)
     ]
     assert got == CHUNK_SHA256[case]
+
+
+@pytest.mark.parametrize("family,n,k,d,m,beta", [
+    ("msr", 6, 3, 4, 8, 5),
+    ("mbr", 6, 3, 4, 8, 5),
+    ("msr", 100, 20, 38, 11, 8),  # the benchmark's byzantine code and frame
+])
+def test_stacked_repair_responses_match_per_helper_loop(family, n, k, d, m, beta):
+    # a round's responses come from one call on the holders' stacked chunks;
+    # each row must be what that holder's own call gives, and both must be
+    # the chunk times g_failed by elementwise products (no matmul)
+    codec, params = CODECS[family], PARAMS[family](n, k, d, beta, GF(m))
+    rng = np.random.default_rng(n + m)
+    chunks = codec.encode(rng.integers(0, 1 << m, (beta, params.B)), params)
+    for failed in (0, n // 2, n - 1):
+        holders = [j for j in rng.permutation(n).tolist() if j != failed][:d]
+        g = params.G[: params.alpha, failed]
+        oracle = np.bitwise_xor.reduce(params.field.vmul(chunks[holders], g), axis=-1)
+        stacked = codec.repair_response(chunks[holders], holders, failed, params)
+        assert stacked.shape == (len(holders), beta)
+        assert np.array_equal(stacked, oracle)
+        for row, j in zip(stacked, holders):
+            assert np.array_equal(codec.repair_response(chunks[j], j, failed, params), row)
+        with_failed = holders[:2] + [failed] + holders[2:]
+        with pytest.raises(SelfRepair):
+            codec.repair_response(chunks[with_failed], with_failed, failed, params)
+        with pytest.raises(SelfRepair):
+            codec.repair_response(chunks[failed], failed, failed, params)
 
 
 def ladder(first, dim, total):
